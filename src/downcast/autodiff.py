@@ -330,10 +330,11 @@ def softmax_rows(x) -> Tensor:
 
 
 def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
-    """Apply a constant sparse operator (optionally transposed) to a matrix.
+    """Apply a constant sparse operator (optionally transposed) to each block of a matrix.
 
-    Equals the dense product of the materialised operator with `x`; the
-    adjoint flows through the transposed operator back to `x`.
+    `x` stacks B blocks of the operator's input size along its rows; each
+    block gets the dense product of the materialised operator with it. The
+    adjoint flows blockwise through the transposed operator back to `x`.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:

@@ -372,7 +372,18 @@ def dump_scores(checkpoint_dir, window_index: int, out_path) -> None:
     model, bundle = prepare_experiment(resolved)
     if model.config != config:
         raise ContractError("checkpoint configuration does not match its dataset config")
+    unknown = sorted(set(values) - set(model.params))
+    missing = sorted(set(model.params) - set(values))
+    if unknown or missing:
+        raise ContractError(
+            f"checkpoint parameters do not match the model: unknown {unknown}, missing {missing}"
+        )
     for name, value in values.items():
+        expected = model.params[name].value.shape
+        if value.shape != expected:
+            raise ContractError(
+                f"checkpoint parameter {name!r} has shape {value.shape}, the model expects {expected}"
+            )
         model.params[name].value[...] = value
     write_attention_csv(Path(out_path), model, bundle, window_index)
 

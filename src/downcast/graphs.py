@@ -224,23 +224,25 @@ def ensure_connected(graph: WeightedDigraph, coords: np.ndarray, tau: float) -> 
 # -- power graphs and pooling --------------------------------------------------
 
 
-def _bfs_within(adj: list[np.ndarray], start: int, k: int) -> list[int]:
-    """Nodes other than `start` reachable within k hops."""
+def hop_rings(adj: list[np.ndarray], start: int, k: int) -> list[np.ndarray]:
+    """rings[h] holds, sorted, the nodes at hop distance exactly h+1 from `start`.
+
+    Hops follow `adj`; all k rings are returned, empty past the reachable set.
+    """
     seen = {start}
     frontier = [start]
-    found = []
+    rings = []
     for _ in range(k):
         nxt = []
         for u in frontier:
             for v in adj[u]:
+                v = int(v)
                 if v not in seen:
-                    seen.add(int(v))
-                    nxt.append(int(v))
-                    found.append(int(v))
+                    seen.add(v)
+                    nxt.append(v)
+        rings.append(np.array(sorted(nxt), dtype=np.int64))
         frontier = nxt
-        if not frontier:
-            break
-    return found
+    return rings
 
 
 def reach_within(graph: WeightedDigraph, k: int) -> WeightedDigraph:
@@ -250,8 +252,8 @@ def reach_within(graph: WeightedDigraph, k: int) -> WeightedDigraph:
     adj = graph.neighbor_lists(undirected=True)
     edges = []
     for i in range(graph.n):
-        for j in _bfs_within(adj, i, k):
-            edges.append((i, j, 1.0))
+        for ring in hop_rings(adj, i, k):
+            edges.extend((i, int(j), 1.0) for j in ring)
     return WeightedDigraph.from_edges(graph.n, edges, directed=False)
 
 
@@ -271,8 +273,8 @@ def kmis_select(graph: WeightedDigraph, k: int) -> SelectionMatrix:
         if blocked[v]:
             continue
         centroids.append(v)
-        for u in _bfs_within(adj, v, k):
-            blocked[u] = True
+        for ring in hop_rings(adj, v, k):
+            blocked[ring] = True
     centroids = np.array(centroids, dtype=np.int64)
 
     owner = np.full(graph.n, -1, dtype=np.int64)

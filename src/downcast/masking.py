@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .graphs import WeightedDigraph
+from .graphs import WeightedDigraph, hop_rings
 from .rng import stream_rng
 
 
@@ -67,24 +67,8 @@ def simulate_point(shape: tuple[int, int, int], eta: float, rng: np.random.Gener
 
 def directed_hop_rings(graph: WeightedDigraph, max_hop: int) -> list[list[np.ndarray]]:
     """rings[i][k] holds the nodes at successor-distance exactly k+1 from node i."""
-    succ = [graph.csr.rows(i) for i in range(graph.n)]
-    rings: list[list[np.ndarray]] = []
-    for i in range(graph.n):
-        seen = {i}
-        frontier = [i]
-        per_hop = []
-        for _ in range(max_hop):
-            nxt = []
-            for u in frontier:
-                for v in succ[u]:
-                    v = int(v)
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            per_hop.append(np.array(sorted(nxt), dtype=np.int64))
-            frontier = nxt
-        rings.append(per_hop)
-    return rings
+    succ = graph.neighbor_lists(undirected=False)
+    return [hop_rings(succ, i, max_hop) for i in range(graph.n)]
 
 
 def simulate_block(

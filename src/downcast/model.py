@@ -22,7 +22,7 @@ from .autodiff import Parameter, Tape, Tensor
 from .errors import ContractError, DimensionError
 from .graphs import CoarseningHierarchy, temporal_chain
 from .rng import stream_rng
-from .sparse import CsrMatrix, tile_block_diag
+from .sparse import CsrMatrix
 
 SMP_VARIANTS = ("isotropic", "anisotropic")
 
@@ -176,16 +176,16 @@ class _TapeParams:
 
 
 class ModelRuntime:
-    """Batch-tiled sparse operators derived from the hierarchy.
+    """Sparse graph operators derived from the hierarchy, one set per model.
 
-    A batch of B windows is processed as one block-diagonal graph over B*N
-    nodes; per-window results are bit-identical to running windows one by one
-    because every row of every product depends only on its own window's block.
+    Each operator acts on one window's nodes (N x N, or E x N for edge
+    incidence). A batch of B windows stacks its activations as B blocks of
+    rows, and `ad.sparse_matmul` applies an operator to every block, so the
+    operators do not depend on the batch size. Per-window results are
+    bit-identical to running windows one by one.
     """
 
-    def __init__(self, hierarchy: CoarseningHierarchy, config: ModelConfig, batch_size: int):
-        self.batch_size = batch_size
-        tile = lambda m: tile_block_diag(m, batch_size)
+    def __init__(self, hierarchy: CoarseningHierarchy, config: ModelConfig):
         self.reduce_ops: list[CsrMatrix] = []
         self.lift_ops: list[CsrMatrix] = []
         self.ascent_ops: list[CsrMatrix] = []
@@ -193,22 +193,21 @@ class ModelRuntime:
         self.iso_rev: list[list[CsrMatrix] | None] = []
         self.edge_src: list[CsrMatrix | None] = []
         self.edge_recv: list[CsrMatrix | None] = []
-        self.edge_weight: list[np.ndarray | None] = []
+        self.edge_weight: list[np.ndarray | None] = []  # (E, 1) per level
 
         for k in range(1, config.spatial_levels + 1):
             sel = hierarchy.selections[k - 1]
             graph = hierarchy.graphs[k - 1]
-            self.reduce_ops.append(tile(sel.reduce_op()))
-            self.lift_ops.append(tile(sel.lift_op()))
-            ascent = graph.csr.row_normalized() if config.normalize_ascent else graph.csr
-            self.ascent_ops.append(tile(ascent))
+            self.reduce_ops.append(sel.reduce_op())
+            self.lift_ops.append(sel.lift_op())
+            self.ascent_ops.append(graph.csr.row_normalized() if config.normalize_ascent else graph.csr)
             if config.smp_variant == "isotropic":
                 fwd, rev = [], []
                 for p in range(1, config.diffusion_hops + 1):
                     hop = graph.csr.power(p)
-                    fwd.append(tile(hop.transpose().row_normalized()))
+                    fwd.append(hop.transpose().row_normalized())
                     if graph.directed:
-                        rev.append(tile(hop.row_normalized()))
+                        rev.append(hop.row_normalized())
                 self.iso_fwd.append(fwd)
                 self.iso_rev.append(rev if graph.directed else None)
                 self.edge_src.append(None)
@@ -224,9 +223,9 @@ class ModelRuntime:
                 eye_rows = np.arange(n_e)
                 src_op = CsrMatrix.from_entries(n_e, graph.n, eye_rows, srcs, np.ones(n_e))
                 recv_op = CsrMatrix.from_entries(n_e, graph.n, eye_rows, recvs, np.ones(n_e))
-                self.edge_src.append(tile(src_op))
-                self.edge_recv.append(tile(recv_op))
-                self.edge_weight.append(np.tile(np.asarray(weights)[:, None], (batch_size, 1)))
+                self.edge_src.append(src_op)
+                self.edge_recv.append(recv_op)
+                self.edge_weight.append(np.asarray(weights)[:, None])
                 self.iso_fwd.append([])
                 self.iso_rev.append(None)
 
@@ -280,7 +279,8 @@ def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt:
         return out
     x_recv = ad.sparse_matmul(recv_op, x)
     x_src = ad.sparse_matmul(src_op, x)
-    feats = ad.concat_cols([x_recv, x_src, ad.constant(rt.edge_weight[idx])])
+    weight = np.tile(rt.edge_weight[idx], (x.data.shape[0] // src_op.n_cols, 1))
+    feats = ad.concat_cols([x_recv, x_src, ad.constant(weight)])
     m = ad.elu(feats @ p[f"{prefix}.msg.w1"]) @ p[f"{prefix}.msg.w2"]
     gated = ad.mul(ad.sigmoid(m @ p[f"{prefix}.msg.w3"]), m)
     return out + ad.sparse_matmul(recv_op, gated, transpose=True)
@@ -306,14 +306,15 @@ class Model:
         self.config = config
         self.hierarchy = hierarchy
         self.params = params if params is not None else init_params(config, hierarchy, init_seed)
-        self._runtimes: dict[int, ModelRuntime] = {}
+        self._runtime = ModelRuntime(hierarchy, config)
 
     def runtime(self, batch_size: int) -> ModelRuntime:
-        rt = self._runtimes.get(batch_size)
-        if rt is None:
-            rt = ModelRuntime(self.hierarchy, self.config, batch_size)
-            self._runtimes[batch_size] = rt
-        return rt
+        """The model's graph operators; one set serves every batch size.
+
+        `batch_size` is ignored. It stays because `bench/probes.py` reads the
+        operators through `runtime(batch_size)`.
+        """
+        return self._runtime
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -411,18 +412,20 @@ class Model:
         batch_size: int,
         record_gradients: bool = True,
     ) -> BatchForward:
-        """Run a batch folded along the node axis; see ModelRuntime for layout.
+        """Run B windows stacked along the node axis as B blocks of N rows.
+
+        Every graph operator is applied to each block on its own (see
+        ModelRuntime), so each window's results equal a batch of one.
 
         With `record_gradients` off, parameters enter as constants and no tape
         is built; results are identical and the pass is cheaper (evaluation,
         finite differences).
         """
-        rt = self.runtime(batch_size)
         tape = Tape() if record_gradients else None
         p = _TapeParams(tape, self.params)
         seq = self.encode_inputs(p, xw, mw, uw, batch_size)
         z_list = self.temporal_stack(p, seq)
-        slots = self.spatial_stack(p, z_list, rt)
+        slots = self.spatial_stack(p, z_list, self._runtime)
         alphas, fused = self.attention_fuse(p, slots)
         preds = self.readout(p, fused)
         return BatchForward(tape=tape, preds=preds, slots=slots, alphas=alphas)

@@ -97,12 +97,23 @@ class CsrMatrix:
     # -- algebra on constants ----------------------------------------------
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Apply the operator to each of the B stacked blocks of a (B*n_cols, d) matrix.
+
+        The blocks are regrouped node-major as (n_cols, B*d) for one sparse
+        product and the (n_rows, B*d) result is regrouped back to
+        (B*n_rows, d). Every output entry is the same sum, in the same order,
+        as the product with the B-fold block-diagonal operator.
+        """
         op = self.scipy_t() if transpose else self.scipy()
-        if op.shape[1] != x.shape[0]:
+        n_out, n_in = op.shape
+        if x.ndim != 2 or n_in == 0 or x.shape[0] == 0 or x.shape[0] % n_in:
             raise DimensionError(
-                f"operator has {op.shape[1]} columns, operand has {x.shape[0]} rows"
+                f"operator has {n_in} columns; an operand of shape {x.shape} is not a stack of blocks"
             )
-        return np.asarray(op @ x)
+        blocks, width = x.shape[0] // n_in, x.shape[1]
+        stacked = x.reshape(blocks, n_in, width).transpose(1, 0, 2).reshape(n_in, blocks * width)
+        out = np.asarray(op @ stacked)
+        return out.reshape(n_out, blocks, width).transpose(1, 0, 2).reshape(blocks * n_out, width)
 
     def row_normalized(self) -> "CsrMatrix":
         """Divide every nonempty row by its sum."""
@@ -119,17 +130,3 @@ class CsrMatrix:
             out = out @ self.scipy()
         return CsrMatrix.from_scipy(out)
 
-
-def identity(n: int) -> CsrMatrix:
-    return CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
-
-
-def block_diag(blocks: list[CsrMatrix]) -> CsrMatrix:
-    """Stack copies along the diagonal; used to fold a batch into one graph."""
-    return CsrMatrix.from_scipy(sp.block_diag([b.scipy() for b in blocks], format="csr"))
-
-
-def tile_block_diag(block: CsrMatrix, copies: int) -> CsrMatrix:
-    if copies == 1:
-        return block
-    return block_diag([block] * copies)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import Panel, Scaler, WindowSample
 from .errors import ContractError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, last_value_imputation
 from .rng import stream_rng
 
 
@@ -253,56 +253,53 @@ def predict_windows(model: Model, bundle: DataBundle, samples: list[WindowSample
         yield chunk, bundle.scaler.invert(scaled), batch
 
 
+class _MaskedErrorSums:
+    """Per-horizon sums of masked absolute and squared errors, and valid counts."""
+
+    def __init__(self, horizon: int):
+        self.abs_sum = np.zeros(horizon)
+        self.sq_sum = np.zeros(horizon)
+        self.counts = np.zeros(horizon, dtype=np.int64)
+
+    def add(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> None:
+        """Accumulate (H, rows, d_x) predictions against targets under a mask."""
+        diff = pred - target
+        self.abs_sum += (np.abs(diff) * mask).sum(axis=(1, 2))
+        self.sq_sum += (diff**2 * mask).sum(axis=(1, 2))
+        self.counts += mask.sum(axis=(1, 2)).astype(np.int64)
+
+    def report(self) -> MetricsReport:
+        n = int(self.counts.sum())
+        return MetricsReport(
+            mae=float(self.abs_sum.sum() / n) if n else float("nan"),
+            mse=float(self.sq_sum.sum() / n) if n else float("nan"),
+            per_horizon_mae=[float(a / c) if c else float("nan") for a, c in zip(self.abs_sum, self.counts)],
+            per_horizon_counts=[int(c) for c in self.counts],
+            n_valid=n,
+        )
+
+
 def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64) -> MetricsReport:
     """Masked metrics on originally-valid targets, inputs masked by simulation."""
-    samples = bundle.split(split)
-    horizon = model.config.horizon
-    abs_sum = np.zeros(horizon)
-    sq_sum = np.zeros(horizon)
-    counts = np.zeros(horizon, dtype=np.int64)
-    for chunk, preds, _ in predict_windows(model, bundle, samples, batch_size):
+    sums = _MaskedErrorSums(model.config.horizon)
+    for chunk, preds, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
         target = np.concatenate([s.x_target for s in chunk], axis=1)
         mask = np.concatenate([s.m_target for s in chunk], axis=1)
-        diff = preds - target
-        abs_sum += (np.abs(diff) * mask).sum(axis=(1, 2))
-        sq_sum += (diff**2 * mask).sum(axis=(1, 2))
-        counts += mask.sum(axis=(1, 2)).astype(np.int64)
-    n = int(counts.sum())
-    per_h = [float(a / c) if c else float("nan") for a, c in zip(abs_sum, counts)]
-    return MetricsReport(
-        mae=float(abs_sum.sum() / n) if n else float("nan"),
-        mse=float(sq_sum.sum() / n) if n else float("nan"),
-        per_horizon_mae=per_h,
-        per_horizon_counts=[int(c) for c in counts],
-        n_valid=n,
-    )
+        sums.add(preds, target, mask)
+    return sums.report()
 
 
 def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> MetricsReport:
     """Last-valid-observation baseline under the same evaluation protocol."""
-    from .model import last_value_imputation
-
-    abs_sum = np.zeros(horizon)
-    sq_sum = np.zeros(horizon)
-    counts = np.zeros(horizon, dtype=np.int64)
+    sums = _MaskedErrorSums(horizon)
     for s in bundle.split(split):
         w_len = s.x_window.shape[0]
         sim_in = bundle.sim_mask[s.start : s.start + w_len]
         scaled = bundle.scaler.apply(s.x_window)
         imputed = last_value_imputation(scaled, s.m_window * sim_in)
         pred = bundle.scaler.invert(np.repeat(imputed[-1][None], horizon, axis=0))
-        diff = pred - s.x_target
-        abs_sum += (np.abs(diff) * s.m_target).sum(axis=(1, 2))
-        sq_sum += (diff**2 * s.m_target).sum(axis=(1, 2))
-        counts += s.m_target.sum(axis=(1, 2)).astype(np.int64)
-    n = int(counts.sum())
-    return MetricsReport(
-        mae=float(abs_sum.sum() / n) if n else float("nan"),
-        mse=float(sq_sum.sum() / n) if n else float("nan"),
-        per_horizon_mae=[float(a / c) if c else float("nan") for a, c in zip(abs_sum, counts)],
-        per_horizon_counts=[int(c) for c in counts],
-        n_valid=n,
-    )
+        sums.add(pred, s.x_target, s.m_target)
+    return sums.report()
 
 
 # -- loop ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from downcast import autodiff as ad
 from downcast.errors import ContractError, DimensionError
@@ -207,6 +208,39 @@ class TestSparseMatmul:
         op = CsrMatrix.from_entries(3, 3, [0], [1], [1.0])
         with pytest.raises(DimensionError):
             ad.sparse_matmul(op, ad.constant(np.ones((4, 2))))
+
+    @staticmethod
+    def random_op(n_rows, n_cols, density=0.3):
+        rows, cols = np.nonzero(RNG.random((n_rows, n_cols)) < density)
+        return CsrMatrix.from_entries(n_rows, n_cols, rows, cols, RNG.uniform(-2, 2, rows.size))
+
+    @pytest.mark.parametrize("blocks", [1, 3, 32])
+    @pytest.mark.parametrize("shape", [(7, 7), (11, 5)])
+    def test_blockwise_apply_equals_block_diagonal_product(self, blocks, shape):
+        op = self.random_op(*shape)
+        for transpose in (False, True):
+            mat = op.scipy_t() if transpose else op.scipy()
+            x = RNG.uniform(-2, 2, (blocks * mat.shape[1], 4))
+            expected = sp.block_diag([mat] * blocks, format="csr") @ x
+            assert np.array_equal(op.apply(x, transpose=transpose), expected)
+
+    def test_blockwise_gradient(self):
+        op = self.random_op(5, 4, density=0.5)  # edge-incidence-like: more rows than columns
+        w = RNG.uniform(-2, 2, (15, 2))
+        check_grad(lambda x: ad.reduce_sum(ad.mul(ad.sparse_matmul(op, x), ad.constant(w))), RNG.uniform(-2, 2, (12, 2)))
+        w_t = RNG.uniform(-2, 2, (12, 2))
+        check_grad(
+            lambda x: ad.reduce_sum(ad.mul(ad.sparse_matmul(op, x, transpose=True), ad.constant(w_t))),
+            RNG.uniform(-2, 2, (15, 2)),
+        )
+
+    def test_row_count_not_a_multiple_of_blocks(self):
+        op = CsrMatrix.from_entries(3, 4, [0], [1], [1.0])
+        for rows in (0, 6, 9):
+            with pytest.raises(DimensionError):
+                op.apply(np.ones((rows, 2)))
+        with pytest.raises(DimensionError):
+            op.apply(np.ones((8, 2)), transpose=True)  # transposed input size is 3
 
 
 class TestConcatSlice:

@@ -182,6 +182,23 @@ class TestCliMain:
         )
         assert code == 4
 
+    def test_dump_scores_rejects_renamed_parameter(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_config(out))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        manifest_path = out / "checkpoint" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        entry = next(e for e in manifest["params"] if e["name"] == "encoder.weight")
+        entry["name"] = "encoder.renamed"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = cli.main(
+            ["dump-scores", "--checkpoint", str(out / "checkpoint"), "--window", "0", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "encoder.renamed" in err and "encoder.weight" in err
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"wat": 1}}))

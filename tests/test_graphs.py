@@ -161,8 +161,8 @@ class TestKmisSelect:
         # centroids pairwise more than k hops apart
         adj = g.neighbor_lists()
         for c in sel.centroids:
-            within = gr._bfs_within(adj, int(c), k)
-            assert not set(within) & set(sel.centroids.tolist())
+            within = np.concatenate(gr.hop_rings(adj, int(c), k))
+            assert not set(within.tolist()) & set(sel.centroids.tolist())
 
 
 class TestConnectReduceLift:

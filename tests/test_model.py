@@ -314,6 +314,7 @@ class TestForward:
         batch_preds = np.stack([t.data for t in bf.preds])
         np.testing.assert_allclose(batch_preds[:, :n], solo1, atol=1e-12)
         np.testing.assert_allclose(batch_preds[:, n:], solo2, atol=1e-12)
+        assert model.runtime(1) is model.runtime(32)  # one operator set serves every batch size
 
     def test_masked_entries_do_not_affect_forward(self):
         model = make_setup()
