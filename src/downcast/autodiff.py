@@ -84,13 +84,12 @@ class Tape:
             g = adjoints.get(out_node)
             if g is None:
                 continue
+            # pulls never write to their input, so an adjoint may alias another
+            # node's; it is therefore summed out of place, never updated in place
             for in_node, pull in pulls:
                 contrib = pull(g)
                 acc = adjoints.get(in_node)
-                if acc is None:
-                    adjoints[in_node] = contrib.copy()
-                else:
-                    acc += contrib
+                adjoints[in_node] = contrib if acc is None else acc + contrib
         for p, node in self._param_nodes:
             g = adjoints.get(node)
             if g is not None:
@@ -232,13 +231,11 @@ def tanh(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
+    # 1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) otherwise, both from
+    # one exp of -|v|, which never overflows
     def fwd(v):
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
     return _unary(x, fwd, lambda g, v, out: g * out * (1.0 - out))
 

@@ -72,6 +72,14 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert float(ad.sigmoid(ad.constant(0.0)).data) == 0.5
 
+    def test_sigmoid_closed_forms_without_overflow(self):
+        v = np.array([-800.0, -30.0, -0.5, 0.5, 30.0, 800.0])
+        with np.errstate(over="raise"):
+            out = ad.sigmoid(ad.constant(v)).data
+        neg, pos = v[:3], v[3:]
+        np.testing.assert_array_equal(out[:3], np.exp(neg) / (1.0 + np.exp(neg)))
+        np.testing.assert_array_equal(out[3:], 1.0 / (1.0 + np.exp(-pos)))
+
     def test_elu_negative_limit(self):
         # closed form e^x - 1
         assert float(ad.elu(ad.constant(-20.0)).data) == pytest.approx(np.expm1(-20.0), abs=1e-15)
@@ -288,6 +296,15 @@ class TestBackward:
         tape.parameter(q)  # registered but not on the loss path
         tape.backward(ad.reduce_sum(ad.mul(tp, tp)))
         assert np.all(q.grad == 0.0)
+
+    def test_fan_out_leaves_shared_adjoints_intact(self):
+        # both pulls of x + x return the adjoint of y itself
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 3)))
+        y = ad.add(x, x)
+        adj = tape.backward(ad.reduce_sum(ad.mul(y, ad.constant(np.full((2, 3), 3.0)))))
+        np.testing.assert_array_equal(adj[y.node], np.full((2, 3), 3.0))
+        np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 6.0))
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
