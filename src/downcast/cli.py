@@ -368,7 +368,9 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
 def dump_scores(checkpoint_dir, window_index: int, out_path) -> None:
     """Recreate the checkpoint's dataset and export one window's attention."""
     config, values, meta = tr.load_checkpoint(checkpoint_dir)
-    resolved = meta["resolved_config"]
+    resolved = meta.get("resolved_config") if isinstance(meta, dict) else None
+    if resolved is None:
+        raise ContractError(f"{checkpoint_dir}: checkpoint metadata has no 'resolved_config'")
     model, bundle = prepare_experiment(resolved)
     if model.config != config:
         raise ContractError("checkpoint configuration does not match its dataset config")

@@ -1,12 +1,13 @@
 """Forecasting architecture: encoder, recurrent temporal pyramid, coarsened
 spatial propagation, scale attention and multistep readout.
 
-The design is time-then-space. Every node's window is encoded step by step,
-run through gated recurrent layers that decimate the sequence between layers,
-and the per-layer summaries are then propagated over a precomputed hierarchy
-of coarsened graphs. Each of the L*(K+1) resulting encodings captures one
-(temporal scale, spatial scale) pair; a per-node softmax over learned scores
-mixes them into the representation the decoder maps to the forecasts.
+The design is time-then-space. Every node's window is encoded by one affine
+map over all steps, run through gated recurrent layers that decimate the
+sequence between layers, and the per-layer summaries are then propagated over
+a precomputed hierarchy of coarsened graphs. Each of the L*(K+1) resulting
+encodings captures one (temporal scale, spatial scale) pair; a per-node
+softmax over learned scores mixes them into the representation the decoder
+maps to the forecasts.
 
 The slot order of the multiscale encodings is spatial-major: slot k*L + (l-1)
 holds temporal layer l at spatial level k.
@@ -243,23 +244,6 @@ def last_value_imputation(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gru_layer(seq: list[Tensor], p: _TapeParams, layer: int) -> list[Tensor]:
-    prefix = f"temporal.l{layer}"
-    w = {
-        gate: (p[f"{prefix}.{gate}.w_in"], p[f"{prefix}.{gate}.w_hid"], p[f"{prefix}.{gate}.bias"])
-        for gate in ("reset", "update", "cand")
-    }
-    h = ad.constant(np.zeros_like(seq[0].data))
-    out = []
-    for x_t in seq:
-        r = ad.sigmoid(x_t @ w["reset"][0] + h @ w["reset"][1] + w["reset"][2])
-        u = ad.sigmoid(x_t @ w["update"][0] + h @ w["update"][1] + w["update"][2])
-        c = ad.tanh(x_t @ w["cand"][0] + ad.mul(r, h) @ w["cand"][1] + w["cand"][2])
-        h = ad.add(ad.mul(u, h), ad.mul(ad.sub(1.0, u), c))
-        out.append(h)
-    return out
-
-
 def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt: ModelRuntime) -> Tensor:
     """One message-passing update on the graph below pooling level `level`."""
     prefix = f"spatial.k{level}"
@@ -325,33 +309,43 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def encode_inputs(self, p: _TapeParams, xw, mw, uw, batch_size: int) -> list[Tensor]:
-        """Per-step affine encoding of [imputed x, u, mask, node embedding]."""
+    def encode_inputs(self, p: _TapeParams, xw, mw, uw, batch_size: int) -> Tensor:
+        """Affine encoding of [imputed x, u, mask, node embedding] at every step.
+
+        Returns the W steps stacked time-major, (W*B*N, d_h): one product.
+        """
         cfg = self.config
-        w_len, m_rows = xw.shape[0], xw.shape[1]
-        if xw.shape != (w_len, m_rows, cfg.d_x) or mw.shape != xw.shape:
+        m_rows = xw.shape[1]
+        if xw.shape != (cfg.window, m_rows, cfg.d_x) or mw.shape != xw.shape:
             raise DimensionError("window arrays must be (W, B*N, d_x)")
         ximp = last_value_imputation(xw, mw)
+        feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
         emb = p["embeddings"]
-        if batch_size > 1:
-            emb = ad.concat_rows([emb] * batch_size)
-        weight, bias_t = p["encoder.weight"], p["encoder.bias"]
-        seq = []
-        for t in range(w_len):
-            const_feats = ad.constant(np.concatenate([ximp[t], uw[t], mw[t]], axis=1))
-            h = ad.concat_cols([const_feats, emb]) @ weight + bias_t
-            seq.append(h)
-        return seq
+        for copies in (batch_size, cfg.window):  # tiled per window, then per step
+            if copies > 1:
+                emb = ad.concat_rows([emb] * copies)
+        return ad.concat_cols([ad.constant(feats), emb]) @ p["encoder.weight"] + p["encoder.bias"]
 
-    def temporal_stack(self, p: _TapeParams, seq: list[Tensor]) -> list[Tensor]:
-        """L per-layer summaries; each layer consumes the previous decimation."""
+    def temporal_stack(self, p: _TapeParams, seq: Tensor) -> list[Tensor]:
+        """L per-layer summaries; each layer consumes the previous decimation.
+
+        Each layer is one `ad.gru_scan` over the kept steps of the layer
+        below; its summary is its last state.
+        """
         cfg = self.config
-        chain = temporal_chain(len(seq), cfg.temporal_factor, cfg.temporal_layers)
+        chain = temporal_chain(cfg.window, cfg.temporal_factor, cfg.temporal_layers)
+        n_steps, steps = cfg.window, range(cfg.window)
         z_list = []
         for layer in range(cfg.temporal_layers):
-            out_seq = _gru_layer(seq, p, layer)
-            z_list.append(out_seq[-1])
-            seq = [out_seq[i] for i in chain[layer].kept_indices]
+            prefix = f"temporal.l{layer}"
+            gates = [
+                (p[f"{prefix}.{gate}.w_in"], p[f"{prefix}.{gate}.w_hid"], p[f"{prefix}.{gate}.bias"])
+                for gate in ("reset", "update", "cand")
+            ]
+            seq = ad.gru_scan(seq, n_steps, steps, gates)
+            rows = seq.data.shape[0] // len(steps)
+            z_list.append(ad.slice_rows(seq, rows * (len(steps) - 1), rows * len(steps)))
+            n_steps, steps = len(steps), chain[layer].kept_indices
         return z_list
 
     def spatial_stack(self, p: _TapeParams, z_list: list[Tensor], rt: ModelRuntime) -> list[Tensor]:
@@ -371,38 +365,30 @@ class Model:
                 slots[cfg.slot(k, l_idx)] = lifted
         return slots
 
-    def attention_fuse(self, p: _TapeParams, slots: list[Tensor]) -> tuple[list[Tensor], list[Tensor]]:
+    def attention_fuse(self, p: _TapeParams, slots: list[Tensor]) -> tuple[list[Tensor], Tensor]:
         """Softmax-weighted mixtures of the multiscale encodings, per node.
 
-        Returns (score sets, fused representations); one entry per horizon
-        step in per-step mode, otherwise a single shared entry.
+        Returns (score sets, fused representations): one (B*N, S) constant
+        weight tensor per set, one set per horizon step in per-step mode and
+        a single shared set otherwise, and the mixtures stacked by set.
         """
-        cfg = self.config
-        theta = p["attention.weight"]
-        score_cols = [z @ theta for z in slots]
-        n_sets = cfg.horizon if cfg.per_step_attention else 1
-        alphas, fused = [], []
-        for h in range(n_sets):
-            if cfg.per_step_attention:
-                scores = ad.concat_cols([ad.slice_cols(s, h, h + 1) for s in score_cols])
-            else:
-                scores = ad.concat_cols(score_cols)
-            al = ad.softmax_rows(scores)
-            z_mix = None
-            for s, z in enumerate(slots):
-                term = ad.mul(ad.slice_cols(al, s, s + 1), z)
-                z_mix = term if z_mix is None else z_mix + term
-            alphas.append(al)
-            fused.append(z_mix)
-        return alphas, fused
+        fused, alphas = ad.scale_attention(slots, p["attention.weight"])
+        return [ad.constant(a) for a in alphas], fused
 
-    def readout(self, p: _TapeParams, fused: list[Tensor]) -> list[Tensor]:
-        """Map fused representations to H per-step predictions (scaled space)."""
+    def readout(self, p: _TapeParams, fused: Tensor) -> list[Tensor]:
+        """Map fused representations, stacked by score set, to H per-step predictions (scaled space)."""
         cfg = self.config
-        if cfg.per_step_attention:
-            return [_mlp(z, p, cfg) for z in fused]
-        out = _mlp(fused[0], p, cfg)
-        return [ad.slice_cols(out, h * cfg.d_x, (h + 1) * cfg.d_x) for h in range(cfg.horizon)]
+        if not cfg.per_step_attention:
+            out = _mlp(fused, p, cfg)
+            return [ad.slice_cols(out, h * cfg.d_x, (h + 1) * cfg.d_x) for h in range(cfg.horizon)]
+        rows = fused.data.shape[0] // cfg.horizon
+        if fused.tape is None:
+            # nothing recorded: one decoder pass per set keeps arrays cache-sized
+            return [_mlp(ad.slice_rows(fused, h * rows, (h + 1) * rows), p, cfg) for h in range(cfg.horizon)]
+        # recorded: one pass over all sets, since every row slice of `fused`
+        # would pull back an adjoint of its full size; rows decode alike either way
+        out = _mlp(fused, p, cfg)
+        return [ad.slice_rows(out, h * rows, (h + 1) * rows) for h in range(cfg.horizon)]
 
     def forward_batch(
         self,

@@ -74,11 +74,7 @@ class CsrMatrix:
         return CsrMatrix.from_scipy(self.scipy_t())
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[i, self.indices[lo:hi]] += self.data[lo:hi]
-        return out
+        return self.scipy().toarray()
 
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.scipy().sum(axis=1)).ravel()
@@ -89,10 +85,8 @@ class CsrMatrix:
 
     def entries(self):
         """Yield (row, col, value) triples in row-major order."""
-        for i in range(self.n_rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            for j, v in zip(self.indices[lo:hi], self.data[lo:hi]):
-                yield i, int(j), float(v)
+        coo = self.scipy().tocoo()
+        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
     # -- algebra on constants ----------------------------------------------
 

@@ -372,12 +372,15 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
 # -- checkpoints ----------------------------------------------------------------------
 
 
+CHECKPOINT_FORMAT = 1
+
+
 def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:
     """JSON manifest plus little-endian float64 blob in manifest order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "model_config": asdict(model.config),
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in model.parameters()],
         "metadata": metadata,
@@ -392,18 +395,49 @@ def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A manifest that is not JSON, has another format or lacks a key, a blob
+    that does not match the manifest, and a non-finite parameter value each
+    raise ContractError naming the file and the key or parameter.
+    """
     root = Path(ckpt_dir)
-    manifest = json.loads((root / "checkpoint.json").read_text())
-    raw = (root / "checkpoint.bin").read_bytes()
+    manifest_path, blob_path = root / "checkpoint.json", root / "checkpoint.bin"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ContractError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    for key in ("format", "model_config", "params", "metadata"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ContractError(f"{manifest_path} has no {key!r} key")
+    if not isinstance(manifest["params"], list):
+        raise ContractError(f"{manifest_path}: 'params' is not a list")
+    if manifest["format"] != CHECKPOINT_FORMAT:
+        raise ContractError(
+            f"{manifest_path} has format {manifest['format']!r}; this version reads format {CHECKPOINT_FORMAT}"
+        )
+    raw = blob_path.read_bytes()
     values: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
+    for i, entry in enumerate(manifest["params"]):
+        try:
+            name, shape = str(entry["name"]), tuple(int(e) for e in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractError(f"{manifest_path}: params[{i}] needs a name and an integer shape") from exc
         size = int(np.prod(shape)) * 8
-        values[entry["name"]] = np.frombuffer(raw[offset : offset + size], dtype="<f8").reshape(shape).copy()
+        if min(shape, default=0) < 0 or offset + size > len(raw):
+            raise ContractError(f"{blob_path} does not hold parameter {name!r} of shape {shape}")
+        value = np.frombuffer(raw[offset : offset + size], dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(value)):
+            raise ContractError(f"{blob_path}: parameter {name!r} holds non-finite values")
+        values[name] = value
         offset += size
     if offset != len(raw):
-        raise ContractError("checkpoint blob length does not match the manifest")
-    cfg_dict = dict(manifest["model_config"])
-    cfg_dict["decoder_hidden"] = tuple(cfg_dict["decoder_hidden"])
-    return ModelConfig(**cfg_dict), values, manifest["metadata"]
+        raise ContractError(f"{blob_path} length does not match the manifest")
+    try:
+        cfg_dict = dict(manifest["model_config"])
+        cfg_dict["decoder_hidden"] = tuple(cfg_dict["decoder_hidden"])
+        config = ModelConfig(**cfg_dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{manifest_path}: model_config does not describe a model: {exc}") from exc
+    return config, values, manifest["metadata"]

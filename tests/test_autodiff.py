@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from downcast import autodiff as ad
+from downcast import graphs as gr
 from downcast.errors import ContractError, DimensionError
 from downcast.sparse import CsrMatrix
+from helpers import gru_layer_reference, scale_attention_reference
 
 
 def finite_diff(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -343,3 +345,134 @@ class TestRecordedOpFiniteDifferences:
             return ad.reduce_sum(ad.mul(e, e))
 
         check_grad(build, RNG.uniform(-2, 2, (3, 4)))
+
+    def test_gru_scan(self):
+        # every input in turn: the sequence, then the nine gate arrays
+        rng = np.random.default_rng(21)
+        x0, gates0 = _gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6)
+        arrays = [x0] + [w for gate in gates0 for w in gate]
+        weight = ad.constant(rng.normal(size=(3 * 3, 4)))
+        for i, a0 in enumerate(arrays):
+            def build(v, i=i):
+                args = [v if j == i else ad.constant(a) for j, a in enumerate(arrays)]
+                states = ad.gru_scan(args[0], 6, (1, 3, 5), [args[1:4], args[4:7], args[7:10]])
+                return ad.reduce_sum(ad.mul(states, weight))
+
+            check_grad(build, a0)
+
+    def test_scale_attention(self):
+        rng = np.random.default_rng(22)
+        stacked0 = rng.normal(size=(3 * 4, 5))  # three 4-row encodings
+        theta0 = rng.normal(size=(5, 2))
+        weight = ad.constant(rng.normal(size=(2 * 4, 5)))
+
+        def build(stacked, theta):
+            slots = [ad.slice_rows(stacked, 4 * s, 4 * s + 4) for s in range(3)]
+            fused, _ = ad.scale_attention(slots, theta)
+            return ad.reduce_sum(ad.mul(fused, weight))
+
+        check_grad(lambda v: build(v, ad.constant(theta0)), stacked0)
+        check_grad(lambda v: build(ad.constant(stacked0), v), theta0)
+
+
+def _gru_inputs(rng, rows, d_in, d_h, n_steps):
+    x = rng.normal(size=(n_steps * rows, d_in))
+    gates = [
+        (rng.uniform(-0.6, 0.6, (d_in, d_h)), rng.uniform(-0.6, 0.6, (d_h, d_h)), rng.uniform(-0.3, 0.3, (1, d_h)))
+        for _ in range(3)
+    ]
+    return x, gates
+
+
+def _scans():
+    # (sequence length, steps read) along temporal_chain(24, 3, 3): the first
+    # layer reads every step, each later one the steps the layer below keeps
+    chain = gr.temporal_chain(24, 3, 3)
+    return [(24, tuple(range(24)))] + [(c.input_length, c.kept_indices) for c in chain]
+
+
+class TestGruScan:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("n_steps,steps", _scans())
+    def test_matches_op_by_op_reference(self, batch, n_steps, steps):
+        # same arithmetic order forward, so states are bit-equal; the adjoint
+        # sums in another order, so it is held to 1e-12 of the largest entry
+        rng = np.random.default_rng(100 * batch + n_steps)
+        rows = 4 * batch
+        x0, gates0 = _gru_inputs(rng, rows=rows, d_in=5, d_h=6, n_steps=n_steps)
+        weight = ad.constant(rng.normal(size=(len(steps) * rows, 6)))
+
+        def run(fused):
+            tape = ad.Tape()
+            x = tape.leaf(x0)
+            gates = [tuple(tape.leaf(w) for w in gate) for gate in gates0]
+            if fused:
+                states = ad.gru_scan(x, n_steps, steps, gates)
+            else:
+                blocks = [ad.slice_rows(x, t * rows, (t + 1) * rows) for t in steps]
+                states = ad.concat_rows(gru_layer_reference(blocks, gates))
+            adj = tape.backward(ad.reduce_sum(ad.mul(states, weight)))
+            return states.data, [adj[x.node]] + [adj[w.node] for gate in gates for w in gate]
+
+        fused_states, fused_adj = run(True)
+        ref_states, ref_adj = run(False)
+        np.testing.assert_array_equal(fused_states, ref_states)
+        assert len(fused_adj) == 10
+        for got, want in zip(fused_adj, ref_adj):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_untracked_inputs_record_nothing(self):
+        rng = np.random.default_rng(5)
+        x0, gates0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
+        gates = [tuple(ad.constant(w) for w in gate) for gate in gates0]
+        out = ad.gru_scan(ad.constant(x0), 4, range(4), gates)
+        assert out.tape is None
+        tape = ad.Tape()
+        tracked = ad.gru_scan(tape.leaf(x0), 4, range(4), gates)
+        np.testing.assert_array_equal(out.data, tracked.data)
+
+    def test_bad_steps_and_shapes_rejected(self):
+        rng = np.random.default_rng(6)
+        x0, gates0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
+        gates = [tuple(ad.constant(w) for w in gate) for gate in gates0]
+        for steps in [(1, 1), (2, 1), (0, 4), ()]:
+            with pytest.raises(ContractError):
+                ad.gru_scan(ad.constant(x0), 4, steps, gates)
+        with pytest.raises(DimensionError):
+            ad.gru_scan(ad.constant(x0), 3, (0, 1), gates)
+        with pytest.raises(DimensionError):
+            ad.gru_scan(ad.constant(x0[:, :2]), 4, (0, 1), gates)
+
+
+class TestScaleAttention:
+    @pytest.mark.parametrize("n_sets", [1, 3])
+    def test_matches_per_slot_reference(self, n_sets):
+        rng = np.random.default_rng(30 + n_sets)
+        slots0 = [rng.normal(size=(7, 4)) for _ in range(5)]
+        theta0 = rng.normal(size=(4, n_sets))
+        weight = rng.normal(size=(n_sets * 7, 4))
+
+        def run(fused):
+            tape = ad.Tape()
+            slots = [tape.leaf(z) for z in slots0]
+            theta = tape.leaf(theta0)
+            if fused:
+                out, alphas = ad.scale_attention(slots, theta)
+            else:
+                mixes, als = scale_attention_reference(slots, theta)
+                out, alphas = ad.concat_rows(mixes), np.stack([a.data for a in als])
+            adj = tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(weight))))
+            return out.data, alphas, [adj[t.node] for t in (*slots, theta)]
+
+        out, alphas, adj = run(True)
+        ref_out, ref_alphas, ref_adj = run(False)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(alphas, ref_alphas)
+        for got, want in zip(adj, ref_adj):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.scale_attention([ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2)))], np.ones((2, 1)))
+        with pytest.raises(DimensionError):
+            ad.scale_attention([ad.constant(np.ones((3, 2)))], np.ones((3, 1)))

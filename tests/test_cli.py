@@ -199,6 +199,18 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "encoder.renamed" in err and "encoder.weight" in err
 
+    def test_dump_scores_corrupt_manifest_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_config(out))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        (out / "checkpoint" / "checkpoint.json").write_text("{bad")
+        capsys.readouterr()
+        code = cli.main(
+            ["dump-scores", "--checkpoint", str(out / "checkpoint"), "--window", "0", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 4
+        assert "checkpoint.json is not valid JSON" in capsys.readouterr().err
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"wat": 1}}))

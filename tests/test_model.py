@@ -87,8 +87,18 @@ class TestEncoder:
         x, m, u = random_window(model, np.random.default_rng(0))
         tape = ad.Tape()
         seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u, 1)
-        assert len(seq) == model.config.window
-        assert seq[0].data.shape == (model.config.n_nodes, model.config.d_h)
+        # the W steps stacked time-major as one (W*N, d_h) tensor
+        assert seq.data.shape == (model.config.window * model.config.n_nodes, model.config.d_h)
+
+    def test_stacked_steps_equal_per_step_encoding(self):
+        model = make_setup()
+        x, m, u = random_window(model, np.random.default_rng(1))
+        seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u, 1).data
+        pv = {k: v.value for k, v in model.params.items()}
+        n = model.config.n_nodes
+        for t in range(model.config.window):
+            feats = np.concatenate([last_value_imputation(x, m)[t], u[t], m[t], pv["embeddings"]], axis=1)
+            np.testing.assert_array_equal(seq[t * n : (t + 1) * n], feats @ pv["encoder.weight"] + pv["encoder.bias"])
 
 
 class TestTemporalStack:
@@ -127,6 +137,30 @@ class TestTemporalStack:
         permd = run(x[:, perm], m[:, perm], u[:, perm], emb0[perm])
         for zb, zp in zip(base, permd):
             np.testing.assert_allclose(zp, zb[perm], atol=1e-12)
+
+
+class TestRecordCounts:
+    def test_criterion_6_full_model_records_fused_stages(self):
+        # N=20, W=24, L=3, K=2, batch 32; tape nodes per stage, counted as the
+        # rise of the highest node id over the previous stage's outputs
+        graph = dt.random_indegree_graph(20, 3, 0)
+        config = ModelConfig(
+            n_nodes=20, window=24, horizon=6, d_h=16, temporal_layers=3, temporal_factor=3,
+            spatial_levels=2, embedding_size=8, smp_variant="isotropic", diffusion_hops=2,
+            decoder_hidden=(32,),
+        )
+        model = Model(config, gr.build_hierarchy(graph, 1, 2), init_seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(24, 32 * 20, 1))
+        m = (rng.uniform(size=x.shape) > 0.2).astype(float)
+        u = np.zeros((24, 32 * 20, 0))
+        p = _TapeParams(ad.Tape(), model.params)
+        seq = model.encode_inputs(p, x, m, u, 32)
+        z_list = model.temporal_stack(p, seq)
+        slots = model.spatial_stack(p, z_list, model.runtime(32))
+        _, fused = model.attention_fuse(p, slots)
+        assert max(z.node for z in z_list) - seq.node <= 40
+        assert fused.node - max(s.node for s in slots) <= 5
 
 
 class TestSmpMessages:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,44 @@ class TestGradientEndToEnd:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def _saved(tmp_path):
+        model, _ = make_bundle()
+        tr.save_checkpoint(tmp_path / "ckpt", model, {"seed": 3})
+        return model, tmp_path / "ckpt" / "checkpoint.json", tmp_path / "ckpt" / "checkpoint.bin"
+
+    def test_corrupt_manifest_rejected(self, tmp_path):
+        _, manifest, _ = self._saved(tmp_path)
+        manifest.write_text("{bad")
+        with pytest.raises(ContractError, match="checkpoint.json is not valid JSON"):
+            tr.load_checkpoint(tmp_path / "ckpt")
+
+    def test_unknown_format_rejected(self, tmp_path):
+        _, manifest, _ = self._saved(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["format"] = 99
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="checkpoint.json has format 99"):
+            tr.load_checkpoint(tmp_path / "ckpt")
+
+    def test_missing_key_rejected(self, tmp_path):
+        _, manifest, _ = self._saved(tmp_path)
+        doc = json.loads(manifest.read_text())
+        del doc["params"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ContractError, match="checkpoint.json has no 'params' key"):
+            tr.load_checkpoint(tmp_path / "ckpt")
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        model, _, blob = self._saved(tmp_path)
+        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        offset = sum(p.value.size for p in model.parameters()[:1])  # first entry of the second parameter
+        values[offset] = np.nan
+        blob.write_bytes(values.astype("<f8").tobytes())
+        name = model.parameters()[1].name
+        with pytest.raises(ContractError, match=f"checkpoint.bin: parameter '{name}' holds non-finite values"):
+            tr.load_checkpoint(tmp_path / "ckpt")
+
     def test_roundtrip(self, tmp_path):
         model, bundle = make_bundle()
         tr.save_checkpoint(tmp_path / "ckpt", model, {"seed": 3, "note": "test"})
