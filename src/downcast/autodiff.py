@@ -264,10 +264,6 @@ def elu(x) -> Tensor:
     return _unary(x, fwd, lambda g, v, out: g * np.where(v > 0, 1.0, out + 1.0))
 
 
-def exp(x) -> Tensor:
-    return _unary(x, np.exp, lambda g, v, out: g * out)
-
-
 def absolute(x) -> Tensor:
     # subgradient 0 at the kink
     return _unary(x, np.abs, lambda g, v, out: g * np.sign(v))
@@ -286,22 +282,6 @@ def reduce_sum(x, axis: int | None = None) -> Tensor:
         if axis is None:
             return np.broadcast_to(g, x.data.shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()
-
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, data, pulls)
-
-
-def reduce_mean(x, axis: int | None = None) -> Tensor:
-    x = _as_tensor(x)
-    if axis is not None and axis >= x.data.ndim:
-        raise DimensionError(f"axis {axis} out of range for rank {x.data.ndim}")
-    n = x.data.size if axis is None else x.data.shape[axis]
-    data = x.data.mean(axis=axis)
-
-    def pull(g, x=x, axis=axis, n=n):
-        if axis is None:
-            return np.broadcast_to(g / n, x.data.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy()
 
     pulls = [(x.node, pull)] if x.tape is not None else []
     return _emit(x.tape, data, pulls)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ContractError, CsvParseError, DimensionError
 from .graphs import WeightedDigraph, read_graph_csv, write_graph_csv
 from .rng import stream_rng
-from .sparse import CsrMatrix
 
 MISSING_TOKENS = {"", "nan", "NaN", "NAN", "NA", "null"}
 
@@ -112,14 +111,12 @@ def sample_mixing_matrix(graph: WeightedDigraph, hops: int, fan_in: int, rng) ->
     Entry values are carried over from the hop-sum matrix (path counts for a
     binary graph).
     """
-    b = graph.csr.scipy().copy()
-    power = graph.csr.scipy().copy()
+    b = power = graph.csr
     for _ in range(hops - 1):
-        power = power @ graph.csr.scipy()
+        power = power @ graph.csr
         b = b + power
-    b = CsrMatrix.from_scipy(b)
-    b_by_col = b.transpose()  # rows of the transpose are columns of b
-    rows, cols, vals = [], [], []
+    b_by_col = b.tocsc()  # column-major, rows sorted within each column
+    edges = []
     for i in range(graph.n):
         lo, hi = b_by_col.indptr[i], b_by_col.indptr[i + 1]
         sources = b_by_col.indices[lo:hi]
@@ -128,12 +125,8 @@ def sample_mixing_matrix(graph: WeightedDigraph, hops: int, fan_in: int, rng) ->
         if take == 0:
             continue
         pick = rng.choice(sources.size, size=take, replace=False)
-        for p in sorted(int(q) for q in pick):
-            rows.append(int(sources[p]))
-            cols.append(i)
-            vals.append(float(weights[p]))
-    csr = CsrMatrix.from_entries(graph.n, graph.n, rows, cols, vals)
-    return WeightedDigraph(graph.n, csr, directed=True)
+        edges.extend((int(sources[p]), i, float(weights[p])) for p in sorted(int(q) for q in pick))
+    return WeightedDigraph.from_edges(graph.n, edges, directed=True)
 
 
 def generate_mso(
@@ -157,7 +150,7 @@ def generate_mso(
     t = np.arange(length, dtype=np.float64)[:, None]
     freq = np.exp(-np.arange(n, dtype=np.float64) / n)[None, :]
     base = np.sin(t * freq)
-    mixed = base + adot.csr.apply(base.T, transpose=True).T
+    mixed = base + (adot.csr.T.tocsr() @ base.T).T
     x = mixed[:, :, None]
     panel = Panel(x=x, mask=np.ones_like(x), u=np.zeros((length, n, 0)), timestamps=None)
     return panel, adot
@@ -262,6 +255,13 @@ def _parse_timestamp(token: str):
         return datetime.fromisoformat(token)
 
 
+def _parse_field(path, lineno: int, name: str, token: str, parse):
+    try:
+        return parse(token)
+    except ValueError:
+        raise CsvParseError(f"{path}: line {lineno}: field {name!r}: cannot read {token!r}") from None
+
+
 def _format_value(v: float) -> str:
     return repr(float(v))
 
@@ -319,14 +319,14 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            stamps.append(_parse_timestamp(row[0]))
+            stamps.append(_parse_field(path, lineno, "timestamp", row[0], _parse_timestamp))
             vals = np.zeros((n, d))
             good = np.zeros((n, d))
-            for (j, c), token in zip(slots, row[1:]):
+            for (j, c), name, token in zip(slots, header[1:], row[1:]):
                 token = token.strip()
                 if token in MISSING_TOKENS:
                     continue
-                v = float(token)
+                v = _parse_field(path, lineno, name, token, float)
                 if np.isnan(v):
                     continue
                 vals[j, c] = v
@@ -369,13 +369,25 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
 
 
 def read_coords_csv(path) -> np.ndarray:
+    """(lat, lon) rows in node order; the node ids must be exactly 0..N-1."""
+    coords, lines = {}, {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["node", "lat", "lon"]:
+        if next(reader)[:3] != ["node", "lat", "lon"]:
             raise CsvParseError(f"{path}: expected header node,lat,lon")
-        rows = sorted((int(r[0]), float(r[1]), float(r[2])) for r in reader)
-    return np.array([[lat, lon] for _, lat, lon in rows])
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) < 3:
+                raise CsvParseError(f"{path}: line {lineno}: expected fields node,lat,lon, got {len(row)}")
+            node = _parse_field(path, lineno, "node", row[0], int)
+            if node in coords:
+                raise CsvParseError(f"{path}: line {lineno}: field 'node': node {node} also on line {lines[node]}")
+            coords[node] = [_parse_field(path, lineno, name, row[f], float) for f, name in ((1, "lat"), (2, "lon"))]
+            lines[node] = lineno
+    outside = sorted(set(coords) - set(range(len(coords))))
+    if outside:
+        node = outside[0]
+        raise CsvParseError(f"{path}: line {lines[node]}: field 'node': node {node} is outside 0..{len(coords) - 1}")
+    return np.array([coords[i] for i in range(len(coords))])
 
 
 def export_mso(

@@ -10,24 +10,27 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError, DimensionError
-from .sparse import CsrMatrix
 
 EARTH_RADIUS_KM = 6371.0
 
 
 class WeightedDigraph:
-    """Sparse nonnegative adjacency over N nodes; row i holds out-edges of i."""
+    """Sparse nonnegative adjacency over N nodes; row i holds out-edges of i.
+
+    `csr` is a canonical `scipy.sparse.csr_array` (duplicates summed, indices
+    sorted); stored zero weights are kept and count as edges.
+    """
 
     __slots__ = ("n", "csr", "directed")
 
-    def __init__(self, n: int, csr: CsrMatrix, directed: bool):
-        if csr.n_rows != n or csr.n_cols != n:
+    def __init__(self, n: int, csr: sp.csr_array, directed: bool):
+        if csr.shape != (n, n):
             raise DimensionError("adjacency must be square over the node count")
         if csr.data.size and csr.data.min() < 0:
             raise ContractError("edge weights must be nonnegative")
@@ -41,31 +44,30 @@ class WeightedDigraph:
         edges = list(edges)
         seen = set()
         for s, d, _ in edges:
+            if not (0 <= s < n and 0 <= d < n):
+                raise DimensionError(f"edge ({s}, {d}) names a node outside 0..{n - 1}")
             if (s, d) in seen:
                 raise ContractError(f"duplicate edge ({s}, {d})")
             seen.add((s, d))
-        rows = [e[0] for e in edges]
-        cols = [e[1] for e in edges]
-        vals = [e[2] for e in edges]
-        return cls(n, CsrMatrix.from_entries(n, n, rows, cols, vals), directed)
+        rows = np.array([e[0] for e in edges], dtype=np.int64)
+        cols = np.array([e[1] for e in edges], dtype=np.int64)
+        vals = np.array([e[2] for e in edges], dtype=np.float64)
+        return cls(n, sp.csr_array((vals, (rows, cols)), shape=(n, n)), directed)
 
     @property
     def n_edges(self) -> int:
         return self.csr.nnz
 
     def edges(self):
-        return self.csr.entries()
+        """(src, dst, weight) triples in row-major order."""
+        coo = self.csr.tocoo()
+        return zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
 
     def undirected_view(self) -> "WeightedDigraph":
-        """Symmetrised copy; mirrored pairs keep the larger weight."""
+        """Symmetrised copy; mirrored pairs keep the larger weight and zero weights drop."""
         if not self.directed:
             return self
-        m = self.csr.scipy().maximum(self.csr.scipy_t())
-        return WeightedDigraph(self.n, CsrMatrix.from_scipy(m), directed=False)
-
-    def neighbor_lists(self, undirected: bool = True) -> list[np.ndarray]:
-        g = self.undirected_view() if undirected else self
-        return [g.csr.rows(i) for i in range(self.n)]
+        return WeightedDigraph(self.n, self.csr.maximum(self.csr.T), directed=False)
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,16 @@ class SelectionMatrix:
     def n_sup(self) -> int:
         return int(self.cluster_sizes.size)
 
-    def reduce_op(self) -> CsrMatrix:
+    def reduce_op(self) -> sp.csr_array:
         """Binary selection as a sparse operator (N_sup x N_prev)."""
         idx = np.arange(self.n_prev)
-        return CsrMatrix.from_entries(self.n_sup, self.n_prev, self.assignment, idx, np.ones(self.n_prev))
+        return sp.csr_array((np.ones(self.n_prev), (self.assignment, idx)), shape=(self.n_sup, self.n_prev))
 
-    def lift_op(self) -> CsrMatrix:
+    def lift_op(self) -> sp.csr_array:
         """Pseudo-inverse action (N_prev x N_sup): copy then divide by cluster size."""
         idx = np.arange(self.n_prev)
         vals = 1.0 / self.cluster_sizes[self.assignment]
-        return CsrMatrix.from_entries(self.n_prev, self.n_sup, idx, self.assignment, vals)
+        return sp.csr_array((vals, (idx, self.assignment)), shape=(self.n_prev, self.n_sup))
 
 
 @dataclass(frozen=True)
@@ -159,102 +161,61 @@ def build_graph_from_coords(coords: np.ndarray, tau: float, knn_cap: int) -> Wei
     np.fill_diagonal(w, 0.0)
     w[w < tau] = 0.0
 
-    kept = {}
-    for i in range(n):
-        nz = np.flatnonzero(w[i])
-        if nz.size > knn_cap:
-            order = sorted(nz, key=lambda j: (-w[i, j], j))
-            nz = np.array(order[:knn_cap])
-        for j in nz:
-            weight = w[i, j]
-            kept[(i, int(j))] = weight
-            kept[(int(j), i)] = weight  # mirror to undirected
-    edges = [(i, j, v) for (i, j), v in sorted(kept.items())]
-    return WeightedDigraph.from_edges(n, edges, directed=False)
-
-
-def _components(graph: WeightedDigraph) -> np.ndarray:
-    adj = graph.neighbor_lists(undirected=True)
-    comp = np.full(graph.n, -1, dtype=np.int64)
-    c = 0
-    for start in range(graph.n):
-        if comp[start] >= 0:
-            continue
-        comp[start] = c
-        q = deque([start])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = c
-                    q.append(v)
-        c += 1
-    return comp
+    # Each row keeps its knn_cap strongest entries, ties to the lower index;
+    # w is symmetric, so mirroring keeps every weight.
+    rank = np.argsort(-w, axis=1, kind="stable")[:, :knn_cap]
+    keep = np.zeros(w.shape, dtype=bool)
+    np.put_along_axis(keep, rank, True, axis=1)
+    keep &= w > 0.0
+    return WeightedDigraph(n, sp.csr_array(np.where(keep | keep.T, w, 0.0)), directed=False)
 
 
 def ensure_connected(graph: WeightedDigraph, coords: np.ndarray, tau: float) -> WeightedDigraph:
-    """Bridge components with weight-`tau` edges between closest cross pairs."""
+    """Bridge components with weight-`tau` edges between closest cross pairs.
+
+    Each bridge joins the closest pair (i < j) of nodes in different
+    components, the first in row-major order among equally close pairs.
+    """
     if graph.directed:
         raise ContractError("ensure_connected expects an undirected graph")
     dist = haversine_km(coords)
-    edges = {(i, j): v for i, j, v in graph.edges()}
-    comp = _components(graph)
-    while comp.max() > 0:
-        best = None
-        for i in range(graph.n):
-            for j in range(i + 1, graph.n):
-                if comp[i] == comp[j]:
-                    continue
-                d = dist[i, j]
-                if np.isfinite(d) and (best is None or d < best[0]):
-                    best = (d, i, j)
-        if best is None:
+    upper = np.triu(np.isfinite(dist), k=1)
+    comp = np.argmax(hop_distances(graph, undirected=True) < np.inf, axis=1)  # lowest node reached
+    n_comp = int(np.count_nonzero(comp == np.arange(graph.n)))
+    bridges = []
+    while n_comp > 1:
+        cross = np.where(upper & (comp[:, None] != comp[None, :]), dist, np.inf)
+        i, j = np.unravel_index(np.argmin(cross), cross.shape)
+        if cross[i, j] == np.inf:
             break
-        _, i, j = best
-        edges[(i, j)] = tau
-        edges[(j, i)] = tau
-        merged = WeightedDigraph.from_edges(
-            graph.n, [(a, b, v) for (a, b), v in sorted(edges.items())], directed=False
-        )
-        comp = _components(merged)
-        graph = merged
-    return graph
+        bridges.extend([(int(i), int(j), tau), (int(j), int(i), tau)])
+        comp[comp == comp[j]] = comp[i]
+        n_comp -= 1
+    return WeightedDigraph.from_edges(graph.n, [*graph.edges(), *bridges], directed=False)
 
 
 # -- power graphs and pooling --------------------------------------------------
 
 
-def hop_rings(adj: list[np.ndarray], start: int, k: int) -> list[np.ndarray]:
-    """rings[h] holds, sorted, the nodes at hop distance exactly h+1 from `start`.
+def hop_distances(graph: WeightedDigraph, undirected: bool) -> np.ndarray:
+    """dist[i, j] counts the hops of a shortest path from i to j (inf if none).
 
-    Hops follow `adj`; all k rings are returned, empty past the reachable set.
+    Hops follow stored edges, zero weights included, or with `undirected` the
+    edges of the symmetrised view. Row i of `frontier` holds the nodes first
+    reached from i; one sparse product per hop advances every row.
+    `scipy.sparse.csgraph` is not used: importing it loads scipy.linalg, whose
+    long-lived objects delay the cyclic collector's full passes and so raise
+    the peak memory of training.
     """
-    seen = {start}
-    frontier = [start]
-    rings = []
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        rings.append(np.array(sorted(nxt), dtype=np.int64))
-        frontier = nxt
-    return rings
-
-
-def reach_within(graph: WeightedDigraph, k: int) -> WeightedDigraph:
-    """Binary graph with an edge wherever an undirected path of length <= k exists."""
-    if k < 1:
-        raise ContractError("hop radius must be at least 1")
-    adj = graph.neighbor_lists(undirected=True)
-    edges = []
-    for i in range(graph.n):
-        for ring in hop_rings(adj, i, k):
-            edges.extend((i, int(j), 1.0) for j in ring)
-    return WeightedDigraph.from_edges(graph.n, edges, directed=False)
+    csr = (graph.undirected_view() if undirected else graph).csr
+    step = sp.csr_array((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
+    dist = np.where(np.eye(graph.n, dtype=bool), 0.0, np.inf)
+    frontier, hop = np.eye(graph.n, dtype=bool), 0
+    while frontier.any():
+        hop += 1
+        frontier = (frontier @ step > 0.0) & (dist == np.inf)
+        dist[frontier] = hop
+    return dist
 
 
 def kmis_select(graph: WeightedDigraph, k: int) -> SelectionMatrix:
@@ -266,33 +227,15 @@ def kmis_select(graph: WeightedDigraph, k: int) -> SelectionMatrix:
     """
     if graph.n == 0:
         raise ContractError("cannot pool an empty graph")
-    adj = graph.neighbor_lists(undirected=True)
+    dist = hop_distances(graph, undirected=True)
     blocked = np.zeros(graph.n, dtype=bool)
     centroids = []
     for v in range(graph.n):
-        if blocked[v]:
-            continue
-        centroids.append(v)
-        for ring in hop_rings(adj, v, k):
-            blocked[ring] = True
+        if not blocked[v]:
+            centroids.append(v)
+            blocked |= dist[v] <= k
     centroids = np.array(centroids, dtype=np.int64)
-
-    owner = np.full(graph.n, -1, dtype=np.int64)
-    owner[centroids] = np.arange(centroids.size)
-    frontier = list(centroids)
-    while frontier:
-        claims: dict[int, int] = {}
-        for u in frontier:
-            for v in adj[u]:
-                v = int(v)
-                if owner[v] >= 0:
-                    continue
-                cur = claims.get(v)
-                if cur is None or owner[u] < cur:
-                    claims[v] = int(owner[u])
-        for v, sup in claims.items():
-            owner[v] = sup
-        frontier = sorted(claims)
+    owner = np.argmin(dist[centroids], axis=0)
     sizes = np.bincount(owner, minlength=centroids.size)
     return SelectionMatrix(assignment=owner, cluster_sizes=sizes, centroids=centroids)
 
@@ -301,35 +244,11 @@ def connect_coarse(sel: SelectionMatrix, graph: WeightedDigraph) -> WeightedDigr
     """Coarse adjacency: summed cross-cluster weights, self-loops dropped."""
     if sel.n_prev != graph.n:
         raise DimensionError("selection does not partition this graph's nodes")
-    asg = sel.assignment
-    rows, cols, vals = [], [], []
-    for i, j, v in graph.edges():
-        p, q = asg[i], asg[j]
-        if p != q:
-            rows.append(p)
-            cols.append(q)
-            vals.append(v)
-    csr = CsrMatrix.from_entries(sel.n_sup, sel.n_sup, rows, cols, vals)
+    coo = graph.csr.tocoo()
+    p, q = sel.assignment[coo.row], sel.assignment[coo.col]
+    cross = p != q
+    csr = sp.csr_array((coo.data[cross], (p[cross], q[cross])), shape=(sel.n_sup, sel.n_sup))
     return WeightedDigraph(sel.n_sup, csr, directed=graph.directed)
-
-
-def reduce_features(sel: SelectionMatrix, x: np.ndarray) -> np.ndarray:
-    """Supernode features as the sum of member features."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != sel.n_prev:
-        raise DimensionError(f"expected {sel.n_prev} rows, got {x.shape[0]}")
-    out = np.zeros((sel.n_sup,) + x.shape[1:])
-    np.add.at(out, sel.assignment, x)
-    return out
-
-
-def lift_features(sel: SelectionMatrix, xc: np.ndarray) -> np.ndarray:
-    """Moore-Penrose lifting: each member receives its supernode mean."""
-    xc = np.asarray(xc, dtype=np.float64)
-    if xc.shape[0] != sel.n_sup:
-        raise DimensionError(f"expected {sel.n_sup} rows, got {xc.shape[0]}")
-    scale = 1.0 / sel.cluster_sizes[sel.assignment]
-    return xc[sel.assignment] * scale.reshape((-1,) + (1,) * (xc.ndim - 1))
 
 
 def build_hierarchy(graph: WeightedDigraph, hop_radius: int, levels: int) -> CoarseningHierarchy:

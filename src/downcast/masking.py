@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .graphs import WeightedDigraph, hop_rings
+from .graphs import WeightedDigraph, hop_distances
 from .rng import stream_rng
 
 
@@ -65,12 +65,6 @@ def simulate_point(shape: tuple[int, int, int], eta: float, rng: np.random.Gener
     return SimulatedMask(mask=mask, faults=[])
 
 
-def directed_hop_rings(graph: WeightedDigraph, max_hop: int) -> list[list[np.ndarray]]:
-    """rings[i][k] holds the nodes at successor-distance exactly k+1 from node i."""
-    succ = graph.neighbor_lists(undirected=False)
-    return [hop_rings(succ, i, max_hop) for i in range(graph.n)]
-
-
 def simulate_block(
     shape: tuple[int, int, int],
     cfg: MaskConfig,
@@ -92,16 +86,16 @@ def simulate_block(
 
     faults: list[FaultInterval] = []
     if cfg.p_f > 0.0:
-        rings = directed_hop_rings(graph, len(cfg.p_g)) if cfg.p_g else None
+        dist = hop_distances(graph, undirected=False) if cfg.p_g else None
         starts = np.argwhere(rng.random(shape) < cfg.p_f)
         for t, i, c in starts:
             t, i, c = int(t), int(i), int(c)
             length = int(rng.integers(cfg.s_min, cfg.s_max + 1))
             faults.append(FaultInterval(node=i, channel=c, start=t, length=length, origin="direct"))
             invalid[t : t + length, i, c] = True
-            if rings is not None:
+            if dist is not None:
                 for k, p in enumerate(cfg.p_g):
-                    for j in rings[i][k]:
+                    for j in np.flatnonzero(dist[i] == k + 1):
                         if rng.random() < p:
                             j = int(j)
                             faults.append(
@@ -117,22 +111,15 @@ def mask_statistics(mask: np.ndarray) -> dict:
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ContractError("mask must be binary")
     t_len, n_nodes, n_ch = mask.shape
-    histogram: dict[int, int] = {}
-    for i in range(n_nodes):
-        for c in range(n_ch):
-            run = 0
-            for t in range(t_len):
-                if mask[t, i, c] == 0.0:
-                    run += 1
-                elif run:
-                    histogram[run] = histogram.get(run, 0) + 1
-                    run = 0
-            if run:
-                histogram[run] = histogram.get(run, 0) + 1
+    # Streaks are the runs of missing steps in each (node, channel) series.
+    missing = np.moveaxis(mask == 0.0, 0, -1).reshape(-1, t_len)
+    steps = np.diff(np.pad(missing, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    lengths = np.nonzero(steps == -1)[1] - np.nonzero(steps == 1)[1]
+    values, counts = np.unique(lengths, return_counts=True)
     return {
         "missing_fraction": float(1.0 - mask.mean()),
         "per_node_missing": [float(1.0 - mask[:, i].mean()) for i in range(n_nodes)],
-        "streak_histogram": {str(k): histogram[k] for k in sorted(histogram)},
+        "streak_histogram": {str(v): int(c) for v, c in zip(values.tolist(), counts)},
         "fully_missing_steps": int(np.sum(mask.reshape(t_len, -1).max(axis=1) == 0.0)),
     }
 

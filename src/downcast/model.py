@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
@@ -199,36 +200,42 @@ class ModelRuntime:
         for k in range(1, config.spatial_levels + 1):
             sel = hierarchy.selections[k - 1]
             graph = hierarchy.graphs[k - 1]
-            self.reduce_ops.append(sel.reduce_op())
-            self.lift_ops.append(sel.lift_op())
-            self.ascent_ops.append(graph.csr.row_normalized() if config.normalize_ascent else graph.csr)
+            self.reduce_ops.append(CsrMatrix(sel.reduce_op()))
+            self.lift_ops.append(CsrMatrix(sel.lift_op()))
+            self.ascent_ops.append(CsrMatrix(_row_normalized(graph.csr) if config.normalize_ascent else graph.csr))
             if config.smp_variant == "isotropic":
                 fwd, rev = [], []
+                adj = graph.csr.copy()
+                adj.eliminate_zeros()  # diffusion follows the nonzero weights only
+                power = adj
                 for p in range(1, config.diffusion_hops + 1):
-                    hop = graph.csr.power(p)
-                    fwd.append(hop.transpose().row_normalized())
+                    if p > 1:
+                        power = power @ adj
+                    hop = power.copy()  # sorted copy; the next power takes the raw product
+                    hop.sum_duplicates()
+                    fwd.append(CsrMatrix(_row_normalized(hop.T.tocsr())))
                     if graph.directed:
-                        rev.append(hop.row_normalized())
+                        rev.append(CsrMatrix(_row_normalized(hop)))
                 self.iso_fwd.append(fwd)
                 self.iso_rev.append(rev if graph.directed else None)
                 self.edge_src.append(None)
                 self.edge_recv.append(None)
                 self.edge_weight.append(None)
             else:
-                srcs, recvs, weights = [], [], []
-                for s, r, w in graph.edges():
-                    srcs.append(s)
-                    recvs.append(r)
-                    weights.append(w)
-                n_e = len(srcs)
-                eye_rows = np.arange(n_e)
-                src_op = CsrMatrix.from_entries(n_e, graph.n, eye_rows, srcs, np.ones(n_e))
-                recv_op = CsrMatrix.from_entries(n_e, graph.n, eye_rows, recvs, np.ones(n_e))
-                self.edge_src.append(src_op)
-                self.edge_recv.append(recv_op)
-                self.edge_weight.append(np.asarray(weights)[:, None])
+                coo = graph.csr.tocoo()
+                eye, ones = np.arange(coo.nnz), np.ones(coo.nnz)
+                self.edge_src.append(CsrMatrix(sp.csr_array((ones, (eye, coo.row)), shape=(coo.nnz, graph.n))))
+                self.edge_recv.append(CsrMatrix(sp.csr_array((ones, (eye, coo.col)), shape=(coo.nnz, graph.n))))
+                self.edge_weight.append(coo.data[:, None])
                 self.iso_fwd.append([])
                 self.iso_rev.append(None)
+
+
+def _row_normalized(m: sp.csr_array) -> sp.csr_array:
+    """Each nonempty row of a canonical CSR array divided by its sum."""
+    s = m.sum(axis=1)
+    inv = np.where(s != 0.0, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
+    return sp.csr_array((m.data * np.repeat(inv, np.diff(m.indptr)), m.indices, m.indptr), shape=m.shape)
 
 
 # -- forward pieces -----------------------------------------------------------------
@@ -259,11 +266,11 @@ def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt:
                     out = out + ad.sparse_matmul(op, x) @ p[f"{prefix}.hop{hop}.rev"]
         return out
     src_op, recv_op = rt.edge_src[idx], rt.edge_recv[idx]
-    if src_op is None or src_op.n_rows == 0:
+    if src_op is None or src_op.shape[0] == 0:
         return out
     x_recv = ad.sparse_matmul(recv_op, x)
     x_src = ad.sparse_matmul(src_op, x)
-    weight = np.tile(rt.edge_weight[idx], (x.data.shape[0] // src_op.n_cols, 1))
+    weight = np.tile(rt.edge_weight[idx], (x.data.shape[0] // src_op.shape[1], 1))
     feats = ad.concat_cols([x_recv, x_src, ad.constant(weight)])
     m = ad.elu(feats @ p[f"{prefix}.msg.w1"]) @ p[f"{prefix}.msg.w2"]
     gated = ad.mul(ad.sigmoid(m @ p[f"{prefix}.msg.w3"]), m)

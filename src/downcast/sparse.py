@@ -1,8 +1,8 @@
-"""Compressed-row sparse matrices used as constant linear operators.
+"""Constant sparse operators applied blockwise to stacked dense operands.
 
-These matrices carry graph adjacency, node selections and edge incidence.
-They are never differentiated through; gradients only flow through the dense
-operands they are applied to.
+Operators carry node selections, graph diffusion and edge incidence. They are
+never differentiated through; gradients only flow through the dense operands
+they are applied to.
 """
 from __future__ import annotations
 
@@ -13,82 +13,26 @@ from .errors import DimensionError
 
 
 class CsrMatrix:
-    """Immutable CSR matrix of 64-bit floats."""
+    """Immutable canonical CSR operator of 64-bit floats and its transpose.
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_sp", "_sp_t")
+    Canonical means duplicates summed and column indices sorted; stored zeros
+    are kept. The input is copied, so the caller's matrix is never modified.
+    """
 
-    def __init__(self, n_rows: int, n_cols: int, indptr, indices, data):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.indptr.shape != (self.n_rows + 1,):
-            raise DimensionError("indptr length must be n_rows + 1")
-        if self.indices.shape != self.data.shape:
-            raise DimensionError("indices and data must have equal length")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_cols):
-            raise DimensionError("column index out of range")
-        self._sp = None
-        self._sp_t = None
+    __slots__ = ("csr", "csr_t")
 
-    # -- construction ------------------------------------------------------
+    def __init__(self, m):
+        self.csr = sp.csr_array(m, dtype=np.float64, copy=True)
+        self.csr.sum_duplicates()
+        self.csr_t = self.csr.T.tocsr()
 
-    @classmethod
-    def from_entries(cls, n_rows, n_cols, rows, cols, vals) -> "CsrMatrix":
-        """Build from coordinate entries; duplicate coordinates are summed."""
-        m = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n_rows, n_cols)
-        )
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n_rows, n_cols, m.indptr, m.indices, m.data)
-
-    @classmethod
-    def from_scipy(cls, m) -> "CsrMatrix":
-        m = m.tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data)
-
-    # -- views -------------------------------------------------------------
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.csr.shape
 
     @property
     def nnz(self) -> int:
-        return int(self.data.size)
-
-    def scipy(self) -> sp.csr_matrix:
-        if self._sp is None:
-            self._sp = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.n_rows, self.n_cols)
-            )
-        return self._sp
-
-    def scipy_t(self) -> sp.csr_matrix:
-        if self._sp_t is None:
-            self._sp_t = self.scipy().T.tocsr()
-        return self._sp_t
-
-    def transpose(self) -> "CsrMatrix":
-        return CsrMatrix.from_scipy(self.scipy_t())
-
-    def to_dense(self) -> np.ndarray:
-        return self.scipy().toarray()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.scipy().sum(axis=1)).ravel()
-
-    def rows(self, i: int) -> np.ndarray:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi]
-
-    def entries(self):
-        """Yield (row, col, value) triples in row-major order."""
-        coo = self.scipy().tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
-    # -- algebra on constants ----------------------------------------------
+        return int(self.csr.nnz)
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Apply the operator to each of the B stacked blocks of a (B*n_cols, d) matrix.
@@ -98,7 +42,7 @@ class CsrMatrix:
         (B*n_rows, d). Every output entry is the same sum, in the same order,
         as the product with the B-fold block-diagonal operator.
         """
-        op = self.scipy_t() if transpose else self.scipy()
+        op = self.csr_t if transpose else self.csr
         n_out, n_in = op.shape
         if x.ndim != 2 or n_in == 0 or x.shape[0] == 0 or x.shape[0] % n_in:
             raise DimensionError(
@@ -106,21 +50,5 @@ class CsrMatrix:
             )
         blocks, width = x.shape[0] // n_in, x.shape[1]
         stacked = x.reshape(blocks, n_in, width).transpose(1, 0, 2).reshape(n_in, blocks * width)
-        out = np.asarray(op @ stacked)
+        out = op @ stacked
         return out.reshape(n_out, blocks, width).transpose(1, 0, 2).reshape(blocks * n_out, width)
-
-    def row_normalized(self) -> "CsrMatrix":
-        """Divide every nonempty row by its sum."""
-        s = self.row_sums()
-        inv = np.where(s != 0.0, 1.0 / np.where(s == 0.0, 1.0, s), 0.0)
-        data = self.data * np.repeat(inv, np.diff(self.indptr))
-        return CsrMatrix(self.n_rows, self.n_cols, self.indptr, self.indices, data)
-
-    def power(self, p: int) -> "CsrMatrix":
-        if self.n_rows != self.n_cols:
-            raise DimensionError("matrix power requires a square matrix")
-        out = self.scipy()
-        for _ in range(p - 1):
-            out = out @ self.scipy()
-        return CsrMatrix.from_scipy(out)
-

@@ -1,8 +1,24 @@
-"""Shared test utilities."""
+"""Shared test utilities and the reference implementations the program is checked against."""
 import numpy as np
 
 from downcast import autodiff as ad
 from downcast import graphs as gr
+from downcast.errors import DimensionError
+from downcast.masking import FaultInterval
+from downcast.rng import stream_rng
+
+
+def random_graph(n, p, rng, directed=False, zero_frac=0.0):
+    """Each ordered pair is an edge with probability p; a `zero_frac` share of weights is 0."""
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < p:
+                w = 0.0 if zero_frac and rng.random() < zero_frac else rng.uniform(0.1, 1.0)
+                edges[(i, j)] = w
+                if not directed:
+                    edges[(j, i)] = w
+    return gr.WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()], directed=directed)
 
 
 def permute_hierarchy(hierarchy, perm):
@@ -64,3 +80,162 @@ def scale_attention_reference(slots, theta):
         alphas.append(al)
         fused.append(z_mix)
     return fused, alphas
+
+
+# -- autodiff ops the model does not use -------------------------------------------
+
+
+def exp(x):
+    return ad._unary(x, np.exp, lambda g, v, out: g * out)
+
+
+def reduce_mean(x, axis=None):
+    x = ad._as_tensor(x)
+    if axis is not None and axis >= x.data.ndim:
+        raise DimensionError(f"axis {axis} out of range for rank {x.data.ndim}")
+    n = x.data.size if axis is None else x.data.shape[axis]
+    data = x.data.mean(axis=axis)
+
+    def pull(g, x=x, axis=axis, n=n):
+        if axis is None:
+            return np.broadcast_to(g / n, x.data.shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy()
+
+    pulls = [(x.node, pull)] if x.tape is not None else []
+    return ad._emit(x.tape, data, pulls)
+
+
+# -- graph oracles: feature maps and breadth-first search ------------------------------
+
+
+def reduce_features(sel, x):
+    """Supernode features as the sum of member features."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != sel.n_prev:
+        raise DimensionError(f"expected {sel.n_prev} rows, got {x.shape[0]}")
+    out = np.zeros((sel.n_sup,) + x.shape[1:])
+    np.add.at(out, sel.assignment, x)
+    return out
+
+
+def lift_features(sel, xc):
+    """Moore-Penrose lifting: each member receives its supernode mean."""
+    xc = np.asarray(xc, dtype=np.float64)
+    if xc.shape[0] != sel.n_sup:
+        raise DimensionError(f"expected {sel.n_sup} rows, got {xc.shape[0]}")
+    scale = 1.0 / sel.cluster_sizes[sel.assignment]
+    return xc[sel.assignment] * scale.reshape((-1,) + (1,) * (xc.ndim - 1))
+
+
+def neighbor_lists(graph, undirected=True):
+    """Stored out-neighbours of every node, of the symmetrised view with `undirected`."""
+    g = graph.undirected_view() if undirected else graph
+    return [g.csr.indices[g.csr.indptr[i]:g.csr.indptr[i + 1]] for i in range(graph.n)]
+
+
+def hop_rings(adj, start, k):
+    """rings[h] holds, sorted, the nodes at hop distance exactly h+1 from `start`.
+
+    Hops follow `adj`; all k rings are returned, empty past the reachable set.
+    """
+    seen = {start}
+    frontier = [start]
+    rings = []
+    for _ in range(k):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                v = int(v)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        rings.append(np.array(sorted(nxt), dtype=np.int64))
+        frontier = nxt
+    return rings
+
+
+def reach_within(graph, k):
+    """Binary graph with an edge wherever an undirected path of length <= k exists."""
+    adj = neighbor_lists(graph, undirected=True)
+    edges = []
+    for i in range(graph.n):
+        for ring in hop_rings(adj, i, k):
+            edges.extend((i, int(j), 1.0) for j in ring)
+    return gr.WeightedDigraph.from_edges(graph.n, edges, directed=False)
+
+
+def kmis_select_reference(graph, k):
+    """k-MIS selection by breadth-first search: rings block, then a multi-source claim."""
+    adj = neighbor_lists(graph, undirected=True)
+    blocked = np.zeros(graph.n, dtype=bool)
+    centroids = []
+    for v in range(graph.n):
+        if blocked[v]:
+            continue
+        centroids.append(v)
+        for ring in hop_rings(adj, v, k):
+            blocked[ring] = True
+    centroids = np.array(centroids, dtype=np.int64)
+    owner = np.full(graph.n, -1, dtype=np.int64)
+    owner[centroids] = np.arange(centroids.size)
+    frontier = list(centroids)
+    while frontier:
+        claims = {}
+        for u in frontier:
+            for v in adj[u]:
+                v = int(v)
+                if owner[v] >= 0:
+                    continue
+                cur = claims.get(v)
+                if cur is None or owner[u] < cur:
+                    claims[v] = int(owner[u])
+        for v, sup in claims.items():
+            owner[v] = sup
+        frontier = sorted(claims)
+    sizes = np.bincount(owner, minlength=centroids.size)
+    return gr.SelectionMatrix(assignment=owner, cluster_sizes=sizes, centroids=centroids)
+
+
+def fault_list_reference(shape, cfg, graph):
+    """The faults of `masking.simulate_block`, propagated over breadth-first rings."""
+    rng = stream_rng(cfg.seed, "mask")
+    rng.random(shape)  # point noise
+    succ = neighbor_lists(graph, undirected=False)
+    faults = []
+    for t, i, c in np.argwhere(rng.random(shape) < cfg.p_f):
+        t, i, c = int(t), int(i), int(c)
+        length = int(rng.integers(cfg.s_min, cfg.s_max + 1))
+        faults.append(FaultInterval(node=i, channel=c, start=t, length=length, origin="direct"))
+        for ring, p in zip(hop_rings(succ, i, len(cfg.p_g)), cfg.p_g):
+            for j in ring:
+                if rng.random() < p:
+                    faults.append(FaultInterval(node=int(j), channel=c, start=t, length=length, origin="propagated"))
+    return faults
+
+
+def knn_graph_reference(w, knn_cap):
+    """Edges of `graphs.build_graph_from_coords` from its thresholded kernel `w`, row by row."""
+    kept = {}
+    for i in range(w.shape[0]):
+        nz = np.flatnonzero(w[i])
+        if nz.size > knn_cap:
+            nz = np.array(sorted(nz, key=lambda j: (-w[i, j], j))[:knn_cap])
+        for j in nz:
+            kept[(i, int(j))] = kept[(int(j), i)] = w[i, j]  # mirror to undirected
+    return [(i, j, float(v)) for (i, j), v in sorted(kept.items())]
+
+
+def streak_histogram_reference(mask):
+    """Run lengths of missing steps per (node, channel) series, counted in a loop."""
+    t_len, n_nodes, n_ch = mask.shape
+    histogram = {}
+    for i in range(n_nodes):
+        for c in range(n_ch):
+            run = 0
+            for t in range(t_len + 1):
+                if t < t_len and mask[t, i, c] == 0.0:
+                    run += 1
+                elif run:
+                    histogram[run] = histogram.get(run, 0) + 1
+                    run = 0
+    return {str(k): histogram[k] for k in sorted(histogram)}

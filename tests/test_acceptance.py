@@ -17,6 +17,7 @@ from downcast import training as tr
 from downcast.masking import MaskConfig, simulate_block, simulate_point
 from downcast.model import Model, ModelConfig
 from downcast.rng import stream_rng
+from helpers import hop_rings, lift_features, neighbor_lists, reduce_features
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -148,12 +149,12 @@ def test_criterion_3_pooling_invariants():
         np.testing.assert_array_equal(
             np.bincount(sel.assignment, minlength=sel.n_sup), sel.cluster_sizes
         )
-        adj = graph.neighbor_lists()
+        adj = neighbor_lists(graph)
         centroid_set = set(sel.centroids.tolist())
         for c in sel.centroids:
-            assert not set(np.concatenate(gr.hop_rings(adj, int(c), k)).tolist()) & centroid_set
+            assert not set(np.concatenate(hop_rings(adj, int(c), k)).tolist()) & centroid_set
         xc = rng.normal(size=(sel.n_sup, 3))
-        back = gr.reduce_features(sel, gr.lift_features(sel, xc))
+        back = reduce_features(sel, lift_features(sel, xc))
         assert np.max(np.abs(back - xc)) <= 1e-12
         checked += 1
 
@@ -165,7 +166,7 @@ def test_criterion_3_pooling_invariants():
     np.testing.assert_array_equal(sel.assignment, [0, 0, 1, 1, 2, 2])
     coarse = gr.connect_coarse(sel, path6)
     np.testing.assert_array_equal(
-        coarse.csr.to_dense(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        coarse.csr.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
     )
     _verdict(3, "pooling invariants", True, f"{checked} random graphs + 6-path exact case")
 

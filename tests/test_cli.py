@@ -249,6 +249,16 @@ class TestCliMain:
 
 
 class TestCsvDatasetPath:
+    def test_non_numeric_cell_exits_4_naming_the_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n" + "".join(f"{t},1.0,2.0\n" for t in range(30)) + "30,1.0,n/a\n")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("node,lat,lon\n0,50.0,1.0\n1,50.01,1.01\n")
+        cfg = {"dataset": {"kind": "csv", "observations": str(obs), "coords": str(coords), "window": 4, "horizon": 2}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["mask-stats", "--config", str(path)]) == 4
+        assert "line 32: field 'node1_ch0'" in capsys.readouterr().err
+
     def test_csv_experiment_with_time_encodings(self, tmp_path):
         rng = np.random.default_rng(0)
         t_len, n = 60, 5

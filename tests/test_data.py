@@ -20,9 +20,9 @@ class TestGenerateMso:
     def test_fan_in_is_exact_when_candidates_allow(self):
         g = dt.random_indegree_graph(30, 3, seed=2)
         _, adot = dt.generate_mso(g, hops=2, length=10, fan_in=5, seed=2)
-        dense = adot.csr.to_dense()
-        b = g.csr.to_dense()
-        b = b + b @ g.csr.to_dense()
+        dense = adot.csr.toarray()
+        b = g.csr.toarray()
+        b = b + b @ g.csr.toarray()
         for i in range(30):
             candidates = np.flatnonzero(b[:, i]).size
             assert np.count_nonzero(dense[:, i]) == min(5, candidates)
@@ -32,8 +32,8 @@ class TestGenerateMso:
     def test_mixing_entries_subset_of_hop_sum_with_values(self):
         g = small_graph(12, 2, seed=3)
         _, adot = dt.generate_mso(g, hops=2, length=10, fan_in=4, seed=3)
-        b = g.csr.to_dense()
-        b = b + b @ g.csr.to_dense()
+        b = g.csr.toarray()
+        b = b + b @ g.csr.toarray()
         for j, i, v in adot.edges():
             assert b[j, i] == v
 
@@ -43,7 +43,7 @@ class TestGenerateMso:
         panel, adot = dt.generate_mso(g, hops=2, length=40, fan_in=5, seed=4)
         t = np.arange(40.0)
         np.testing.assert_allclose(panel.x[:, 0, 0], np.sin(t * np.exp(0.0)), atol=1e-15)
-        assert np.count_nonzero(adot.csr.to_dense()[:, 0]) == 0
+        assert np.count_nonzero(adot.csr.toarray()[:, 0]) == 0
 
     def test_signal_matches_dense_oracle(self):
         g = small_graph(10, 2, seed=5)
@@ -51,7 +51,7 @@ class TestGenerateMso:
         n = 10
         t = np.arange(30.0)[:, None]
         base = np.sin(t * np.exp(-np.arange(n) / n)[None, :])
-        expected = base + base @ adot.csr.to_dense()
+        expected = base + base @ adot.csr.toarray()
         np.testing.assert_allclose(panel.x[:, :, 0], expected, atol=1e-12)
 
     def test_same_seed_bit_identical(self):
@@ -164,6 +164,37 @@ class TestWindows:
             dt.make_windows(self.make_panel(4), 3, 2)
 
 
+class TestCoordsCsv:
+    def write(self, tmp_path, body):
+        path = tmp_path / "coords.csv"
+        path.write_text("node,lat,lon\n" + body)
+        return path
+
+    def test_rows_ordered_by_node_id(self, tmp_path):
+        path = self.write(tmp_path, "1,50.5,2.0\n0,50.0,1.0\n")
+        np.testing.assert_array_equal(dt.read_coords_csv(path), [[50.0, 1.0], [50.5, 2.0]])
+
+    def test_non_numeric_field_reports_line_and_field(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n1,north,1.0\n")
+        with pytest.raises(CsvParseError, match=r"coords\.csv: line 3: field 'lat': cannot read 'north'"):
+            dt.read_coords_csv(path)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n1,50.5\n")
+        with pytest.raises(CsvParseError, match=r"coords\.csv: line 3: expected fields node,lat,lon, got 2"):
+            dt.read_coords_csv(path)
+
+    def test_duplicate_node_id_rejected(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n0,50.5,2.0\n2,51.0,3.0\n")
+        with pytest.raises(CsvParseError, match=r"line 3: field 'node': node 0 also on line 2"):
+            dt.read_coords_csv(path)
+
+    def test_node_id_outside_range_rejected(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n1,50.5,2.0\n7,51.0,3.0\n")
+        with pytest.raises(CsvParseError, match=r"line 4: field 'node': node 7 is outside 0\.\.2"):
+            dt.read_coords_csv(path)
+
+
 class TestCsvPanel:
     def test_missing_cell_marked(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -195,6 +226,18 @@ class TestCsvPanel:
         path = tmp_path / "obs.csv"
         path.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0\n")
         with pytest.raises(CsvParseError, match="line 3"):
+            dt.load_csv_panel(path)
+
+    def test_non_numeric_cell_reports_file_line_and_field(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,fast\n")
+        with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'node1_ch0': cannot read 'fast'"):
+            dt.load_csv_panel(path)
+
+    def test_bad_timestamp_reports_file_line_and_field(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("timestamp,node0_ch0\n0,1.0\nnoon,2.0\n")
+        with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'timestamp'"):
             dt.load_csv_panel(path)
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):

@@ -1,8 +1,21 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
-from downcast.errors import ContractError
+from downcast.errors import ContractError, DimensionError
 from downcast import graphs as gr
+from helpers import (
+    hop_rings,
+    kmis_select_reference,
+    knn_graph_reference,
+    lift_features,
+    neighbor_lists,
+    random_graph,
+    reach_within,
+    reduce_features,
+)
 
 
 def path_graph(n, weight=1.0):
@@ -13,16 +26,24 @@ def path_graph(n, weight=1.0):
     return gr.WeightedDigraph.from_edges(n, edges, directed=False)
 
 
-def random_graph(n, p, rng, directed=False):
-    edges = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                w = rng.uniform(0.1, 1.0)
-                edges[(i, j)] = w
-                if not directed:
-                    edges[(j, i)] = w
-    return gr.WeightedDigraph.from_edges(n, [(i, j, w) for (i, j), w in edges.items()], directed=directed)
+def oracle_graph(seed):
+    """Random graphs for the oracle checks: sparse ones fall apart, some carry zero weights."""
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(5, 30))
+    p = float(rng.choice([0.03, 0.1, 0.2]))
+    return random_graph(n, p, rng, directed=seed % 2 == 1, zero_frac=0.25 if seed % 4 >= 2 else 0.0)
+
+
+class TestWeightedDigraph:
+    @pytest.mark.parametrize("edge", [(-1, 2, 1.0), (1, 3, 1.0)])
+    def test_out_of_range_node_names_the_edge(self, edge):
+        with pytest.raises(DimensionError, match=re.escape(f"edge ({edge[0]}, {edge[1]})")):
+            gr.WeightedDigraph.from_edges(3, [(0, 1, 1.0), edge])
+
+    def test_zero_weights_are_stored_edges(self):
+        g = gr.WeightedDigraph.from_edges(3, [(2, 0, 0.0), (0, 1, 0.5), (2, 1, 1.0)])
+        assert list(g.edges()) == [(0, 1, 0.5), (2, 0, 0.0), (2, 1, 1.0)]
+        assert g.n_edges == 3
 
 
 class TestBuildFromCoords:
@@ -41,7 +62,7 @@ class TestBuildFromCoords:
         tau = 0.1
         assert kernel[0, 1] >= tau and kernel[0, 2] < tau and kernel[1, 2] < tau
         g = gr.build_graph_from_coords(coords, tau=tau, knn_cap=8)
-        adj = g.csr.to_dense()
+        adj = g.csr.toarray()
         assert adj[0, 1] == pytest.approx(kernel[0, 1], rel=1e-12)
         assert np.all(adj[2] == 0) and np.all(adj[:, 2] == 0)
 
@@ -61,6 +82,21 @@ class TestBuildFromCoords:
         g = gr.build_graph_from_coords(coords, tau=tau, knn_cap=1)
         assert {(i, j) for i, j, _ in g.edges()} == expected
         assert (0, 2) not in {(i, j) for i, j, _ in g.edges()}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_loop_reference(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(3, 40))
+        coords = rng.uniform(-1.0, 1.0, (n, 2)) * [0.5, 0.5] + [48.0, 11.0]
+        coords[rng.integers(0, n, 3)] = coords[0]  # duplicate sites: tied weights
+        tau, cap = float(rng.choice([0.05, 0.3, 0.7])), int(rng.integers(1, 6))
+        with pytest.warns(UserWarning):
+            g = gr.build_graph_from_coords(coords, tau=tau, knn_cap=cap)
+        dist = gr.haversine_km(coords)
+        w = np.exp(-(dist**2) / np.std(dist[np.triu_indices(n, k=1)]) ** 2)
+        np.fill_diagonal(w, 0.0)
+        w[w < tau] = 0.0
+        assert list(g.edges()) == knn_graph_reference(w, cap)
 
     def test_single_node_rejected(self):
         with pytest.raises(ContractError):
@@ -83,35 +119,85 @@ class TestEnsureConnected:
         new = {(i, j): w for i, j, w in out.edges() if (i, j) not in {(0, 1), (1, 0), (2, 3), (3, 2)}}
         assert new == {(1, 2): 0.1, (2, 1): 0.1}
 
+    def test_tied_cross_distances_bridge_first_pair_in_row_major_order(self):
+        edges = [(0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)]
+        g = gr.WeightedDigraph.from_edges(4, edges, directed=False)
+        # nodes 0 and 3 share a site, as do 1 and 2: the cross pairs (0, 3) and (1, 2) tie at 0 km
+        coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        out = gr.ensure_connected(g, coords, tau=0.1)
+        new = {(i, j): w for i, j, w in out.edges() if (i, j) not in {(0, 1), (1, 0), (2, 3), (3, 2)}}
+        assert new == {(0, 3): 0.1, (3, 0): 0.1}
+
+    def test_zero_weight_edge_connects(self):
+        g = gr.WeightedDigraph.from_edges(3, [(0, 1, 0.0), (1, 0, 0.0)], directed=False)
+        coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
+        out = gr.ensure_connected(g, coords, tau=0.2)
+        assert list(out.edges()) == [(0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.2), (2, 1, 0.2)]
+
     def test_three_singletons(self):
         g = gr.WeightedDigraph.from_edges(3, [], directed=False)
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
         out = gr.ensure_connected(g, coords, tau=0.2)
         assert out.n_edges == 4  # two undirected bridges
-        assert gr._components(out).max() == 0
+        assert csgraph.connected_components(out.csr, directed=False)[0] == 1
 
 
 class TestReachWithin:
     def test_path_two_hops(self):
         g = path_graph(3)
-        r = gr.reach_within(g, 2)
-        dense = r.csr.to_dense()
+        r = reach_within(g, 2)
+        dense = r.csr.toarray()
         assert dense[0, 2] == 1.0 and dense[2, 0] == 1.0
 
     def test_k1_binarizes(self):
         g = path_graph(3, weight=0.7)
-        dense = gr.reach_within(g, 1).csr.to_dense()
+        dense = reach_within(g, 1).csr.toarray()
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         np.testing.assert_array_equal(dense, expected)
 
     def test_matches_boolean_power_oracle(self):
         rng = np.random.default_rng(3)
         g = random_graph(12, 0.15, rng)
-        und = (g.undirected_view().csr.to_dense() > 0).astype(int)
+        und = (g.undirected_view().csr.toarray() > 0).astype(int)
         k = 3
         reach = np.linalg.matrix_power(und + np.eye(12, dtype=int), k) > 0
         np.fill_diagonal(reach, False)
-        np.testing.assert_array_equal(gr.reach_within(g, k).csr.to_dense() > 0, reach)
+        np.testing.assert_array_equal(reach_within(g, k).csr.toarray() > 0, reach)
+
+
+class TestTraversalMatchesOracles:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hop_distance_rings(self, seed):
+        g = oracle_graph(seed)
+        for undirected in (False, True):
+            dist = gr.hop_distances(g, undirected)
+            adj = neighbor_lists(g, undirected)
+            for i in range(g.n):
+                for h, ring in enumerate(hop_rings(adj, i, 3)):
+                    np.testing.assert_array_equal(np.flatnonzero(dist[i] == h + 1), ring)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hop_distances_equal_csgraph_shortest_paths(self, seed):
+        g = oracle_graph(seed)
+        for undirected in (False, True):
+            csr = (g.undirected_view() if undirected else g).csr
+            expected = csgraph.shortest_path(csr, directed=True, unweighted=True)
+            np.testing.assert_array_equal(gr.hop_distances(g, undirected), expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kmis_select(self, seed):
+        g = oracle_graph(seed)
+        for k in (1, 2, 3):
+            sel, ref = gr.kmis_select(g, k), kmis_select_reference(g, k)
+            np.testing.assert_array_equal(sel.centroids, ref.centroids)
+            np.testing.assert_array_equal(sel.assignment, ref.assignment)
+            np.testing.assert_array_equal(sel.cluster_sizes, ref.cluster_sizes)
+
+    def test_oracle_graphs_cover_disconnected_and_zero_weights(self):
+        graphs = [oracle_graph(seed) for seed in range(8)]
+        assert any(csgraph.connected_components(g.csr, directed=False)[0] > 1 for g in graphs)
+        assert any(g.n_edges and np.any(g.csr.data == 0.0) for g in graphs)
+        assert any(g.directed for g in graphs) and any(not g.directed for g in graphs)
 
 
 class TestKmisSelect:
@@ -159,9 +245,9 @@ class TestKmisSelect:
         assert sel.cluster_sizes.sum() == n
         np.testing.assert_array_equal(np.bincount(sel.assignment, minlength=sel.n_sup), sel.cluster_sizes)
         # centroids pairwise more than k hops apart
-        adj = g.neighbor_lists()
+        adj = neighbor_lists(g)
         for c in sel.centroids:
-            within = np.concatenate(gr.hop_rings(adj, int(c), k))
+            within = np.concatenate(hop_rings(adj, int(c), k))
             assert not set(within.tolist()) & set(sel.centroids.tolist())
 
 
@@ -174,7 +260,7 @@ class TestConnectReduceLift:
     def test_identity_selection_drops_diagonal(self):
         g = gr.WeightedDigraph.from_edges(3, [(0, 1, 2.0), (1, 0, 2.0), (1, 1, 5.0)], directed=False)
         out = gr.connect_coarse(self.identity_selection(3), g)
-        dense = out.csr.to_dense()
+        dense = out.csr.toarray()
         assert dense[1, 1] == 0.0
         assert dense[0, 1] == 2.0
 
@@ -186,7 +272,7 @@ class TestConnectReduceLift:
         )
         out = gr.connect_coarse(sel, path_graph(6))
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-        np.testing.assert_array_equal(out.csr.to_dense(), expected)
+        np.testing.assert_array_equal(out.csr.toarray(), expected)
 
     def test_all_in_one_gives_single_node(self):
         sel = gr.SelectionMatrix(
@@ -209,24 +295,24 @@ class TestConnectReduceLift:
             assignment=np.array([0, 0, 1, 1]), cluster_sizes=np.array([2, 2]), centroids=np.array([0, 2])
         )
         np.testing.assert_array_equal(
-            gr.reduce_features(sel, np.array([[1.0], [2.0], [3.0], [4.0]])), [[3.0], [7.0]]
+            reduce_features(sel, np.array([[1.0], [2.0], [3.0], [4.0]])), [[3.0], [7.0]]
         )
         # reducing all-ones recovers the cluster sizes
-        np.testing.assert_array_equal(gr.reduce_features(sel, np.ones((4, 1)))[:, 0], sel.cluster_sizes)
+        np.testing.assert_array_equal(reduce_features(sel, np.ones((4, 1)))[:, 0], sel.cluster_sizes)
 
     def test_lift_hand_case(self):
         sel = gr.SelectionMatrix(
             assignment=np.array([0, 0, 1, 1]), cluster_sizes=np.array([2, 2]), centroids=np.array([0, 2])
         )
         np.testing.assert_array_equal(
-            gr.lift_features(sel, np.array([[4.0], [6.0]])), [[2.0], [2.0], [3.0], [3.0]]
+            lift_features(sel, np.array([[4.0], [6.0]])), [[2.0], [2.0], [3.0], [3.0]]
         )
 
     def test_identity_selection_noops(self):
         sel = self.identity_selection(4)
         x = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_array_equal(gr.reduce_features(sel, x), x)
-        np.testing.assert_array_equal(gr.lift_features(sel, x), x)
+        np.testing.assert_array_equal(reduce_features(sel, x), x)
+        np.testing.assert_array_equal(lift_features(sel, x), x)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reduce_of_lift_is_identity(self, seed):
@@ -234,7 +320,7 @@ class TestConnectReduceLift:
         g = random_graph(int(rng.integers(4, 30)), 0.15, rng)
         sel = gr.kmis_select(g, 1)
         xc = rng.normal(size=(sel.n_sup, 4))
-        back = gr.reduce_features(sel, gr.lift_features(sel, xc))
+        back = reduce_features(sel, lift_features(sel, xc))
         assert np.max(np.abs(back - xc)) <= 1e-12
 
     def test_operators_match_feature_maps(self):
@@ -242,9 +328,9 @@ class TestConnectReduceLift:
         g = random_graph(18, 0.15, rng)
         sel = gr.kmis_select(g, 1)
         x = rng.normal(size=(18, 3))
-        np.testing.assert_allclose(sel.reduce_op().apply(x), gr.reduce_features(sel, x), atol=1e-14)
+        np.testing.assert_allclose(sel.reduce_op() @ x, reduce_features(sel, x), atol=1e-14)
         xc = rng.normal(size=(sel.n_sup, 3))
-        np.testing.assert_allclose(sel.lift_op().apply(xc), gr.lift_features(sel, xc), atol=1e-14)
+        np.testing.assert_allclose(sel.lift_op() @ xc, lift_features(sel, xc), atol=1e-14)
 
 
 class TestTemporalIndices:

@@ -7,6 +7,7 @@ from downcast import masking as mk
 from downcast.errors import ContractError
 from downcast.graphs import WeightedDigraph
 from downcast.rng import stream_rng
+from helpers import fault_list_reference, neighbor_lists, random_graph, streak_histogram_reference
 
 
 class TestSimulatePoint:
@@ -58,7 +59,18 @@ class TestSimulateBlock:
         assert len(propagated) == len(direct)
         for d, p in zip(direct, propagated):
             assert (p.start, p.length, p.channel) == (d.start, d.length, d.channel)
-            assert p.node in g.csr.rows(d.node)
+            assert p.node in neighbor_lists(g, undirected=False)[d.node]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fault_lists_match_bfs_oracle(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        g = random_graph(int(rng.integers(5, 25)), float(rng.choice([0.05, 0.15])), rng,
+                         directed=seed % 2 == 0, zero_frac=0.25 if seed >= 3 else 0.0)
+        for p_g in [(1.0,), (0.5, 0.3), (0.9, 0.5, 0.2)]:
+            cfg = mk.MaskConfig(eta=0.02, p_f=0.02, s_min=2, s_max=5, p_g=p_g, seed=seed)
+            sim = mk.simulate_block((80, g.n, 2), cfg, g)
+            assert any(f.origin == "propagated" for f in sim.faults)
+            assert sim.faults == fault_list_reference((80, g.n, 2), cfg, g)
 
     def test_every_missing_cell_attributed(self):
         g = self.ring_graph(7)
@@ -113,6 +125,13 @@ class TestMaskStatistics:
             if mask[t, i, c] == 0.0
         ) / (40 * 6 * 2)
         assert report["missing_fraction"] == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streak_histogram_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((int(rng.integers(1, 80)), 5, 2)) > rng.uniform(0.05, 0.9)).astype(float)
+        mask[:, 0, 0] = 0.0  # one series missing throughout
+        assert mk.mask_statistics(mask)["streak_histogram"] == streak_histogram_reference(mask)
 
     def test_fully_missing_steps_counted(self):
         mask = np.ones((6, 2, 1))

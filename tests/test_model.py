@@ -203,7 +203,7 @@ class TestSmpMessages:
         rt = model.runtime(1)
         for fwd in rt.iso_fwd:
             for op in fwd:
-                sums = op.row_sums()
+                sums = op.csr.sum(axis=1)
                 nz = sums != 0.0
                 np.testing.assert_allclose(sums[nz], 1.0, atol=1e-12)
 
@@ -240,7 +240,7 @@ class TestSpatialStack:
         slots = model.spatial_stack(p, [ad.constant(z)], model.runtime(1))
         pv = {k: v.value for k, v in model.params.items()}
         msg = z @ pv["spatial.k1.self.weight"] + pv["spatial.k1.self.bias"]
-        und = hierarchy.graphs[0].csr.to_dense()
+        und = hierarchy.graphs[0].csr.toarray()
         norm = und / und.sum(axis=1, keepdims=True)
         msg = msg + norm.T @ z @ pv["spatial.k1.hop1.fwd"]
         pooled = msg.sum(axis=0, keepdims=True)
