@@ -127,9 +127,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return negate(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -231,14 +228,6 @@ def _unary(x, fwd, dx) -> Tensor:
     return _emit(x.tape, data, pulls)
 
 
-def negate(x) -> Tensor:
-    return _unary(x, lambda v: -v, lambda g, v, out: -g)
-
-
-def tanh(x) -> Tensor:
-    return _unary(x, np.tanh, lambda g, v, out: g * (1.0 - out * out))
-
-
 def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) otherwise, both from
     # one exp of -|v|, which never overflows. The numerator, max(e, sign v),
@@ -305,23 +294,6 @@ def matmul(a, b) -> Tensor:
     return _emit(_merge_tape(a, b), data, pulls)
 
 
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a matrix, stabilised by per-row max subtraction."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError("softmax_rows expects a matrix")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def pull(g, out=out):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return out * (g - dot)
-
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, out, pulls)
-
-
 def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
     """Apply a constant sparse operator (optionally transposed) to each block of a matrix.
 
@@ -339,24 +311,27 @@ def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
     return _emit(x.tape, data, pulls)
 
 
-def concat_cols(parts: list) -> Tensor:
-    """Concatenate matrices with equal row counts along columns."""
+def _concat(parts: list, axis: int) -> Tensor:
+    """Concatenate matrices along `axis`; each operand's adjoint is its slice of the output's."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
-        raise ContractError("concat_cols requires at least one operand")
-    rows = parts[0].data.shape[0]
+        raise ContractError("concatenation requires at least one operand")
+    if any(p.data.ndim != 2 or p.data.shape[1 - axis] != parts[0].data.shape[1 - axis] for p in parts):
+        raise DimensionError(f"operands joined along axis {axis} must be matrices of equal extent across it")
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    pulls, offset = [], 0
     for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
-            raise DimensionError("concat_cols operands must be matrices with equal rows")
-    data = np.concatenate([p.data for p in parts], axis=1)
-    pulls = []
-    offset = 0
-    for p in parts:
-        w = p.data.shape[1]
+        size = p.data.shape[axis]
         if p.tape is not None:
-            pulls.append((p.node, lambda g, lo=offset, hi=offset + w: g[:, lo:hi]))
-        offset += w
+            span = (slice(None),) * axis + (slice(offset, offset + size),)
+            pulls.append((p.node, lambda g, span=span: g[span]))
+        offset += size
     return _emit(_merge_tape(*parts), data, pulls)
+
+
+def concat_cols(parts: list) -> Tensor:
+    """Concatenate matrices with equal row counts along columns."""
+    return _concat(parts, 1)
 
 
 def concat_rows(parts: list) -> Tensor:
@@ -365,39 +340,7 @@ def concat_rows(parts: list) -> Tensor:
     The same tensor may appear several times (row tiling); its adjoint then
     accumulates one slice per occurrence.
     """
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concat_rows requires at least one operand")
-    cols = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != cols:
-            raise DimensionError("concat_rows operands must be matrices with equal columns")
-    data = np.concatenate([p.data for p in parts], axis=0)
-    pulls = []
-    offset = 0
-    for p in parts:
-        h = p.data.shape[0]
-        if p.tape is not None:
-            pulls.append((p.node, lambda g, lo=offset, hi=offset + h: g[lo:hi, :]))
-        offset += h
-    return _emit(_merge_tape(*parts), data, pulls)
-
-
-def slice_cols(x, lo: int, hi: int) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError("slice_cols expects a matrix")
-    if not (0 <= lo <= hi <= x.data.shape[1]):
-        raise DimensionError(f"slice [{lo}:{hi}] out of range for {x.data.shape}")
-    data = x.data[:, lo:hi].copy()
-
-    def pull(g, x=x, lo=lo, hi=hi):
-        full = np.zeros_like(x.data)
-        full[:, lo:hi] = g
-        return full
-
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, data, pulls)
+    return _concat(parts, 0)
 
 
 def slice_rows(x, lo: int, hi: int) -> Tensor:
@@ -414,6 +357,23 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
 
     pulls = [(x.node, pull)] if x.tape is not None else []
     return _emit(x.tape, x.data[lo:hi], pulls)
+
+
+def blocks_to_rows(x, n_blocks: int) -> Tensor:
+    """Regroup (rows, n_blocks * w) into (n_blocks * rows, w): column block j becomes row block j."""
+    x = _as_tensor(x)
+    if x.data.ndim != 2 or n_blocks < 1 or x.data.shape[1] % n_blocks:
+        raise DimensionError(f"a matrix of shape {x.data.shape} is not {n_blocks} column blocks")
+    m, w = x.data.shape[0], x.data.shape[1] // n_blocks
+    data = x.data.reshape(m, n_blocks, w).transpose(1, 0, 2).reshape(n_blocks * m, w)
+
+    def pull(g):
+        # contiguous, so reductions over its rows sum in the same order as
+        # over an adjoint assembled column block by column block
+        return np.ascontiguousarray(g.reshape(n_blocks, m, w).transpose(1, 0, 2).reshape(m, n_blocks * w))
+
+    pulls = [(x.node, pull)] if x.tape is not None else []
+    return _emit(x.tape, data, pulls)
 
 
 # -- fused primitives ------------------------------------------------------------
@@ -540,26 +500,24 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
     return _emit_joint(tape, data, in_nodes, vjp)
 
 
-def scale_attention(slots: list, theta) -> tuple[Tensor, np.ndarray]:
+def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted mixtures of S equally shaped encodings, per row.
 
-    Scores are the stacked encodings times `theta` (d, n_sets), one product;
-    each score set gets a row softmax over the S slots and mixes the slots
-    with its weights, summed in slot order. Returns the mixtures stacked by
-    score set, (n_sets * rows, d), and the weights, (n_sets, rows, S).
+    `stacked` holds the S encodings as S blocks of rows, (S * rows, d).
+    Scores are `stacked` times `theta` (d, n_sets), one product; each score
+    set gets a row softmax over the S encodings and mixes them with its
+    weights, summed in block order. Returns the mixtures stacked by score
+    set, (n_sets * rows, d), and the weights, (n_sets, rows, S).
     """
-    slots = [_as_tensor(z) for z in slots]
-    theta = _as_tensor(theta)
-    if not slots:
-        raise ContractError("scale_attention requires at least one encoding")
-    shape = slots[0].data.shape
-    if len(shape) != 2 or any(z.data.shape != shape for z in slots):
-        raise DimensionError("scale_attention encodings must be matrices of equal shape")
-    if theta.data.ndim != 2 or theta.data.shape[0] != shape[1]:
-        raise DimensionError(f"score weights of shape {theta.data.shape} do not fit encodings {shape}")
-    n_s, (m, d), n_sets = len(slots), shape, theta.data.shape[1]
-    z = np.stack([s.data for s in slots])  # (S, rows, d)
-    scores = (z.reshape(n_s * m, d) @ theta.data).reshape(n_s, m, n_sets)
+    x, theta = _as_tensor(stacked), _as_tensor(theta)
+    n_rows, d = x.data.shape if x.data.ndim == 2 else (0, 0)
+    if n_scales < 1 or n_rows == 0 or n_rows % n_scales:
+        raise DimensionError(f"encodings of shape {x.data.shape} are not a stack of {n_scales} blocks")
+    if theta.data.ndim != 2 or theta.data.shape[0] != d:
+        raise DimensionError(f"score weights of shape {theta.data.shape} do not fit encodings of width {d}")
+    n_s, m, n_sets = n_scales, n_rows // n_scales, theta.data.shape[1]
+    z = x.data.reshape(n_s, m, d)
+    scores = (x.data @ theta.data).reshape(n_s, m, n_sets)
     scores = np.ascontiguousarray(scores.transpose(2, 1, 0))  # (n_sets, rows, S)
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     alphas = e / e.sum(axis=2, keepdims=True)
@@ -567,19 +525,19 @@ def scale_attention(slots: list, theta) -> tuple[Tensor, np.ndarray]:
     for s in range(1, n_s):
         fused += np.multiply(alphas[:, :, s : s + 1], z[s], out=term)
     data = fused.reshape(n_sets * m, d)
-    tape = _merge_tape(*slots, theta)
+    tape = _merge_tape(x, theta)
     if tape is None:
         return Tensor(data), alphas
-    tracked = [t.tape is not None for t in (*slots, theta)]
+    tracked = [t.tape is not None for t in (x, theta)]
 
     def vjp(g):
         g = g.reshape(n_sets, m, d)
         d_alpha = np.einsum("hmd,smd->hms", g, z)
         d_scores = alphas * (d_alpha - (d_alpha * alphas).sum(axis=2, keepdims=True))
-        d_scores = d_scores.transpose(2, 1, 0).reshape(n_s * m, n_sets)
-        dz = np.einsum("hms,hmd->smd", alphas, g) + (d_scores @ theta.data.T).reshape(n_s, m, d)
-        grads = [*dz, z.reshape(n_s * m, d).T @ d_scores]
+        d_scores = d_scores.transpose(2, 1, 0).reshape(n_rows, n_sets)
+        dz = np.einsum("hms,hmd->smd", alphas, g).reshape(n_rows, d) + d_scores @ theta.data.T
+        grads = [dz, x.data.T @ d_scores]
         return [gr for gr, on in zip(grads, tracked) if on]
 
-    in_nodes = tuple(t.node for t in (*slots, theta) if t.tape is not None)
+    in_nodes = tuple(t.node for t in (x, theta) if t.tape is not None)
     return _emit_joint(tape, data, in_nodes, vjp), alphas

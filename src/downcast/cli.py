@@ -53,9 +53,9 @@ def _number_list(value, path):
     return [float(v) for v in value]
 
 
-def _int_list(value, path):
-    if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise ConfigError(f"{path}: expected a list of integers")
+def _positive_int_list(value, path):
+    if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in value):
+        raise ConfigError(f"{path}: expected a list of positive integers, got {value!r}")
     return list(value)
 
 
@@ -110,7 +110,7 @@ MODEL_SCHEMA = {
     "embedding_size": (16, _typed(int, minimum=1)),
     "smp_variant": ("isotropic", _typed(str, choices={"isotropic", "anisotropic"})),
     "diffusion_hops": (2, _typed(int, minimum=1)),
-    "decoder_hidden": ([128, 128], _int_list),
+    "decoder_hidden": ([128, 128], _positive_int_list),
     "per_step_attention": (False, _typed(bool)),
     "normalize_ascent": (False, _typed(bool)),
 }
@@ -313,11 +313,9 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
         for h in range(cfg.horizon):
             alphas = trace.alphas[h] if cfg.per_step_attention else trace.alphas[0]
             for node in range(cfg.n_nodes):
-                for k in range(cfg.spatial_levels + 1):
-                    for l_idx in range(1, cfg.temporal_layers + 1):
-                        writer.writerow(
-                            [node, h, k, l_idx, repr(float(alphas[node, cfg.slot(k, l_idx)]))]
-                        )
+                for slot in range(cfg.n_scales):  # spatial-major: slot k*L + (l-1)
+                    k, l_idx = divmod(slot, cfg.temporal_layers)
+                    writer.writerow([node, h, k, l_idx + 1, repr(float(alphas[node, slot]))])
     os.replace(tmp, path)
 
 

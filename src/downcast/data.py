@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, CsvParseError, DimensionError
+from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
 from .graphs import WeightedDigraph, read_graph_csv, write_graph_csv
 from .rng import stream_rng
 
@@ -255,13 +255,6 @@ def _parse_timestamp(token: str):
         return datetime.fromisoformat(token)
 
 
-def _parse_field(path, lineno: int, name: str, token: str, parse):
-    try:
-        return parse(token)
-    except ValueError:
-        raise CsvParseError(f"{path}: line {lineno}: field {name!r}: cannot read {token!r}") from None
-
-
 def _format_value(v: float) -> str:
     return repr(float(v))
 
@@ -319,14 +312,14 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            stamps.append(_parse_field(path, lineno, "timestamp", row[0], _parse_timestamp))
+            stamps.append(parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp))
             vals = np.zeros((n, d))
             good = np.zeros((n, d))
             for (j, c), name, token in zip(slots, header[1:], row[1:]):
                 token = token.strip()
                 if token in MISSING_TOKENS:
                     continue
-                v = _parse_field(path, lineno, name, token, float)
+                v = parse_csv_field(path, lineno, name, token, float)
                 if np.isnan(v):
                     continue
                 vals[j, c] = v
@@ -378,10 +371,10 @@ def read_coords_csv(path) -> np.ndarray:
         for lineno, row in enumerate(reader, start=2):
             if len(row) < 3:
                 raise CsvParseError(f"{path}: line {lineno}: expected fields node,lat,lon, got {len(row)}")
-            node = _parse_field(path, lineno, "node", row[0], int)
+            node = parse_csv_field(path, lineno, "node", row[0], int)
             if node in coords:
                 raise CsvParseError(f"{path}: line {lineno}: field 'node': node {node} also on line {lines[node]}")
-            coords[node] = [_parse_field(path, lineno, name, row[f], float) for f, name in ((1, "lat"), (2, "lon"))]
+            coords[node] = [parse_csv_field(path, lineno, name, row[f], float) for f, name in ((1, "lat"), (2, "lon"))]
             lines[node] = lineno
     outside = sorted(set(coords) - set(range(len(coords))))
     if outside:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -294,14 +294,20 @@ def write_graph_csv(graph: WeightedDigraph, path) -> None:
 
 
 def read_graph_csv(path, n: int | None = None, directed: bool = True) -> WeightedDigraph:
+    """Read src,dst,weight rows; a short or unreadable row raises CsvParseError naming its line."""
     edges = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["src", "dst", "weight"]:
-            raise ContractError("graph csv must start with header src,dst,weight")
-        for row in reader:
-            edges.append((int(row[0]), int(row[1]), float(row[2])))
+        if next(reader, [])[:3] != ["src", "dst", "weight"]:
+            raise ContractError(f"{path}: graph csv must start with header src,dst,weight")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) < 3:
+                raise CsvParseError(f"{path}: line {lineno}: expected fields src,dst,weight, got {len(row)}")
+            edges.append((
+                parse_csv_field(path, lineno, "src", row[0], int),
+                parse_csv_field(path, lineno, "dst", row[1], int),
+                parse_csv_field(path, lineno, "weight", row[2], float),
+            ))
     if n is None:
         n = 1 + max(max(s, d) for s, d, _ in edges) if edges else 0
     return WeightedDigraph.from_edges(n, edges, directed=directed)

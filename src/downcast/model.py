@@ -9,8 +9,10 @@ encodings captures one (temporal scale, spatial scale) pair; a per-node
 softmax over learned scores mixes them into the representation the decoder
 maps to the forecasts.
 
-The slot order of the multiscale encodings is spatial-major: slot k*L + (l-1)
-holds temporal layer l at spatial level k.
+Each stage passes one tensor on, stacked by row blocks of B*N rows: the L
+temporal summaries, the S = L*(K+1) encodings (the slots) and the H
+per-step predictions. Slots are spatial-major: row block k*L + (l-1) holds
+temporal layer l at spatial level k.
 """
 from __future__ import annotations
 
@@ -55,16 +57,14 @@ class ModelConfig:
                 raise ContractError(f"{name} must be positive")
         if self.d_u < 0 or self.diffusion_hops < 1:
             raise ContractError("d_u must be >= 0 and diffusion_hops >= 1")
+        if any(w < 1 for w in self.decoder_hidden):
+            raise ContractError(f"decoder_hidden widths must be positive, got {self.decoder_hidden}")
         if self.smp_variant not in SMP_VARIANTS:
             raise ContractError(f"smp_variant must be one of {SMP_VARIANTS}")
 
     @property
     def n_scales(self) -> int:
         return self.temporal_layers * (self.spatial_levels + 1)
-
-    def slot(self, spatial_level: int, temporal_layer: int) -> int:
-        """Flat index of (spatial level k, temporal layer l) with l in 1..L."""
-        return spatial_level * self.temporal_layers + (temporal_layer - 1)
 
 
 @dataclass
@@ -84,9 +84,9 @@ class ForwardTrace:
 @dataclass
 class BatchForward:
     tape: Tape | None  # None when the pass was run without gradient recording
-    preds: list[Tensor]  # H tensors of shape (B*N, d_x)
-    slots: list[Tensor]  # S tensors of shape (B*N, d_h)
-    alphas: list[Tensor]  # one (B*N, S) tensor per score set
+    preds: Tensor  # (H*B*N, d_x), horizon-major
+    slots: Tensor  # (S*B*N, d_h), slot-major
+    alphas: np.ndarray  # (n_score_sets, B*N, S)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -257,13 +257,10 @@ def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt:
     out = x @ p[f"{prefix}.self.weight"] + p[f"{prefix}.self.bias"]
     idx = level - 1
     if config.smp_variant == "isotropic":
-        for hop, op in enumerate(rt.iso_fwd[idx], start=1):
-            if op.nnz:
-                out = out + ad.sparse_matmul(op, x) @ p[f"{prefix}.hop{hop}.fwd"]
-        if rt.iso_rev[idx] is not None:
-            for hop, op in enumerate(rt.iso_rev[idx], start=1):
+        for direction, ops in (("fwd", rt.iso_fwd[idx]), ("rev", rt.iso_rev[idx] or [])):
+            for hop, op in enumerate(ops, start=1):
                 if op.nnz:
-                    out = out + ad.sparse_matmul(op, x) @ p[f"{prefix}.hop{hop}.rev"]
+                    out = out + ad.sparse_matmul(op, x) @ p[f"{prefix}.hop{hop}.{direction}"]
         return out
     src_op, recv_op = rt.edge_src[idx], rt.edge_recv[idx]
     if src_op is None or src_op.shape[0] == 0:
@@ -333,8 +330,8 @@ class Model:
                 emb = ad.concat_rows([emb] * copies)
         return ad.concat_cols([ad.constant(feats), emb]) @ p["encoder.weight"] + p["encoder.bias"]
 
-    def temporal_stack(self, p: _TapeParams, seq: Tensor) -> list[Tensor]:
-        """L per-layer summaries; each layer consumes the previous decimation.
+    def temporal_stack(self, p: _TapeParams, seq: Tensor) -> Tensor:
+        """L per-layer summaries stacked layer-major, (L*B*N, d_h).
 
         Each layer is one `ad.gru_scan` over the kept steps of the layer
         below; its summary is its last state.
@@ -342,7 +339,7 @@ class Model:
         cfg = self.config
         chain = temporal_chain(cfg.window, cfg.temporal_factor, cfg.temporal_layers)
         n_steps, steps = cfg.window, range(cfg.window)
-        z_list = []
+        lasts = []
         for layer in range(cfg.temporal_layers):
             prefix = f"temporal.l{layer}"
             gates = [
@@ -351,51 +348,53 @@ class Model:
             ]
             seq = ad.gru_scan(seq, n_steps, steps, gates)
             rows = seq.data.shape[0] // len(steps)
-            z_list.append(ad.slice_rows(seq, rows * (len(steps) - 1), rows * len(steps)))
+            lasts.append(ad.slice_rows(seq, rows * (len(steps) - 1), rows * len(steps)))
             n_steps, steps = len(steps), chain[layer].kept_indices
-        return z_list
+        return ad.concat_rows(lasts)
 
-    def spatial_stack(self, p: _TapeParams, z_list: list[Tensor], rt: ModelRuntime) -> list[Tensor]:
-        """All (spatial level, temporal layer) encodings, lifted back to level 0."""
-        cfg = self.config
-        slots: list[Tensor | None] = [None] * cfg.n_scales
-        for l_idx, z in enumerate(z_list, start=1):
-            slots[cfg.slot(0, l_idx)] = z
-            r = z
-            for k in range(1, cfg.spatial_levels + 1):
-                msg = smp_messages(r, k, p, cfg, rt)
-                r = ad.sparse_matmul(rt.reduce_ops[k - 1], msg)
-                lifted = r
-                for j in range(k, 0, -1):
-                    lifted = ad.sparse_matmul(rt.lift_ops[j - 1], lifted)
-                    lifted = ad.sparse_matmul(rt.ascent_ops[j - 1], lifted, transpose=True)
-                slots[cfg.slot(k, l_idx)] = lifted
-        return slots
+    def spatial_stack(self, p: _TapeParams, z: Tensor, rt: ModelRuntime) -> Tensor:
+        """All (spatial level, temporal layer) encodings, lifted back to level 0.
 
-    def attention_fuse(self, p: _TapeParams, slots: list[Tensor]) -> tuple[list[Tensor], Tensor]:
+        Every level runs once over the L stacked summaries: weights are shared
+        across layers and each operator acts on every block of N rows alone.
+        Returns the S slots stacked slot-major, (S*B*N, d_h).
+        """
+        levels, r = [z], z
+        for k in range(1, self.config.spatial_levels + 1):
+            r = ad.sparse_matmul(rt.reduce_ops[k - 1], smp_messages(r, k, p, self.config, rt))
+            lifted = r
+            for j in range(k, 0, -1):
+                lifted = ad.sparse_matmul(rt.lift_ops[j - 1], lifted)
+                lifted = ad.sparse_matmul(rt.ascent_ops[j - 1], lifted, transpose=True)
+            levels.append(lifted)
+        return ad.concat_rows(levels) if len(levels) > 1 else z
+
+    def attention_fuse(self, p: _TapeParams, slots: Tensor) -> tuple[np.ndarray, Tensor]:
         """Softmax-weighted mixtures of the multiscale encodings, per node.
 
-        Returns (score sets, fused representations): one (B*N, S) constant
-        weight tensor per set, one set per horizon step in per-step mode and
-        a single shared set otherwise, and the mixtures stacked by set.
+        Returns (weights, fused representations): the weights are
+        (n_sets, B*N, S), one set per horizon step in per-step mode and a
+        single shared set otherwise, and the mixtures are stacked by set.
         """
-        fused, alphas = ad.scale_attention(slots, p["attention.weight"])
-        return [ad.constant(a) for a in alphas], fused
+        fused, alphas = ad.scale_attention(slots, self.config.n_scales, p["attention.weight"])
+        return alphas, fused
 
-    def readout(self, p: _TapeParams, fused: Tensor) -> list[Tensor]:
-        """Map fused representations, stacked by score set, to H per-step predictions (scaled space)."""
+    def readout(self, p: _TapeParams, fused: Tensor) -> Tensor:
+        """Map fused representations, stacked by score set, to predictions (scaled space).
+
+        Returns the H per-step predictions stacked horizon-major, (H*B*N, d_x).
+        """
         cfg = self.config
         if not cfg.per_step_attention:
-            out = _mlp(fused, p, cfg)
-            return [ad.slice_cols(out, h * cfg.d_x, (h + 1) * cfg.d_x) for h in range(cfg.horizon)]
-        rows = fused.data.shape[0] // cfg.horizon
+            return ad.blocks_to_rows(_mlp(fused, p, cfg), cfg.horizon)
         if fused.tape is None:
             # nothing recorded: one decoder pass per set keeps arrays cache-sized
-            return [_mlp(ad.slice_rows(fused, h * rows, (h + 1) * rows), p, cfg) for h in range(cfg.horizon)]
+            rows = fused.data.shape[0] // cfg.horizon
+            sets = [ad.slice_rows(fused, h * rows, (h + 1) * rows) for h in range(cfg.horizon)]
+            return ad.concat_rows([_mlp(s, p, cfg) for s in sets])
         # recorded: one pass over all sets, since every row slice of `fused`
         # would pull back an adjoint of its full size; rows decode alike either way
-        out = _mlp(fused, p, cfg)
-        return [ad.slice_rows(out, h * rows, (h + 1) * rows) for h in range(cfg.horizon)]
+        return _mlp(fused, p, cfg)
 
     def forward_batch(
         self,
@@ -417,17 +416,17 @@ class Model:
         tape = Tape() if record_gradients else None
         p = _TapeParams(tape, self.params)
         seq = self.encode_inputs(p, xw, mw, uw, batch_size)
-        z_list = self.temporal_stack(p, seq)
-        slots = self.spatial_stack(p, z_list, self._runtime)
+        slots = self.spatial_stack(p, self.temporal_stack(p, seq), self._runtime)
         alphas, fused = self.attention_fuse(p, slots)
         preds = self.readout(p, fused)
         return BatchForward(tape=tape, preds=preds, slots=slots, alphas=alphas)
 
     def forward_window(self, x: np.ndarray, m: np.ndarray, u: np.ndarray) -> ForwardTrace:
         """Single-window forward returning the interpretability trace."""
+        cfg = self.config
         bf = self.forward_batch(x, m, u, batch_size=1, record_gradients=False)
         return ForwardTrace(
-            encodings=np.stack([t.data for t in bf.slots]),
-            alphas=np.stack([a.data for a in bf.alphas]),
-            predictions=np.stack([t.data for t in bf.preds]),
+            encodings=bf.slots.data.reshape(cfg.n_scales, cfg.n_nodes, cfg.d_h),
+            alphas=bf.alphas,
+            predictions=bf.preds.data.reshape(cfg.horizon, cfg.n_nodes, cfg.d_x),
         )

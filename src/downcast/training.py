@@ -95,8 +95,8 @@ class AssembledBatch:
     x: np.ndarray  # (W, B*N, d_x), scaled
     m: np.ndarray  # simulated-and-original input validity
     u: np.ndarray
-    targets: list[np.ndarray]  # per horizon step, (B*N, d_x), scaled
-    target_masks: list[np.ndarray]
+    targets: np.ndarray  # (H*B*N, d_x), horizon-major like the predictions, scaled
+    target_masks: np.ndarray
 
 
 def assemble_batch(bundle: DataBundle, samples: list[WindowSample], mask_targets: bool) -> AssembledBatch:
@@ -116,45 +116,37 @@ def assemble_batch(bundle: DataBundle, samples: list[WindowSample], mask_targets
         us.append(s.u_window)
         ys.append(bundle.scaler.apply(s.x_target))
         mts.append(s.m_target * sim_out if mask_targets else s.m_target)
-    x = np.concatenate(xs, axis=1)
-    m = np.concatenate(ms, axis=1)
-    u = np.concatenate(us, axis=1)
-    y = np.concatenate(ys, axis=1)
-    mt = np.concatenate(mts, axis=1)
+    y, mt = np.concatenate(ys, axis=1), np.concatenate(mts, axis=1)  # (H, B*N, d_x)
     return AssembledBatch(
-        x=x, m=m, u=u,
-        targets=[y[h] for h in range(h_len)],
-        target_masks=[mt[h] for h in range(h_len)],
+        x=np.concatenate(xs, axis=1),
+        m=np.concatenate(ms, axis=1),
+        u=np.concatenate(us, axis=1),
+        targets=y.reshape(-1, y.shape[2]),
+        target_masks=mt.reshape(-1, mt.shape[2]),
     )
 
 
 # -- loss and metrics -------------------------------------------------------------
 
 
-def masked_mae_loss(preds, targets, masks) -> Tensor:
+def masked_mae_loss(pred: Tensor, target, mask) -> Tensor:
     """Differentiable masked absolute-error loss.
 
-    `preds` is a Tensor or a list of Tensors; targets/masks are matching
-    arrays. Each (step, node) row contributes the mean absolute error over
+    `target` and `mask` are arrays shaped like `pred`, whose rows are the
+    (step, node) terms. Each row contributes the mean absolute error over
     its valid channels; rows with no valid channel are skipped, and the loss
     is the mean over contributing rows. Gradients are exactly zero at masked
     entries.
     """
-    if isinstance(preds, Tensor):
-        preds, targets, masks = [preds], [targets], [masks]
-    total = None
-    contributing = 0
-    for pred, target, mask in zip(preds, targets, masks):
-        target = np.asarray(target, dtype=np.float64).reshape(pred.data.shape)
-        mask = np.asarray(mask, dtype=np.float64).reshape(pred.data.shape)
-        row_valid = mask.sum(axis=-1)
-        weights = np.divide(1.0, row_valid, out=np.zeros_like(row_valid), where=row_valid > 0)
-        contributing += int(np.count_nonzero(row_valid))
-        err = ad.mul(ad.absolute(ad.sub(pred, ad.constant(target))), ad.constant(mask))
-        piece = ad.reduce_sum(ad.mul(ad.reduce_sum(err, axis=pred.data.ndim - 1), ad.constant(weights)))
-        total = piece if total is None else ad.add(total, piece)
+    target = np.asarray(target, dtype=np.float64).reshape(pred.data.shape)
+    mask = np.asarray(mask, dtype=np.float64).reshape(pred.data.shape)
+    row_valid = mask.sum(axis=-1)
+    contributing = int(np.count_nonzero(row_valid))
     if contributing == 0:
         raise ContractError("mask selects no valid target entries")
+    weights = np.divide(1.0, row_valid, out=np.zeros_like(row_valid), where=row_valid > 0)
+    err = ad.mul(ad.absolute(ad.sub(pred, ad.constant(target))), ad.constant(mask))
+    total = ad.reduce_sum(ad.mul(ad.reduce_sum(err, axis=pred.data.ndim - 1), ad.constant(weights)))
     return ad.mul(total, 1.0 / contributing)
 
 
@@ -249,7 +241,7 @@ def predict_windows(model: Model, bundle: DataBundle, samples: list[WindowSample
     for chunk in _batched(samples, batch_size):
         batch = assemble_batch(bundle, chunk, mask_targets=False)
         bf = model.forward_batch(batch.x, batch.m, batch.u, len(chunk), record_gradients=False)
-        scaled = np.stack([t.data for t in bf.preds])  # (H, B*N, d_x)
+        scaled = bf.preds.data.reshape(model.config.horizon, -1, model.config.d_x)
         yield chunk, bundle.scaler.invert(scaled), batch
 
 

@@ -5,6 +5,7 @@ from downcast import autodiff as ad
 from downcast import graphs as gr
 from downcast.errors import DimensionError
 from downcast.masking import FaultInterval
+from downcast.model import smp_messages
 from downcast.rng import stream_rng
 
 
@@ -58,10 +59,31 @@ def gru_layer_reference(seq, gates):
     for x_t in seq:
         r = ad.sigmoid(x_t @ wr + h @ ur + br)
         u = ad.sigmoid(x_t @ wu + h @ uu + bu)
-        c = ad.tanh(x_t @ wc + ad.mul(r, h) @ uc + bc)
+        c = tanh(x_t @ wc + ad.mul(r, h) @ uc + bc)
         h = ad.add(ad.mul(u, h), ad.mul(ad.sub(1.0, u), c))
         out.append(h)
     return out
+
+
+def spatial_stack_reference(model, p, z_list, rt):
+    """Per-layer spatial loop: the reference for `Model.spatial_stack`.
+
+    Runs every level once per temporal summary in `z_list`; returns the S
+    encodings as a list in slot order k*L + (l-1).
+    """
+    cfg = model.config
+    slots = [None] * cfg.n_scales
+    for l_idx, z in enumerate(z_list, start=1):
+        slots[l_idx - 1] = z
+        r = z
+        for k in range(1, cfg.spatial_levels + 1):
+            r = ad.sparse_matmul(rt.reduce_ops[k - 1], smp_messages(r, k, p, cfg, rt))
+            lifted = r
+            for j in range(k, 0, -1):
+                lifted = ad.sparse_matmul(rt.lift_ops[j - 1], lifted)
+                lifted = ad.sparse_matmul(rt.ascent_ops[j - 1], lifted, transpose=True)
+            slots[k * cfg.temporal_layers + l_idx - 1] = lifted
+    return slots
 
 
 def scale_attention_reference(slots, theta):
@@ -72,10 +94,10 @@ def scale_attention_reference(slots, theta):
     score_cols = [z @ theta for z in slots]
     alphas, fused = [], []
     for h in range(theta.data.shape[1]):
-        al = ad.softmax_rows(ad.concat_cols([ad.slice_cols(s, h, h + 1) for s in score_cols]))
+        al = softmax_rows(ad.concat_cols([slice_cols(s, h, h + 1) for s in score_cols]))
         z_mix = None
         for s, z in enumerate(slots):
-            term = ad.mul(ad.slice_cols(al, s, s + 1), z)
+            term = ad.mul(slice_cols(al, s, s + 1), z)
             z_mix = term if z_mix is None else z_mix + term
         alphas.append(al)
         fused.append(z_mix)
@@ -87,6 +109,48 @@ def scale_attention_reference(slots, theta):
 
 def exp(x):
     return ad._unary(x, np.exp, lambda g, v, out: g * out)
+
+
+def tanh(x):
+    return ad._unary(x, np.tanh, lambda g, v, out: g * (1.0 - out * out))
+
+
+def negate(x):
+    return ad._unary(x, lambda v: -v, lambda g, v, out: -g)
+
+
+def softmax_rows(x):
+    """Row-wise softmax of a matrix, stabilised by per-row max subtraction."""
+    x = ad._as_tensor(x)
+    if x.data.ndim != 2:
+        raise DimensionError("softmax_rows expects a matrix")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def pull(g, out=out):
+        dot = (g * out).sum(axis=1, keepdims=True)
+        return out * (g - dot)
+
+    pulls = [(x.node, pull)] if x.tape is not None else []
+    return ad._emit(x.tape, out, pulls)
+
+
+def slice_cols(x, lo, hi):
+    x = ad._as_tensor(x)
+    if x.data.ndim != 2:
+        raise DimensionError("slice_cols expects a matrix")
+    if not (0 <= lo <= hi <= x.data.shape[1]):
+        raise DimensionError(f"slice [{lo}:{hi}] out of range for {x.data.shape}")
+    data = x.data[:, lo:hi].copy()
+
+    def pull(g, x=x, lo=lo, hi=hi):
+        full = np.zeros_like(x.data)
+        full[:, lo:hi] = g
+        return full
+
+    pulls = [(x.node, pull)] if x.tape is not None else []
+    return ad._emit(x.tape, data, pulls)
 
 
 def reduce_mean(x, axis=None):

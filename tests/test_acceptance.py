@@ -60,11 +60,7 @@ def test_criterion_1_gradient_correctness():
 
         bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
         # keep clear of the absolute-value kink so central differences are valid
-        residual_floor = min(
-            float(np.min(np.abs(p.data - t)[m == 1.0]))
-            for p, t, m in zip(bf.preds, batch.targets, batch.target_masks)
-            if np.any(m == 1.0)
-        )
+        residual_floor = float(np.min(np.abs(bf.preds.data - batch.targets)[batch.target_masks == 1.0]))
         assert residual_floor > 1e-4, "test fixture too close to the |x| kink"
         loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
         model.zero_grads()
@@ -222,13 +218,13 @@ def test_criterion_5_architecture_contracts():
     target = rng.normal(size=(3, 9, 1))
     tmask = (rng.random(target.shape) > 0.4).astype(float)
     bf = model.forward_batch(x, m, u, 1)
-    loss1 = tr.masked_mae_loss(bf.preds, [target[h] for h in range(3)], [tmask[h] for h in range(3)])
+    loss1 = tr.masked_mae_loss(bf.preds, target.reshape(-1, 1), tmask.reshape(-1, 1))
     model.zero_grads()
     bf.tape.backward(loss1)
     grads1 = {k: v.grad.copy() for k, v in model.params.items()}
     target2 = np.where(tmask == 0.0, target + 1e6, target)
     bf2 = model.forward_batch(x, m, u, 1)
-    loss2 = tr.masked_mae_loss(bf2.preds, [target2[h] for h in range(3)], [tmask[h] for h in range(3)])
+    loss2 = tr.masked_mae_loss(bf2.preds, target2.reshape(-1, 1), tmask.reshape(-1, 1))
     model.zero_grads()
     bf2.tape.backward(loss2)
     loss_bit_identical = float(loss1.data) == float(loss2.data)

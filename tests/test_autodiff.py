@@ -6,7 +6,16 @@ from downcast import autodiff as ad
 from downcast import graphs as gr
 from downcast.errors import ContractError, DimensionError
 from downcast.sparse import CsrMatrix
-from helpers import exp, gru_layer_reference, reduce_mean, scale_attention_reference
+from helpers import (
+    exp,
+    gru_layer_reference,
+    negate,
+    reduce_mean,
+    scale_attention_reference,
+    slice_cols,
+    softmax_rows,
+    tanh,
+)
 
 
 def finite_diff(fn, x0: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -95,7 +104,7 @@ class TestElementwise:
     def test_tanh_derivative_at_zero(self):
         tape = ad.Tape()
         x = tape.leaf(np.zeros(()))
-        adj = tape.backward(ad.tanh(x))
+        adj = tape.backward(tanh(x))
         assert float(adj[x.node]) == 1.0
 
     def test_binary_broadcast_trailing_one(self):
@@ -112,7 +121,7 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))
 
-    @pytest.mark.parametrize("op", [ad.tanh, ad.sigmoid, ad.elu, exp, ad.negate, ad.absolute])
+    @pytest.mark.parametrize("op", [tanh, ad.sigmoid, ad.elu, exp, negate, ad.absolute])
     def test_unary_gradients(self, op):
         x0 = RNG.uniform(-2, 2, (3, 4))
         x0[np.abs(x0) < 0.05] += 0.1  # keep clear of the |x| kink
@@ -152,27 +161,27 @@ class TestReduce:
 
 class TestSoftmaxRows:
     def test_uniform_on_zeros(self):
-        out = ad.softmax_rows(ad.constant(np.zeros((1, 4))))
+        out = softmax_rows(ad.constant(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_large_values_no_overflow(self):
-        out = ad.softmax_rows(ad.constant([[1000.0, 1000.0]]))
+        out = softmax_rows(ad.constant([[1000.0, 1000.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_closed_form(self):
-        out = ad.softmax_rows(ad.constant([[0.0, np.log(3.0)]]))
+        out = softmax_rows(ad.constant([[0.0, np.log(3.0)]]))
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         x = RNG.uniform(-5, 5, (8, 6))
-        out = ad.softmax_rows(ad.constant(x))
+        out = softmax_rows(ad.constant(x))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(8), atol=1e-12)
-        shifted = ad.softmax_rows(ad.constant(x + RNG.uniform(-3, 3, (8, 1))))
+        shifted = softmax_rows(ad.constant(x + RNG.uniform(-3, 3, (8, 1))))
         np.testing.assert_allclose(shifted.data, out.data, atol=1e-12)
 
     def test_gradient(self):
         w = RNG.uniform(-2, 2, (3, 5))
-        check_grad(lambda x: ad.reduce_sum(ad.mul(ad.softmax_rows(x), ad.constant(w))), RNG.uniform(-2, 2, (3, 5)))
+        check_grad(lambda x: ad.reduce_sum(ad.mul(softmax_rows(x), ad.constant(w))), RNG.uniform(-2, 2, (3, 5)))
 
 
 class TestSparseMatmul:
@@ -282,7 +291,7 @@ class TestConcatSlice:
     def test_slice_cols_gradient(self):
         w = RNG.uniform(-1, 1, (3, 2))
         check_grad(
-            lambda x: ad.reduce_sum(ad.mul(ad.slice_cols(x, 1, 3), ad.constant(w))),
+            lambda x: ad.reduce_sum(ad.mul(slice_cols(x, 1, 3), ad.constant(w))),
             RNG.uniform(-1, 1, (3, 5)),
         )
 
@@ -324,7 +333,7 @@ class TestBackward:
             p = ad.Parameter("p", np.linspace(-1, 1, 12).reshape(3, 4))
             tape = ad.Tape()
             t = tape.parameter(p)
-            h = ad.tanh(ad.matmul(t, ad.constant(np.linspace(0, 1, 8).reshape(4, 2))))
+            h = tanh(ad.matmul(t, ad.constant(np.linspace(0, 1, 8).reshape(4, 2))))
             tape.backward(ad.reduce_sum(ad.mul(h, h)))
             return p.grad.copy()
 
@@ -344,8 +353,8 @@ class TestRecordedOpFiniteDifferences:
         w = RNG.uniform(-2, 2, (4, 4))
 
         def build(x):
-            h = ad.tanh(ad.matmul(x, ad.constant(w)))
-            s = ad.softmax_rows(h)
+            h = tanh(ad.matmul(x, ad.constant(w)))
+            s = softmax_rows(h)
             e = ad.elu(ad.sub(s, ad.sigmoid(x)))
             return ad.reduce_sum(ad.mul(e, e))
 
@@ -372,12 +381,29 @@ class TestRecordedOpFiniteDifferences:
         weight = ad.constant(rng.normal(size=(2 * 4, 5)))
 
         def build(stacked, theta):
-            slots = [ad.slice_rows(stacked, 4 * s, 4 * s + 4) for s in range(3)]
-            fused, _ = ad.scale_attention(slots, theta)
+            fused, _ = ad.scale_attention(stacked, 3, theta)
             return ad.reduce_sum(ad.mul(fused, weight))
 
         check_grad(lambda v: build(v, ad.constant(theta0)), stacked0)
         check_grad(lambda v: build(ad.constant(stacked0), v), theta0)
+
+    def test_blocks_to_rows(self):
+        rng = np.random.default_rng(23)
+        x0 = rng.normal(size=(4, 3 * 2))  # three 2-column blocks of 4 rows
+        weight = ad.constant(rng.normal(size=(3 * 4, 2)))
+        check_grad(lambda v: ad.reduce_sum(ad.mul(ad.blocks_to_rows(v, 3), weight)), x0)
+        # round trip: row block j is column block j, and the pull regroups back
+        out = ad.blocks_to_rows(ad.constant(x0), 3).data
+        for j in range(3):
+            np.testing.assert_array_equal(out[4 * j : 4 * j + 4], x0[:, 2 * j : 2 * j + 2])
+        tape = ad.Tape()
+        x = tape.leaf(x0)
+        rows = ad.blocks_to_rows(x, 3)
+        adj = tape.backward(ad.reduce_sum(ad.mul(rows, ad.constant(out))))
+        np.testing.assert_array_equal(adj[x.node], x0)
+        assert adj[x.node].flags.c_contiguous
+        with pytest.raises(DimensionError):
+            ad.blocks_to_rows(ad.constant(x0), 4)
 
 
 def _gru_inputs(rng, rows, d_in, d_h, n_steps):
@@ -459,15 +485,18 @@ class TestScaleAttention:
 
         def run(fused):
             tape = ad.Tape()
-            slots = [tape.leaf(z) for z in slots0]
             theta = tape.leaf(theta0)
             if fused:
-                out, alphas = ad.scale_attention(slots, theta)
+                stacked = tape.leaf(np.concatenate(slots0))
+                out, alphas = ad.scale_attention(stacked, 5, theta)
+                d_slots = lambda adj: adj[stacked.node]
             else:
+                slots = [tape.leaf(z) for z in slots0]
                 mixes, als = scale_attention_reference(slots, theta)
                 out, alphas = ad.concat_rows(mixes), np.stack([a.data for a in als])
+                d_slots = lambda adj: np.concatenate([adj[t.node] for t in slots])
             adj = tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(weight))))
-            return out.data, alphas, [adj[t.node] for t in (*slots, theta)]
+            return out.data, alphas, [d_slots(adj), adj[theta.node]]
 
         out, alphas, adj = run(True)
         ref_out, ref_alphas, ref_adj = run(False)
@@ -478,6 +507,6 @@ class TestScaleAttention:
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionError):
-            ad.scale_attention([ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2)))], np.ones((2, 1)))
+            ad.scale_attention(ad.constant(np.ones((5, 2))), 2, np.ones((2, 1)))  # 5 rows are not 2 blocks
         with pytest.raises(DimensionError):
-            ad.scale_attention([ad.constant(np.ones((3, 2)))], np.ones((3, 1)))
+            ad.scale_attention(ad.constant(np.ones((3, 2))), 1, np.ones((3, 1)))

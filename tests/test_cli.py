@@ -217,6 +217,12 @@ class TestCliMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("widths", [[0], [-3], [8, 0]])
+    def test_non_positive_decoder_width_exits_2_naming_the_field(self, tmp_path, capsys, widths):
+        path = write_config(tmp_path, tiny_config(tmp_path / "o", model={"decoder_hidden": widths}))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "model.decoder_hidden" in capsys.readouterr().err
+
     def test_gen_mso_writes_files_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "mso"
         code = cli.main(

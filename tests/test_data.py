@@ -255,6 +255,14 @@ class TestCsvPanel:
         assert np.array_equal(panel.x, fresh_panel.x)
         assert list(adot.edges()) == list(fresh_adot.edges())
 
+    def test_malformed_graph_file_named_through_load_mso_dir(self, tmp_path):
+        dt.export_mso(tmp_path / "mso", n_nodes=4, length=20, fan_in=2, hops=1, in_degree=1, seed=0)
+        graph_csv = tmp_path / "mso" / "adot.csv"
+        graph_csv.write_text(graph_csv.read_text() + "1,x,1.0\n")
+        lineno = len(graph_csv.read_text().splitlines())
+        with pytest.raises(CsvParseError, match=rf"adot\.csv: line {lineno}: field 'dst': cannot read 'x'"):
+            dt.load_mso_dir(tmp_path / "mso")
+
     def test_export_refuses_nonempty_dir(self, tmp_path):
         out = tmp_path / "mso"
         out.mkdir()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from downcast.errors import ContractError, DimensionError
+from downcast.errors import ContractError, CsvParseError, DimensionError
 from downcast import graphs as gr
 from helpers import (
     hop_rings,
@@ -376,3 +376,25 @@ class TestHierarchy:
         gr.write_graph_csv(g, path)
         back = gr.read_graph_csv(path, n=10, directed=True)
         assert list(back.edges()) == list(g.edges())
+
+
+class TestGraphCsv:
+    def write(self, tmp_path, body):
+        path = tmp_path / "graph.csv"
+        path.write_text("src,dst,weight\n" + body)
+        return path
+
+    def test_non_numeric_field_reports_file_line_and_field(self, tmp_path):
+        path = self.write(tmp_path, "0,1,1.0\n1,x,1.0\n")
+        with pytest.raises(CsvParseError, match=r"graph\.csv: line 3: field 'dst': cannot read 'x'"):
+            gr.read_graph_csv(path, n=3)
+
+    def test_bad_weight_reports_field(self, tmp_path):
+        path = self.write(tmp_path, "0,1,heavy\n")
+        with pytest.raises(CsvParseError, match=r"graph\.csv: line 2: field 'weight': cannot read 'heavy'"):
+            gr.read_graph_csv(path, n=3)
+
+    def test_short_row_reports_file_and_line(self, tmp_path):
+        path = self.write(tmp_path, "0,1,1.0\n0,1\n")
+        with pytest.raises(CsvParseError, match=r"graph\.csv: line 3: expected fields src,dst,weight, got 2"):
+            gr.read_graph_csv(path, n=3)

@@ -4,6 +4,8 @@ import pytest
 from downcast import autodiff as ad
 from downcast import data as dt
 from downcast import graphs as gr
+from downcast import training as tr
+from downcast.errors import ContractError
 from downcast.model import (
     Model,
     ModelConfig,
@@ -13,6 +15,7 @@ from downcast.model import (
     init_params,
     last_value_imputation,
 )
+from helpers import permute_hierarchy, softmax_rows, spatial_stack_reference
 
 RNG = np.random.default_rng(17)
 
@@ -115,10 +118,11 @@ class TestTemporalStack:
         x, m, u = random_window(model, np.random.default_rng(2))
         tape = ad.Tape()
         p = _TapeParams(tape, model.params)
-        z_list = model.temporal_stack(p, model.encode_inputs(p, x, m, u, 1))
-        assert len(z_list) == model.config.temporal_layers
-        for z in z_list:
-            assert np.allclose(z.data, z.data[0])
+        z = model.temporal_stack(p, model.encode_inputs(p, x, m, u, 1))
+        layers = z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
+        assert len(layers) == model.config.temporal_layers
+        for z_l in layers:
+            assert np.allclose(z_l, z_l[0])
 
     def test_node_permutation_permutes_rows(self):
         # temporal processing is node-wise, so permuting input rows permutes outputs
@@ -130,7 +134,8 @@ class TestTemporalStack:
             model.params["embeddings"].value = emb
             tape = ad.Tape()
             p = _TapeParams(tape, model.params)
-            return [z.data for z in model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu, 1))]
+            z = model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu, 1))
+            return z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
 
         emb0 = model.params["embeddings"].value.copy()
         base = run(x, m, u, emb0)
@@ -154,13 +159,19 @@ class TestRecordCounts:
         x = rng.normal(size=(24, 32 * 20, 1))
         m = (rng.uniform(size=x.shape) > 0.2).astype(float)
         u = np.zeros((24, 32 * 20, 0))
-        p = _TapeParams(ad.Tape(), model.params)
+        y = rng.normal(size=(6 * 32 * 20, 1))
+        tape = ad.Tape()
+        p = _TapeParams(tape, model.params)
         seq = model.encode_inputs(p, x, m, u, 32)
-        z_list = model.temporal_stack(p, seq)
-        slots = model.spatial_stack(p, z_list, model.runtime(32))
+        z = model.temporal_stack(p, seq)
+        slots = model.spatial_stack(p, z, model.runtime(32))
         _, fused = model.attention_fuse(p, slots)
-        assert max(z.node for z in z_list) - seq.node <= 40
-        assert fused.node - max(s.node for s in slots) <= 5
+        preds = model.readout(p, fused)
+        tr.masked_mae_loss(preds, y, np.ones_like(y))
+        assert z.node - seq.node <= 40
+        assert fused.node - slots.node <= 5
+        # the whole train step: records per stage op, not per layer, slot or horizon step
+        assert len(tape._records) <= 70
 
 
 class TestSmpMessages:
@@ -213,13 +224,13 @@ class TestSpatialStack:
         model = make_setup(levels=0)
         x, m, u = random_window(model, np.random.default_rng(5))
         bf = model.forward_batch(x, m, u, 1)
-        assert len(bf.slots) == model.config.temporal_layers
+        assert bf.slots.data.shape == (model.config.temporal_layers * model.config.n_nodes, model.config.d_h)
 
     def test_scale_count(self):
         model = make_setup(layers=3, levels=2, n=12)
         x, m, u = random_window(model, np.random.default_rng(6))
         bf = model.forward_batch(x, m, u, 1)
-        assert len(bf.slots) == 3 * (2 + 1) == model.config.n_scales
+        assert bf.slots.data.shape[0] // model.config.n_nodes == 3 * (2 + 1) == model.config.n_scales
 
     def test_single_supernode_level_algebra(self):
         # complete graph pools into one supernode: reduction sums message rows,
@@ -237,7 +248,7 @@ class TestSpatialStack:
         z = RNG.normal(size=(n, 6))
         tape = ad.Tape()
         p = _TapeParams(tape, model.params)
-        slots = model.spatial_stack(p, [ad.constant(z)], model.runtime(1))
+        slots = model.spatial_stack(p, ad.constant(z), model.runtime(1))
         pv = {k: v.value for k, v in model.params.items()}
         msg = z @ pv["spatial.k1.self.weight"] + pv["spatial.k1.self.bias"]
         und = hierarchy.graphs[0].csr.toarray()
@@ -246,7 +257,45 @@ class TestSpatialStack:
         pooled = msg.sum(axis=0, keepdims=True)
         lifted = np.repeat(pooled / n, n, axis=0)
         expected = und.T @ lifted
-        np.testing.assert_allclose(slots[1].data, expected, atol=1e-10)
+        np.testing.assert_allclose(slots.data[n:], expected, atol=1e-10)
+
+
+class TestStackedSpatialStack:
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+    def test_blocks_equal_per_layer_reference(self, variant, levels):
+        # 4 windows, so every product has a multiple of 4 rows per layer: OpenBLAS
+        # computes the rows past the last 4-row tile with another kernel, whose
+        # sums may round differently once layers are stacked
+        model = make_setup(n=10, layers=3, levels=levels, variant=variant)
+        cfg, batch = model.config, 4
+        rng = np.random.default_rng(20 + levels)
+        z0 = rng.normal(size=(cfg.temporal_layers * batch * cfg.n_nodes, cfg.d_h))
+        weight = ad.constant(rng.normal(size=(cfg.n_scales * batch * cfg.n_nodes, cfg.d_h)))
+        rt = model.runtime(batch)
+
+        def run(stacked):
+            tape = ad.Tape()
+            p = _TapeParams(tape, model.params)
+            z = tape.leaf(z0)
+            if stacked:
+                out = model.spatial_stack(p, z, rt)
+            else:
+                rows = z0.shape[0] // cfg.temporal_layers
+                layers = [ad.slice_rows(z, l * rows, (l + 1) * rows) for l in range(cfg.temporal_layers)]
+                out = ad.concat_rows(spatial_stack_reference(model, p, layers, rt))
+            model.zero_grads()
+            adj = tape.backward(ad.reduce_sum(ad.mul(out, weight)))
+            return out.data, adj[z.node], {name: q.grad.copy() for name, q in model.params.items()}
+
+        out, d_z, grads = run(True)
+        ref_out, ref_d_z, ref_grads = run(False)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(d_z, ref_d_z)
+        # a spatial weight's gradient is now one product over all layers'
+        # rows, not one per layer summed, so it agrees to rounding only
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[name], rtol=0, atol=1e-12 * max(1.0, np.abs(g).max()))
 
 
 class TestAttentionFuse:
@@ -254,7 +303,7 @@ class TestAttentionFuse:
         model = make_setup(layers=1, levels=0)
         x, m, u = random_window(model, np.random.default_rng(7))
         bf = model.forward_batch(x, m, u, 1)
-        np.testing.assert_allclose(bf.alphas[0].data, np.ones((model.config.n_nodes, 1)), atol=1e-15)
+        np.testing.assert_allclose(bf.alphas[0], np.ones((model.config.n_nodes, 1)), atol=1e-15)
 
     def test_zero_attention_weight_gives_uniform_mixture(self):
         model = make_setup(layers=2, levels=1)
@@ -262,12 +311,12 @@ class TestAttentionFuse:
         x, m, u = random_window(model, np.random.default_rng(8))
         bf = model.forward_batch(x, m, u, 1)
         s = model.config.n_scales
-        np.testing.assert_allclose(bf.alphas[0].data, np.full((model.config.n_nodes, s), 1.0 / s), atol=1e-12)
+        np.testing.assert_allclose(bf.alphas[0], np.full((model.config.n_nodes, s), 1.0 / s), atol=1e-12)
 
     def test_constant_score_shift_leaves_alpha_unchanged(self):
         x = RNG.uniform(-1, 1, (5, 4))
-        a1 = ad.softmax_rows(ad.constant(x)).data
-        a2 = ad.softmax_rows(ad.constant(x + 3.7)).data
+        a1 = softmax_rows(ad.constant(x)).data
+        a2 = softmax_rows(ad.constant(x + 3.7)).data
         np.testing.assert_allclose(a1, a2, atol=1e-12)
 
     def test_alpha_rows_sum_to_one(self):
@@ -302,9 +351,6 @@ class TestReadout:
         t1 = model.forward_window(x, m, u)
         t2 = model.forward_window(x, m, u)
         np.testing.assert_array_equal(t1.predictions, t2.predictions)
-
-
-from helpers import permute_hierarchy
 
 
 class TestForward:
@@ -345,7 +391,7 @@ class TestForward:
         n = model.config.n_nodes
         solo1 = model.forward_window(*w1).predictions
         solo2 = model.forward_window(*w2).predictions
-        batch_preds = np.stack([t.data for t in bf.preds])
+        batch_preds = bf.preds.data.reshape(model.config.horizon, 2 * n, model.config.d_x)
         np.testing.assert_allclose(batch_preds[:, :n], solo1, atol=1e-12)
         np.testing.assert_allclose(batch_preds[:, n:], solo2, atol=1e-12)
         assert model.runtime(1) is model.runtime(32)  # one operator set serves every batch size
@@ -356,6 +402,13 @@ class TestForward:
         base = model.forward_window(x, m, u).predictions
         x2 = np.where(m == 0.0, x + 99.0, x)
         np.testing.assert_array_equal(model.forward_window(x2, m, u).predictions, base)
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("widths", [(0,), (-3,), (8, 0)])
+    def test_non_positive_decoder_width_rejected(self, widths):
+        with pytest.raises(ContractError, match="decoder_hidden"):
+            ModelConfig(n_nodes=4, window=4, horizon=2, decoder_hidden=widths)
 
 
 class TestInitParams:
