@@ -41,13 +41,17 @@ class Tape:
     output adjoint to one adjoint contribution per input, in order. Node ids
     are assigned in execution order, so the record is topologically sorted by
     construction. A tape is confined to a single thread.
+
+    A tape is differentiated once: `backward` consumes the record, breaking
+    the cycle from the vjp closures through their tensors back to the tape,
+    so a step's arrays are freed by reference counting, not the cyclic GC.
     """
 
     __slots__ = ("_records", "_param_nodes", "_next_id")
 
     def __init__(self):
-        self._records: list[tuple[int, tuple]] = []
-        self._param_nodes: list[tuple[Parameter, int]] = []
+        self._records: list[tuple[int, tuple]] | None = []
+        self._param_nodes: list[tuple[Parameter, int]] | None = []
         self._next_id = 0
 
     def _new_node(self) -> int:
@@ -73,14 +77,19 @@ class Tape:
 
         Parameters registered on this tape but not on the path to `loss`
         receive an exact-zero contribution. Returns the full adjoint map
-        keyed by node id (useful for checking non-parameter leaves).
+        keyed by node id (useful for checking non-parameter leaves). The
+        record is consumed, so a second call raises ContractError.
         """
         if loss.tape is not self:
             raise ContractError("loss was not produced by this tape")
         if loss.data.size != 1:
             raise ContractError("backward requires a scalar loss")
+        if self._records is None:
+            raise ContractError("this tape was already differentiated")
+        records, param_nodes = self._records, self._param_nodes
+        self._records = self._param_nodes = None
         adjoints: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-        for out_node, in_nodes, vjp in reversed(self._records):
+        for out_node, in_nodes, vjp in reversed(records):
             g = adjoints.get(out_node)
             if g is None:
                 continue
@@ -89,7 +98,7 @@ class Tape:
             for in_node, contrib in zip(in_nodes, vjp(g)):
                 acc = adjoints.get(in_node)
                 adjoints[in_node] = contrib if acc is None else acc + contrib
-        for p, node in self._param_nodes:
+        for p, node in param_nodes:
             g = adjoints.get(node)
             if g is not None:
                 p.grad += g
@@ -246,11 +255,12 @@ def sigmoid(x) -> Tensor:
 
 
 def elu(x) -> Tensor:
-    # alpha fixed at 1
+    # alpha fixed at 1; max and min in place of a select (mixed signs mispredict)
     def fwd(v):
-        return np.where(v > 0, v, np.expm1(np.minimum(v, 0.0)))
+        out = np.minimum(v, 0.0, out=np.empty_like(v))
+        return np.maximum(v, np.expm1(out, out=out), out=out)
 
-    return _unary(x, fwd, lambda g, v, out: g * np.where(v > 0, 1.0, out + 1.0))
+    return _unary(x, fwd, lambda g, v, out: g * (np.minimum(out, 0.0) + 1.0))
 
 
 def absolute(x) -> Tensor:

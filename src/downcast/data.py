@@ -295,9 +295,11 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     """Returns (timestamps, values (T,N,C), validity (T,N,C))."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0] != "timestamp":
             raise CsvParseError(f"{path}: first column must be 'timestamp'")
+        if len(header) == 1:
+            raise CsvParseError(f"{path}: no node columns after 'timestamp'")
         slots = []
         for name in header[1:]:
             m = _COLUMN_RE.match(name)
@@ -326,6 +328,8 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
                 good[j, c] = 1.0
             rows_v.append(vals)
             rows_m.append(good)
+    if not stamps:
+        raise CsvParseError(f"{path}: no data rows after the header")
     return stamps, np.array(rows_v), np.array(rows_m)
 
 
@@ -366,7 +370,7 @@ def read_coords_csv(path) -> np.ndarray:
     coords, lines = {}, {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader)[:3] != ["node", "lat", "lon"]:
+        if next(reader, [])[:3] != ["node", "lat", "lon"]:
             raise CsvParseError(f"{path}: expected header node,lat,lon")
         for lineno, row in enumerate(reader, start=2):
             if len(row) < 3:

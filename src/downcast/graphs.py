@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
 
@@ -53,10 +54,6 @@ class WeightedDigraph:
         cols = np.array([e[1] for e in edges], dtype=np.int64)
         vals = np.array([e[2] for e in edges], dtype=np.float64)
         return cls(n, sp.csr_array((vals, (rows, cols)), shape=(n, n)), directed)
-
-    @property
-    def n_edges(self) -> int:
-        return self.csr.nnz
 
     def edges(self):
         """(src, dst, weight) triples in row-major order."""
@@ -180,8 +177,7 @@ def ensure_connected(graph: WeightedDigraph, coords: np.ndarray, tau: float) -> 
         raise ContractError("ensure_connected expects an undirected graph")
     dist = haversine_km(coords)
     upper = np.triu(np.isfinite(dist), k=1)
-    comp = np.argmax(hop_distances(graph, undirected=True) < np.inf, axis=1)  # lowest node reached
-    n_comp = int(np.count_nonzero(comp == np.arange(graph.n)))
+    n_comp, comp = csgraph.connected_components(graph.csr, directed=False)
     bridges = []
     while n_comp > 1:
         cross = np.where(upper & (comp[:, None] != comp[None, :]), dist, np.inf)
@@ -201,21 +197,10 @@ def hop_distances(graph: WeightedDigraph, undirected: bool) -> np.ndarray:
     """dist[i, j] counts the hops of a shortest path from i to j (inf if none).
 
     Hops follow stored edges, zero weights included, or with `undirected` the
-    edges of the symmetrised view. Row i of `frontier` holds the nodes first
-    reached from i; one sparse product per hop advances every row.
-    `scipy.sparse.csgraph` is not used: importing it loads scipy.linalg, whose
-    long-lived objects delay the cyclic collector's full passes and so raise
-    the peak memory of training.
+    edges of the symmetrised view.
     """
     csr = (graph.undirected_view() if undirected else graph).csr
-    step = sp.csr_array((np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape)
-    dist = np.where(np.eye(graph.n, dtype=bool), 0.0, np.inf)
-    frontier, hop = np.eye(graph.n, dtype=bool), 0
-    while frontier.any():
-        hop += 1
-        frontier = (frontier @ step > 0.0) & (dist == np.inf)
-        dist[frontier] = hop
-    return dist
+    return csgraph.shortest_path(csr, directed=True, unweighted=True)
 
 
 def kmis_select(graph: WeightedDigraph, k: int) -> SelectionMatrix:

@@ -8,7 +8,6 @@ everywhere (also inside fault intervals; invalidity is idempotent).
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -86,22 +85,22 @@ def simulate_block(
 
     faults: list[FaultInterval] = []
     if cfg.p_f > 0.0:
-        dist = hop_distances(graph, undirected=False) if cfg.p_g else None
+        # rings[i][k] lists the hop-(k+1) neighbours of node i in ascending order
+        rings = [[]] * n_nodes
+        if cfg.p_g:
+            dist = hop_distances(graph, undirected=False)
+            rings = [[np.flatnonzero(row == k + 1).tolist() for k in range(len(cfg.p_g))] for row in dist]
         starts = np.argwhere(rng.random(shape) < cfg.p_f)
         for t, i, c in starts:
             t, i, c = int(t), int(i), int(c)
             length = int(rng.integers(cfg.s_min, cfg.s_max + 1))
             faults.append(FaultInterval(node=i, channel=c, start=t, length=length, origin="direct"))
             invalid[t : t + length, i, c] = True
-            if dist is not None:
-                for k, p in enumerate(cfg.p_g):
-                    for j in np.flatnonzero(dist[i] == k + 1):
-                        if rng.random() < p:
-                            j = int(j)
-                            faults.append(
-                                FaultInterval(node=j, channel=c, start=t, length=length, origin="propagated")
-                            )
-                            invalid[t : t + length, j, c] = True
+            for ring, p in zip(rings[i], cfg.p_g):
+                for j in ring:
+                    if rng.random() < p:
+                        faults.append(FaultInterval(node=j, channel=c, start=t, length=length, origin="propagated"))
+                        invalid[t : t + length, j, c] = True
     return SimulatedMask(mask=(~invalid).astype(np.float64), faults=faults)
 
 
@@ -122,17 +121,6 @@ def mask_statistics(mask: np.ndarray) -> dict:
         "streak_histogram": {str(v): int(c) for v, c in zip(values.tolist(), counts)},
         "fully_missing_steps": int(np.sum(mask.reshape(t_len, -1).max(axis=1) == 0.0)),
     }
-
-
-def write_mask_csv(mask: np.ndarray, path) -> None:
-    t_len, n_nodes, n_ch = mask.shape
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp"] + [f"node{j}_ch{c}" for j in range(n_nodes) for c in range(n_ch)]
-        )
-        for t in range(t_len):
-            writer.writerow([t] + [str(int(v)) for v in mask[t].ravel()])
 
 
 def write_fault_log(sim: SimulatedMask, path) -> None:

@@ -150,15 +150,6 @@ def masked_mae_loss(pred: Tensor, target, mask) -> Tensor:
     return ad.mul(total, 1.0 / contributing)
 
 
-def masked_metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[float, float, int]:
-    """(masked MAE, masked MSE, valid count) over scalar entries."""
-    diff = np.abs(pred - target) * mask
-    n = int(mask.sum())
-    if n == 0:
-        return float("nan"), float("nan"), 0
-    return float(diff.sum() / n), float(((pred - target) ** 2 * mask).sum() / n), n
-
-
 # -- optimiser --------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 """Shared test utilities and the reference implementations the program is checked against."""
+import csv
+
 import numpy as np
 
 from downcast import autodiff as ad
@@ -303,3 +305,24 @@ def streak_histogram_reference(mask):
                     histogram[run] = histogram.get(run, 0) + 1
                     run = 0
     return {str(k): histogram[k] for k in sorted(histogram)}
+
+
+def masked_metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[float, float, int]:
+    """(masked MAE, masked MSE, valid count) over scalar entries."""
+    diff = np.abs(pred - target) * mask
+    n = int(mask.sum())
+    if n == 0:
+        return float("nan"), float("nan"), 0
+    return float(diff.sum() / n), float(((pred - target) ** 2 * mask).sum() / n), n
+
+
+def write_mask_csv(mask: np.ndarray, path) -> None:
+    """A (T, N, C) validity mask as a wide CSV, one 0/1 column per node and channel."""
+    t_len, n_nodes, n_ch = mask.shape
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["timestamp"] + [f"node{j}_ch{c}" for j in range(n_nodes) for c in range(n_ch)]
+        )
+        for t in range(t_len):
+            writer.writerow([t] + [str(int(v)) for v in mask[t].ravel()])

@@ -96,6 +96,21 @@ class TestElementwise:
         np.testing.assert_array_equal(out[:3], np.exp(neg) / (1.0 + np.exp(neg)))
         np.testing.assert_array_equal(out[3:], 1.0 / (1.0 + np.exp(-pos)))
 
+    def test_elu_matches_select_forms(self):
+        # max(v, expm1(min(v, 0))) and min(out, 0) + 1 against the np.where forms
+        rng = np.random.default_rng(7)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, -800.0, 800.0])
+        v = np.concatenate([rng.normal(scale=10.0, size=500), rng.normal(scale=1e-3, size=500), special])
+        g = rng.normal(size=v.shape)
+        tape = ad.Tape()
+        x = tape.leaf(v)
+        out = ad.elu(x)
+        adj = tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        ref = np.where(v > 0, v, np.expm1(np.minimum(v, 0.0)))
+        np.testing.assert_array_equal(out.data, ref)
+        np.testing.assert_array_equal(np.signbit(out.data), np.signbit(ref))
+        np.testing.assert_array_equal(adj[x.node], g * np.where(v > 0, 1.0, ref + 1.0))
+
     def test_elu_negative_limit(self):
         # closed form e^x - 1
         assert float(ad.elu(ad.constant(-20.0)).data) == pytest.approx(np.expm1(-20.0), abs=1e-15)
@@ -327,6 +342,14 @@ class TestBackward:
         x = tape.leaf(np.ones(3))
         with pytest.raises(ContractError):
             tape.backward(ad.mul(x, x))
+
+    def test_second_backward_rejected(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(3))
+        loss = ad.reduce_sum(ad.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ContractError):
+            tape.backward(loss)
 
     def test_backward_is_deterministic(self):
         def run():

@@ -265,6 +265,25 @@ class TestCsvDatasetPath:
         assert cli.main(["mask-stats", "--config", str(path)]) == 4
         assert "line 32: field 'node1_ch0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "obs_text, coords_text, bad",
+        [
+            ("", "node,lat,lon\n0,50.0,1.0\n", "obs.csv"),
+            ("timestamp\n0\n1\n", "node,lat,lon\n0,50.0,1.0\n", "obs.csv"),
+            ("timestamp,node0_ch0\n", "node,lat,lon\n0,50.0,1.0\n", "obs.csv"),
+            ("timestamp,node0_ch0\n" + "".join(f"{t},1.0\n" for t in range(30)), "", "coords.csv"),
+        ],
+        ids=["empty-observations", "timestamp-only-header", "header-only-observations", "empty-coords"],
+    )
+    def test_empty_or_columnless_csv_exits_4_naming_the_file(self, tmp_path, capsys, obs_text, coords_text, bad):
+        (tmp_path / "obs.csv").write_text(obs_text)
+        (tmp_path / "coords.csv").write_text(coords_text)
+        dataset = {"kind": "csv", "observations": str(tmp_path / "obs.csv"), "coords": str(tmp_path / "coords.csv"),
+                   "window": 4, "horizon": 2}
+        path = write_config(tmp_path, {"dataset": dataset})
+        assert cli.main(["mask-stats", "--config", str(path)]) == 4
+        assert f"error: {tmp_path / bad}: " in capsys.readouterr().err
+
     def test_csv_experiment_with_time_encodings(self, tmp_path):
         rng = np.random.default_rng(0)
         t_len, n = 60, 5

@@ -43,7 +43,7 @@ class TestWeightedDigraph:
     def test_zero_weights_are_stored_edges(self):
         g = gr.WeightedDigraph.from_edges(3, [(2, 0, 0.0), (0, 1, 0.5), (2, 1, 1.0)])
         assert list(g.edges()) == [(0, 1, 0.5), (2, 0, 0.0), (2, 1, 1.0)]
-        assert g.n_edges == 3
+        assert g.csr.nnz == 3
 
 
 class TestBuildFromCoords:
@@ -138,7 +138,7 @@ class TestEnsureConnected:
         g = gr.WeightedDigraph.from_edges(3, [], directed=False)
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
         out = gr.ensure_connected(g, coords, tau=0.2)
-        assert out.n_edges == 4  # two undirected bridges
+        assert out.csr.nnz == 4  # two undirected bridges
         assert csgraph.connected_components(out.csr, directed=False)[0] == 1
 
 
@@ -196,7 +196,7 @@ class TestTraversalMatchesOracles:
     def test_oracle_graphs_cover_disconnected_and_zero_weights(self):
         graphs = [oracle_graph(seed) for seed in range(8)]
         assert any(csgraph.connected_components(g.csr, directed=False)[0] > 1 for g in graphs)
-        assert any(g.n_edges and np.any(g.csr.data == 0.0) for g in graphs)
+        assert any(g.csr.nnz and np.any(g.csr.data == 0.0) for g in graphs)
         assert any(g.directed for g in graphs) and any(not g.directed for g in graphs)
 
 
@@ -279,7 +279,7 @@ class TestConnectReduceLift:
             assignment=np.zeros(4, dtype=np.int64), cluster_sizes=np.array([4]), centroids=np.array([0])
         )
         out = gr.connect_coarse(sel, path_graph(4))
-        assert out.n == 1 and out.n_edges == 0
+        assert out.n == 1 and out.csr.nnz == 0
 
     def test_cross_cluster_weight_conserved(self):
         rng = np.random.default_rng(5)

