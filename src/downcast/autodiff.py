@@ -510,6 +510,88 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
     return _emit_joint(tape, data, in_nodes, vjp)
 
 
+def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2, w3) -> Tensor:
+    """Gated edge messages summed at their receivers, in each block of node rows.
+
+    `x` stacks blocks of n node rows, (blocks * n, d). `src` and `recv` are
+    the (E, n) edge incidence operators, each row a single 1.0 at the edge's
+    sender or receiver, and `weight` holds the E edge weights, (E, 1). `w1`
+    (2d + 1, d) splits by rows into receiver, sender and weight parts. Per
+    edge e and block:
+
+        h = elu(x[recv_e] @ w1_recv + x[src_e] @ w1_src + weight_e * w1_weight)
+        m = h @ w2
+        message_e = sigmoid(m @ w3) * m
+
+    Returns the messages summed at each receiver in ascending edge order,
+    (blocks * n, d). The node rows are projected before the gathers, so the
+    first product runs on n rows per block, not E. Edge arrays are
+    edge-major, (E, blocks, d): a gather copies whole rows of a node-major
+    array, and the receiver sum and the adjoint's scatters are each one
+    product with a transposed incidence. Only the elu output, m and the gate
+    are kept for the adjoint, and only when the result is recorded;
+    otherwise the edge arrays are overwritten in place.
+    """
+    x, w1, w2, w3 = (_as_tensor(t) for t in (x, w1, w2, w3))
+    n_edges, n = recv.shape
+    n_rows, d = x.data.shape if x.data.ndim == 2 else (0, 0)
+    if src.shape != recv.shape or n == 0 or n_rows == 0 or n_rows % n or weight.shape != (n_edges, 1):
+        raise DimensionError(
+            f"nodes of shape {x.data.shape} and {n_edges} edge weights do not fit {n}-node incidence operators"
+        )
+    if w1.data.shape != (2 * d + 1, d) or w2.data.shape != (d, d) or w3.data.shape != (d, d):
+        raise DimensionError(f"message weights must be ({2 * d + 1}, {d}), ({d}, {d}) and ({d}, {d})")
+    blocks = n_rows // n
+    recv_idx, src_idx = recv.csr.indices, src.csr.indices
+    w1_recv, w1_src, w1_weight = w1.data[:d], w1.data[d : 2 * d], w1.data[2 * d :]
+    # node-major, (n * blocks, d): one copy on node rows
+    xn = x.data.reshape(blocks, n, d).transpose(1, 0, 2).reshape(n * blocks, d)
+    h = (xn @ w1_recv).reshape(n, blocks, d)[recv_idx]
+    h += (xn @ w1_src).reshape(n, blocks, d)[src_idx]
+    h += weight[:, :, None] * w1_weight
+    tmp = np.minimum(h, 0.0)
+    np.maximum(h, np.expm1(tmp, out=tmp), out=h)  # elu, as `elu`
+    h = h.reshape(n_edges * blocks, d)
+    m = h @ w2.data
+    a = np.matmul(m, w3.data, out=tmp.reshape(n_edges * blocks, d))
+    tape = _merge_tape(x, w1, w2, w3)
+    gate = _sigmoid(a, out=h if tape is None else np.empty_like(a))  # unrecorded: h is spent
+    gated = np.multiply(gate, m, out=a)
+    summed = recv.csr_t @ gated.reshape(n_edges, blocks * d)
+    data = summed.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
+    if tape is None:
+        return Tensor(data)
+    tracked = [t.tape is not None for t in (x, w1, w2, w3)]
+
+    def vjp(g):
+        gn = g.reshape(blocks, n, d).transpose(1, 0, 2).reshape(n, blocks, d)
+        d_gated = gn[recv_idx].reshape(n_edges * blocks, d)
+        # through gate * m, then the sigmoid, in the op-by-op order
+        d_a = np.multiply(d_gated, m)
+        np.multiply(d_a, gate, out=d_a)
+        np.multiply(d_a, np.subtract(1.0, gate), out=d_a)
+        d_m = np.multiply(d_gated, gate, out=d_gated)
+        d_m += d_a @ w3.data.T
+        d_pre = d_m @ w2.data.T
+        slope = np.minimum(h, 0.0)
+        np.multiply(d_pre, np.add(slope, 1.0, out=slope), out=d_pre)  # through the elu
+        grads = [None, None, h.T @ d_m, m.T @ d_a]
+        if tracked[0] or tracked[1]:
+            d_pre = d_pre.reshape(n_edges, blocks * d)
+            at_recv = (recv.csr_t @ d_pre).reshape(n * blocks, d)
+            at_src = (src.csr_t @ d_pre).reshape(n * blocks, d)
+            if tracked[0]:
+                dxn = at_recv @ w1_recv.T + at_src @ w1_src.T
+                grads[0] = dxn.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
+            if tracked[1]:
+                d_weight = (weight.T @ d_pre).reshape(blocks, d).sum(axis=0, keepdims=True)
+                grads[1] = np.concatenate([xn.T @ at_recv, xn.T @ at_src, d_weight])
+        return [gr for gr, on in zip(grads, tracked) if on]
+
+    in_nodes = tuple(t.node for t in (x, w1, w2, w3) if t.tape is not None)
+    return _emit_joint(tape, data, in_nodes, vjp)
+
+
 def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted mixtures of S equally shaped encodings, per row.
 

@@ -400,16 +400,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
 
-    p_gen = sub.add_parser("gen-mso", help="generate a synthetic oscillator dataset")
-    p_gen.add_argument("--nodes", type=int, default=100)
-    p_gen.add_argument("--steps", type=int, default=10000)
-    p_gen.add_argument("--fan-in", type=int, default=5)
-    p_gen.add_argument("--hops", type=int, default=2)
-    p_gen.add_argument("--in-degree", type=int, default=3)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--force", action="store_true")
-
     p_stats = sub.add_parser("mask-stats", help="print mask statistics for a config")
     p_stats.add_argument("--config", required=True)
 
@@ -423,18 +413,6 @@ def main(argv=None) -> int:
         if args.command == "run":
             metrics = run_experiment(args.config, seed=args.seed, out=args.out)
             print(json.dumps(metrics, indent=2, sort_keys=True))
-        elif args.command == "gen-mso":
-            manifest = dt.export_mso(
-                args.out,
-                n_nodes=args.nodes,
-                length=args.steps,
-                fan_in=args.fan_in,
-                hops=args.hops,
-                in_degree=args.in_degree,
-                seed=args.seed,
-                force=args.force,
-            )
-            print(json.dumps(manifest, indent=2, sort_keys=True))
         elif args.command == "mask-stats":
             resolved = load_config(args.config)
             _, bundle = prepare_experiment(resolved)

@@ -8,17 +8,14 @@ forecaster has to exploit the graph to recover the components.
 from __future__ import annotations
 
 import csv
-import json
-import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
-from .graphs import WeightedDigraph, read_graph_csv, write_graph_csv
+from .graphs import WeightedDigraph
 from .rng import stream_rng
 
 MISSING_TOKENS = {"", "nan", "NaN", "NAN", "NA", "null"}
@@ -292,7 +289,13 @@ def write_csv_panel(panel: Panel, obs_path, mask_path=None) -> None:
 
 
 def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
-    """Returns (timestamps, values (T,N,C), validity (T,N,C))."""
+    """Returns (timestamps, values (T,N,C), validity (T,N,C)).
+
+    Cells are stripped; missing tokens and NaN are invalid and read as 0.
+    All cells are converted at once, and cell by cell only when that fails,
+    so a CsvParseError names the file, line and field of the bad cell.
+    Row lengths and timestamps are checked first, row by row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -310,27 +313,28 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
         d = 1 + max(s[1] for s in slots)
         if len(slots) != n * d or len(set(slots)) != len(slots):
             raise CsvParseError(f"{path}: columns do not form a dense node/channel grid")
-        stamps, rows_v, rows_m = [], [], []
+        stamps, cells = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
             stamps.append(parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp))
-            vals = np.zeros((n, d))
-            good = np.zeros((n, d))
-            for (j, c), name, token in zip(slots, header[1:], row[1:]):
-                token = token.strip()
-                if token in MISSING_TOKENS:
-                    continue
-                v = parse_csv_field(path, lineno, name, token, float)
-                if np.isnan(v):
-                    continue
-                vals[j, c] = v
-                good[j, c] = 1.0
-            rows_v.append(vals)
-            rows_m.append(good)
+            cells.append(row[1:])
     if not stamps:
         raise CsvParseError(f"{path}: no data rows after the header")
-    return stamps, np.array(rows_v), np.array(rows_m)
+    tokens = np.strings.strip(np.array(cells))
+    missing = np.isin(tokens, list(MISSING_TOKENS))
+    try:
+        values = np.where(missing, "nan", tokens).astype(np.float64)  # float() on each cell
+    except ValueError:  # cell by cell, to name the first unreadable one
+        values = np.array([
+            [np.nan if skip else parse_csv_field(path, lineno, name, str(token), float)
+             for name, token, skip in zip(header[1:], row, row_missing)]
+            for lineno, (row, row_missing) in enumerate(zip(tokens, missing), start=2)
+        ])
+    grid = np.empty((len(stamps), n, d))
+    grid.reshape(len(stamps), n * d)[:, [j * d + c for j, c in slots]] = values
+    invalid = np.isnan(grid)
+    return stamps, np.where(invalid, 0.0, grid), (~invalid).astype(np.float64)
 
 
 def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, np.ndarray | None]:
@@ -385,50 +389,3 @@ def read_coords_csv(path) -> np.ndarray:
         node = outside[0]
         raise CsvParseError(f"{path}: line {lines[node]}: field 'node': node {node} is outside 0..{len(coords) - 1}")
     return np.array([coords[i] for i in range(len(coords))])
-
-
-def export_mso(
-    out_dir,
-    n_nodes: int,
-    length: int,
-    fan_in: int,
-    hops: int,
-    in_degree: int,
-    seed: int,
-    force: bool = False,
-) -> dict:
-    """Write panel/mask/graph/mixing-matrix files plus a manifest; returns the manifest."""
-    out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ContractError(f"output directory {out} is not empty; pass force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
-    graph = random_indegree_graph(n_nodes, in_degree, seed)
-    panel, adot = generate_mso(graph, hops, length, fan_in, seed)
-    write_csv_panel(panel, out / "panel.csv.tmp", out / "mask.csv.tmp")
-    write_graph_csv(graph, out / "graph.csv.tmp")
-    write_graph_csv(adot, out / "adot.csv.tmp")
-    for name in ("panel.csv", "mask.csv", "graph.csv", "adot.csv"):
-        os.replace(out / f"{name}.tmp", out / name)
-    manifest = {
-        "dataset": "mso",
-        "nodes": n_nodes,
-        "steps": length,
-        "fan_in": fan_in,
-        "hops": hops,
-        "in_degree": in_degree,
-        "seed": seed,
-    }
-    tmp = out / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out / "manifest.json")
-    return manifest
-
-
-def load_mso_dir(path) -> tuple[Panel, WeightedDigraph, WeightedDigraph, dict]:
-    """Read back an exported synthetic dataset directory."""
-    root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
-    panel, _ = load_csv_panel(root / "panel.csv", mask_path=root / "mask.csv")
-    graph = read_graph_csv(root / "graph.csv", n=manifest["nodes"], directed=True)
-    adot = read_graph_csv(root / "adot.csv", n=manifest["nodes"], directed=True)
-    return panel, graph, adot, manifest

@@ -182,9 +182,9 @@ class ModelRuntime:
 
     Each operator acts on one window's nodes (N x N, or E x N for edge
     incidence). A batch of B windows stacks its activations as B blocks of
-    rows, and `ad.sparse_matmul` applies an operator to every block, so the
-    operators do not depend on the batch size. Per-window results are
-    bit-identical to running windows one by one.
+    rows, and `ad.sparse_matmul` and `ad.edge_messages` apply an operator to
+    every block, so the operators do not depend on the batch size.
+    Per-window results are bit-identical to running windows one by one.
     """
 
     def __init__(self, hierarchy: CoarseningHierarchy, config: ModelConfig):
@@ -252,7 +252,14 @@ def last_value_imputation(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt: ModelRuntime) -> Tensor:
-    """One message-passing update on the graph below pooling level `level`."""
+    """One message-passing update on the graph below pooling level `level`.
+
+    Both variants add messages to a self update, x @ W_self + b. Isotropic
+    messages diffuse x over the row-normalized hop powers, one weight per hop
+    and direction. Anisotropic messages are one `ad.edge_messages` record: a
+    gated MLP on each edge's [receiver, sender, weight] features, summed at
+    the receivers.
+    """
     prefix = f"spatial.k{level}"
     out = x @ p[f"{prefix}.self.weight"] + p[f"{prefix}.self.bias"]
     idx = level - 1
@@ -262,16 +269,8 @@ def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt:
                 if op.nnz:
                     out = out + ad.sparse_matmul(op, x) @ p[f"{prefix}.hop{hop}.{direction}"]
         return out
-    src_op, recv_op = rt.edge_src[idx], rt.edge_recv[idx]
-    if src_op is None or src_op.shape[0] == 0:
-        return out
-    x_recv = ad.sparse_matmul(recv_op, x)
-    x_src = ad.sparse_matmul(src_op, x)
-    weight = np.tile(rt.edge_weight[idx], (x.data.shape[0] // src_op.shape[1], 1))
-    feats = ad.concat_cols([x_recv, x_src, ad.constant(weight)])
-    m = ad.elu(feats @ p[f"{prefix}.msg.w1"]) @ p[f"{prefix}.msg.w2"]
-    gated = ad.mul(ad.sigmoid(m @ p[f"{prefix}.msg.w3"]), m)
-    return out + ad.sparse_matmul(recv_op, gated, transpose=True)
+    weights = [p[f"{prefix}.msg.{name}"] for name in ("w1", "w2", "w3")]
+    return out + ad.edge_messages(x, rt.edge_src[idx], rt.edge_recv[idx], rt.edge_weight[idx], *weights)
 
 
 def _mlp(x: Tensor, p: _TapeParams, config: ModelConfig) -> Tensor:

@@ -2,7 +2,9 @@
 
 Operators carry node selections, graph diffusion and edge incidence. They are
 never differentiated through; gradients only flow through the dense operands
-they are applied to.
+they are applied to. Edge incidence is not applied through `CsrMatrix.apply`:
+`autodiff.edge_messages` gathers by its column indices and scatters with its
+transpose directly.
 """
 from __future__ import annotations
 
@@ -41,6 +43,10 @@ class CsrMatrix:
         product and the (n_rows, B*d) result is regrouped back to
         (B*n_rows, d). Every output entry is the same sum, in the same order,
         as the product with the B-fold block-diagonal operator.
+
+        The model applies only node-row operators here (selections, lifting,
+        ascent and diffusion), so both regroupings copy node rows, never edge
+        rows.
         """
         op = self.csr_t if transpose else self.csr
         n_out, n_in = op.shape

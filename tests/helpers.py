@@ -88,6 +88,22 @@ def spatial_stack_reference(model, p, z_list, rt):
     return slots
 
 
+def edge_messages_reference(x, src, recv, weight, w1, w2, w3):
+    """Op-by-op gated edge messages: the reference for `ad.edge_messages`.
+
+    Gathers the receiver and sender rows through the incidence operators,
+    runs the message MLP on the [receiver, sender, weight] edge features and
+    sums the gated messages at the receivers through the transposed operator.
+    """
+    x_recv = ad.sparse_matmul(recv, x)
+    x_src = ad.sparse_matmul(src, x)
+    tiled = np.tile(weight, (x.data.shape[0] // src.shape[1], 1))
+    feats = ad.concat_cols([x_recv, x_src, ad.constant(tiled)])
+    m = ad.elu(feats @ w1) @ w2
+    gated = ad.mul(ad.sigmoid(m @ w3), m)
+    return ad.sparse_matmul(recv, gated, transpose=True)
+
+
 def scale_attention_reference(slots, theta):
     """Per-slot score, softmax and mix chain: the reference for `ad.scale_attention`.
 

@@ -7,6 +7,7 @@ from downcast import graphs as gr
 from downcast.errors import ContractError, DimensionError
 from downcast.sparse import CsrMatrix
 from helpers import (
+    edge_messages_reference,
     exp,
     gru_layer_reference,
     negate,
@@ -428,6 +429,32 @@ class TestRecordedOpFiniteDifferences:
         with pytest.raises(DimensionError):
             ad.blocks_to_rows(ad.constant(x0), 4)
 
+    def test_edge_messages(self):
+        # every input in turn: the node rows, then the three message weights
+        rng = np.random.default_rng(24)
+        src, recv, weight = _edge_operators(rng, n=4, p_edge=0.6)
+        arrays = [rng.normal(size=(2 * 4, 3)), *_message_weights(rng, 3)]
+        cot = ad.constant(rng.normal(size=(2 * 4, 3)))
+        for i, a0 in enumerate(arrays):
+            def build(v, i=i):
+                args = [v if j == i else ad.constant(a) for j, a in enumerate(arrays)]
+                return ad.reduce_sum(ad.mul(ad.edge_messages(args[0], src, recv, weight, *args[1:]), cot))
+
+            check_grad(build, a0)
+
+
+def _edge_operators(rng, n, p_edge):
+    """Random directed edges in canonical order, none into node 0: (src, recv, weights)."""
+    pairs = [(i, j) for i in range(n) for j in range(1, n) if i != j and rng.random() < p_edge]
+    src, recv = np.array(pairs).T
+    e = len(pairs)
+    ops = [operator(e, n, np.arange(e), idx, np.ones(e)) for idx in (src, recv)]
+    return ops[0], ops[1], rng.uniform(0.1, 1.0, (e, 1))
+
+
+def _message_weights(rng, d):
+    return [rng.uniform(-0.6, 0.6, shape) for shape in ((2 * d + 1, d), (d, d), (d, d))]
+
 
 def _gru_inputs(rng, rows, d_in, d_h, n_steps):
     x = rng.normal(size=(n_steps * rows, d_in))
@@ -533,3 +560,57 @@ class TestScaleAttention:
             ad.scale_attention(ad.constant(np.ones((5, 2))), 2, np.ones((2, 1)))  # 5 rows are not 2 blocks
         with pytest.raises(DimensionError):
             ad.scale_attention(ad.constant(np.ones((3, 2))), 1, np.ones((3, 1)))
+
+
+class TestEdgeMessages:
+    @pytest.mark.parametrize("blocks", [1, 4, 12])
+    def test_matches_op_by_op_reference(self, blocks):
+        # the first product is now three partial sums, not one (2d+1)-wide
+        # dot, and the adjoint scatters before its products, so both agree to
+        # rounding only
+        rng = np.random.default_rng(40 + blocks)
+        n, d = 7, 5
+        src, recv, weight = _edge_operators(rng, n, p_edge=0.4)
+        assert recv.csr_t[[0]].nnz == 0 and src.csr_t[[0]].nnz > 0  # node 0 only sends
+        x0, weights0 = rng.normal(size=(blocks * n, d)), _message_weights(rng, d)
+        cot = ad.constant(rng.normal(size=(blocks * n, d)))
+
+        def run(fused):
+            tape = ad.Tape()
+            x, weights = tape.leaf(x0), [tape.leaf(w) for w in weights0]
+            fn = ad.edge_messages if fused else edge_messages_reference
+            out = fn(x, src, recv, weight, *weights)
+            adj = tape.backward(ad.reduce_sum(ad.mul(out, cot)))
+            return out.data, [adj[t.node] for t in (x, *weights)]
+
+        out, adj = run(True)
+        ref_out, ref_adj = run(False)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(out.reshape(blocks, n, d)[:, 0], 0.0)  # no incoming edges
+        assert len(adj) == 4
+        for got, want in zip(adj, ref_adj):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_unrecorded_pass_equals_recorded_and_keeps_inputs(self):
+        rng = np.random.default_rng(45)
+        src, recv, weight = _edge_operators(rng, 6, p_edge=0.5)
+        x0, weights0 = rng.normal(size=(3 * 6, 4)), _message_weights(rng, 4)
+        copies = [a.copy() for a in (x0, *weights0, weight)]
+        plain = ad.edge_messages(ad.constant(x0), src, recv, weight, *weights0)
+        assert plain.tape is None
+        tape = ad.Tape()
+        recorded = ad.edge_messages(tape.leaf(x0), src, recv, weight, *weights0)
+        np.testing.assert_array_equal(plain.data, recorded.data)
+        for before, after in zip(copies, (x0, *weights0, weight)):
+            np.testing.assert_array_equal(before, after)
+
+    def test_mismatched_shapes_rejected(self):
+        rng = np.random.default_rng(46)
+        src, recv, weight = _edge_operators(rng, 5, p_edge=0.5)
+        weights = _message_weights(rng, 3)
+        with pytest.raises(DimensionError):
+            ad.edge_messages(ad.constant(np.ones((7, 3))), src, recv, weight, *weights)  # 7 rows are not 5-node blocks
+        with pytest.raises(DimensionError):
+            ad.edge_messages(ad.constant(np.ones((5, 3))), src, recv, weight[1:], *weights)
+        with pytest.raises(DimensionError):
+            ad.edge_messages(ad.constant(np.ones((5, 3))), src, recv, weight, weights[0][1:], *weights[1:])

@@ -223,30 +223,6 @@ class TestCliMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "model.decoder_hidden" in capsys.readouterr().err
 
-    def test_gen_mso_writes_files_and_manifest(self, tmp_path, capsys):
-        out = tmp_path / "mso"
-        code = cli.main(
-            [
-                "gen-mso", "--nodes", "8", "--steps", "30", "--fan-in", "3",
-                "--hops", "2", "--in-degree", "2", "--seed", "4", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        for name in ("panel.csv", "mask.csv", "graph.csv", "adot.csv", "manifest.json"):
-            assert (out / name).exists()
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest == {
-            "dataset": "mso", "nodes": 8, "steps": 30, "fan_in": 3,
-            "hops": 2, "in_degree": 2, "seed": 4,
-        }
-
-    def test_gen_mso_refuses_existing_without_force(self, tmp_path, capsys):
-        out = tmp_path / "mso"
-        args = ["gen-mso", "--nodes", "6", "--steps", "10", "--fan-in", "2", "--in-degree", "2", "--out", str(out)]
-        assert cli.main(args) == 0
-        assert cli.main(args) == 4
-        assert cli.main(args + ["--force"]) == 0
-
     def test_mask_stats_command(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "o"))
         assert cli.main(["mask-stats", "--config", str(path)]) == 0

@@ -222,6 +222,19 @@ class TestCsvPanel:
         assert np.array_equal(back.x, panel.x)
         assert np.array_equal(back.mask, panel.mask)
 
+    def test_cells_follow_header_order_and_token_rules(self, tmp_path):
+        # columns out of grid order; stripped cells, missing tokens and NaN
+        # spellings are invalid, and underscored digits read as float() reads them
+        path = tmp_path / "obs.csv"
+        path.write_text(
+            "timestamp,node1_ch0,node0_ch1,node0_ch0,node1_ch1\n"
+            "0, 1.5 ,NA,-nan,1_0\n"
+            "1,-3,null,+NaN, 2e-3\n"
+        )
+        panel, _ = dt.load_csv_panel(path)
+        np.testing.assert_array_equal(panel.x, [[[0.0, 0.0], [1.5, 10.0]], [[0.0, 0.0], [-3.0, 0.002]]])
+        np.testing.assert_array_equal(panel.mask, [[[0, 0], [1, 1]], [[0, 0], [1, 1]]])
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0\n")
@@ -245,27 +258,3 @@ class TestCsvPanel:
         path.write_text("timestamp,node0_ch0\n5,1.0\n4,2.0\n")
         with pytest.raises(ContractError):
             dt.load_csv_panel(path)
-
-    def test_export_dir_roundtrip(self, tmp_path):
-        manifest = dt.export_mso(tmp_path / "mso", n_nodes=6, length=40, fan_in=3, hops=2, in_degree=2, seed=9)
-        panel, graph, adot, back = dt.load_mso_dir(tmp_path / "mso")
-        assert back == manifest
-        fresh_graph = dt.random_indegree_graph(6, 2, 9)
-        fresh_panel, fresh_adot = dt.generate_mso(fresh_graph, 2, 40, 3, 9)
-        assert np.array_equal(panel.x, fresh_panel.x)
-        assert list(adot.edges()) == list(fresh_adot.edges())
-
-    def test_malformed_graph_file_named_through_load_mso_dir(self, tmp_path):
-        dt.export_mso(tmp_path / "mso", n_nodes=4, length=20, fan_in=2, hops=1, in_degree=1, seed=0)
-        graph_csv = tmp_path / "mso" / "adot.csv"
-        graph_csv.write_text(graph_csv.read_text() + "1,x,1.0\n")
-        lineno = len(graph_csv.read_text().splitlines())
-        with pytest.raises(CsvParseError, match=rf"adot\.csv: line {lineno}: field 'dst': cannot read 'x'"):
-            dt.load_mso_dir(tmp_path / "mso")
-
-    def test_export_refuses_nonempty_dir(self, tmp_path):
-        out = tmp_path / "mso"
-        out.mkdir()
-        (out / "stale.txt").write_text("x")
-        with pytest.raises(ContractError):
-            dt.export_mso(out, n_nodes=4, length=10, fan_in=2, hops=1, in_degree=1, seed=0)

@@ -190,6 +190,16 @@ class TestSmpMessages:
         expected = x @ model.params["spatial.k1.self.weight"].value + model.params["spatial.k1.self.bias"].value
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_anisotropic_call_records_four_tape_records(self):
+        # self product, bias add, one fused edge-message record, the sum
+        model = make_setup(n=10, levels=1, variant="anisotropic")
+        tape = ad.Tape()
+        p = _TapeParams(tape, model.params)
+        x = tape.leaf(RNG.normal(size=(2 * 10, model.config.d_h)))
+        assert model.runtime(2).edge_src[0].nnz > 0
+        smp_messages(x, 1, p, model.config, model.runtime(2))
+        assert len(tape._records) == 4
+
     def test_isotropic_two_node_hand_case(self):
         graph = gr.WeightedDigraph.from_edges(2, [(0, 1, 1.0)], directed=True)
         hierarchy = gr.build_hierarchy(graph, 1, 1)
