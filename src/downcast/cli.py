@@ -167,8 +167,8 @@ def resolve_config(raw: dict) -> dict:
     if resolved["mask"]["s_min"] > resolved["mask"]["s_max"]:
         raise ConfigError("mask.s_min: must not exceed mask.s_max")
     splits = resolved["dataset"]["splits"]
-    if len(splits) != 3 or abs(sum(splits) - 1.0) > 1e-9:
-        raise ConfigError("dataset.splits: must be three fractions summing to 1")
+    if len(splits) != 3 or min(splits) < 0.0 or abs(sum(splits) - 1.0) > 1e-9:
+        raise ConfigError("dataset.splits: must be three nonnegative fractions summing to 1")
     return resolved
 
 
@@ -212,16 +212,16 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
             )
         prop_graph = graph
 
+    mask_args = {k: v for k, v in mask_cfg.items() if k != "propagate_over"}
     sim = mk.simulate_block(
         panel.x.shape,
-        mk.MaskConfig(
-            eta=mask_cfg["eta"], p_f=mask_cfg["p_f"], s_min=mask_cfg["s_min"],
-            s_max=mask_cfg["s_max"], p_g=tuple(mask_cfg["p_g"]), seed=seed,
-        ),
+        mk.MaskConfig(**mask_args | {"p_g": tuple(mask_cfg["p_g"])}, seed=seed),
         prop_graph if (mask_cfg["p_g"] or mask_cfg["p_f"] > 0) else None,
     )
 
     train_w, val_w, test_w = dt.make_windows(panel, ds["window"], ds["horizon"], tuple(ds["splits"]))
+    if not train_w:
+        raise ConfigError("dataset.splits: the train split is empty at this size")
     if not val_w or not test_w:
         raise ConfigError("dataset.splits: validation and test splits are empty at this size")
     visible = dt.Panel(
@@ -230,48 +230,24 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
         u=panel.u,
         timestamps=panel.timestamps,
     )
-    scaler = dt.fit_scaler(visible, (0, train_w[-1].start + ds["window"]), ds["scaling"])
+    scaler = dt.fit_scaler(visible, (0, train_w[-1] + ds["window"]), ds["scaling"])
 
     model_cfg = ModelConfig(
-        n_nodes=panel.n_nodes,
-        window=ds["window"],
-        horizon=ds["horizon"],
-        d_x=panel.n_channels,
-        d_u=panel.u.shape[2],
-        d_h=resolved["model"]["d_h"],
-        temporal_layers=resolved["model"]["temporal_layers"],
-        temporal_factor=resolved["model"]["temporal_factor"],
-        spatial_levels=resolved["model"]["spatial_levels"],
-        embedding_size=resolved["model"]["embedding_size"],
-        smp_variant=resolved["model"]["smp_variant"],
-        diffusion_hops=resolved["model"]["diffusion_hops"],
-        decoder_hidden=tuple(resolved["model"]["decoder_hidden"]),
-        per_step_attention=resolved["model"]["per_step_attention"],
-        normalize_ascent=resolved["model"]["normalize_ascent"],
+        n_nodes=panel.n_nodes, window=ds["window"], horizon=ds["horizon"],
+        d_x=panel.n_channels, d_u=panel.u.shape[2],
+        **resolved["model"] | {"decoder_hidden": tuple(resolved["model"]["decoder_hidden"])},
     )
     hierarchy = gr.build_hierarchy(graph, ds["pool_hops"], model_cfg.spatial_levels)
     model = Model(model_cfg, hierarchy, init_seed=seed)
     bundle = tr.DataBundle(
-        panel=panel, scaler=scaler, sim_mask=sim.mask, train=train_w, val=val_w, test=test_w
+        panel=panel, scaler=scaler, sim_mask=sim.mask, train=train_w, val=val_w, test=test_w,
+        window=ds["window"], horizon=ds["horizon"],
     )
     return model, bundle
 
 
 def train_config_from(resolved: dict) -> tr.TrainConfig:
-    t = resolved["train"]
-    return tr.TrainConfig(
-        learning_rate=t["learning_rate"],
-        weight_decay=t["weight_decay"],
-        batch_size=t["batch_size"],
-        batches_per_epoch=t["batches_per_epoch"],
-        max_epochs=t["max_epochs"],
-        plateau_factor=t["plateau_factor"],
-        plateau_patience=t["plateau_patience"],
-        early_stop_patience=t["early_stop_patience"],
-        grad_clip_norm=t["grad_clip_norm"],
-        eval_batch_size=t["eval_batch_size"],
-        seed=resolved["seed"],
-    )
+    return tr.TrainConfig(seed=resolved["seed"], **resolved["train"])
 
 
 # -- artifact writers ----------------------------------------------------------------------
@@ -299,11 +275,10 @@ def _write_history(path: Path, history: list[dict]) -> None:
 
 def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_index: int) -> None:
     """Per-(node, horizon step) attention over the (k, l) scale grid."""
-    samples = bundle.test
-    if not (0 <= window_index < len(samples)):
-        raise ContractError(f"window index {window_index} out of range (0..{len(samples) - 1})")
-    sample = samples[window_index]
-    batch = tr.assemble_batch(bundle, [sample], mask_targets=False)
+    starts = bundle.test
+    if not (0 <= window_index < len(starts)):
+        raise ContractError(f"window index {window_index} out of range (0..{len(starts) - 1})")
+    batch = tr.assemble_batch(bundle, starts[window_index : window_index + 1], mask_targets=False)
     trace = model.forward_window(batch.x, batch.m, batch.u)
     cfg = model.config
     tmp = Path(str(path) + ".tmp")

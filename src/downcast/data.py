@@ -61,18 +61,6 @@ class Panel:
         return self.x.shape[2]
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """One sliding-window example: W input steps and the following H targets."""
-
-    start: int
-    x_window: np.ndarray
-    m_window: np.ndarray
-    u_window: np.ndarray
-    x_target: np.ndarray
-    m_target: np.ndarray
-
-
 @dataclass
 class Scaler:
     method: str
@@ -210,8 +198,11 @@ def fit_scaler(panel: Panel, train_range: tuple[int, int], method: str) -> Scale
 
 def make_windows(
     panel: Panel, window: int, horizon: int, split_spec: tuple[float, float, float] = (0.7, 0.1, 0.2)
-) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
-    """Stride-1 windows split sequentially into train/val/test lists."""
+) -> tuple[range, range, range]:
+    """Stride-1 window starts split sequentially into train/val/test ranges.
+
+    The window at start s reads steps s..s+W-1 and targets the next H steps.
+    """
     if window <= 0 or horizon <= 0:
         raise ContractError("window and horizon must be positive")
     if panel.n_steps < window + horizon:
@@ -220,23 +211,7 @@ def make_windows(
     n_val = int(split_spec[1] * total)
     n_test = int(split_spec[2] * total)
     n_train = total - n_val - n_test
-
-    def sample(start: int) -> WindowSample:
-        mid = start + window
-        return WindowSample(
-            start=start,
-            x_window=panel.x[start:mid],
-            m_window=panel.mask[start:mid],
-            u_window=panel.u[start:mid],
-            x_target=panel.x[mid : mid + horizon],
-            m_target=panel.mask[mid : mid + horizon],
-        )
-
-    starts = list(range(total))
-    train = [sample(s) for s in starts[:n_train]]
-    val = [sample(s) for s in starts[n_train : n_train + n_val]]
-    test = [sample(s) for s in starts[n_train + n_val :]]
-    return train, val, test
+    return range(n_train), range(n_train, n_train + n_val), range(n_train + n_val, total)
 
 
 # -- delimited panel import/export ---------------------------------------------------

@@ -8,7 +8,6 @@ reduce(lift(x)) == x exactly.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
+from .errors import ContractError, DimensionError
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -265,34 +264,3 @@ def temporal_chain(window: int, d: int, layers: int) -> list[TemporalDownsampler
         chain.append(ds)
         w = ds.output_length
     return chain
-
-
-# -- delimited import/export -----------------------------------------------------
-
-
-def write_graph_csv(graph: WeightedDigraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        for i, j, v in graph.edges():
-            writer.writerow([i, j, repr(v)])
-
-
-def read_graph_csv(path, n: int | None = None, directed: bool = True) -> WeightedDigraph:
-    """Read src,dst,weight rows; a short or unreadable row raises CsvParseError naming its line."""
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:3] != ["src", "dst", "weight"]:
-            raise ContractError(f"{path}: graph csv must start with header src,dst,weight")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 3:
-                raise CsvParseError(f"{path}: line {lineno}: expected fields src,dst,weight, got {len(row)}")
-            edges.append((
-                parse_csv_field(path, lineno, "src", row[0], int),
-                parse_csv_field(path, lineno, "dst", row[1], int),
-                parse_csv_field(path, lineno, "weight", row[2], float),
-            ))
-    if n is None:
-        n = 1 + max(max(s, d) for s, d, _ in edges) if edges else 0
-    return WeightedDigraph.from_edges(n, edges, directed=directed)

@@ -312,15 +312,19 @@ class Model:
 
     # -- forward --------------------------------------------------------------
 
-    def encode_inputs(self, p: _TapeParams, xw, mw, uw, batch_size: int) -> Tensor:
+    def encode_inputs(self, p: _TapeParams, xw, mw, uw) -> Tensor:
         """Affine encoding of [imputed x, u, mask, node embedding] at every step.
 
-        Returns the W steps stacked time-major, (W*B*N, d_h): one product.
+        The B*N rows are B windows of N nodes. Returns the W steps stacked
+        time-major, (W*B*N, d_h): one product.
         """
         cfg = self.config
         m_rows = xw.shape[1]
         if xw.shape != (cfg.window, m_rows, cfg.d_x) or mw.shape != xw.shape:
             raise DimensionError("window arrays must be (W, B*N, d_x)")
+        batch_size, rest = divmod(m_rows, cfg.n_nodes)
+        if batch_size < 1 or rest:
+            raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
         emb = p["embeddings"]
@@ -400,7 +404,6 @@ class Model:
         xw: np.ndarray,
         mw: np.ndarray,
         uw: np.ndarray,
-        batch_size: int,
         record_gradients: bool = True,
     ) -> BatchForward:
         """Run B windows stacked along the node axis as B blocks of N rows.
@@ -414,7 +417,7 @@ class Model:
         """
         tape = Tape() if record_gradients else None
         p = _TapeParams(tape, self.params)
-        seq = self.encode_inputs(p, xw, mw, uw, batch_size)
+        seq = self.encode_inputs(p, xw, mw, uw)
         slots = self.spatial_stack(p, self.temporal_stack(p, seq), self._runtime)
         alphas, fused = self.attention_fuse(p, slots)
         preds = self.readout(p, fused)
@@ -423,7 +426,7 @@ class Model:
     def forward_window(self, x: np.ndarray, m: np.ndarray, u: np.ndarray) -> ForwardTrace:
         """Single-window forward returning the interpretability trace."""
         cfg = self.config
-        bf = self.forward_batch(x, m, u, batch_size=1, record_gradients=False)
+        bf = self.forward_batch(x, m, u, record_gradients=False)
         return ForwardTrace(
             encodings=bf.slots.data.reshape(cfg.n_scales, cfg.n_nodes, cfg.d_h),
             alphas=bf.alphas,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import Panel, Scaler, WindowSample
+from .data import Panel, Scaler
 from .errors import ContractError
 from .model import Model, ModelConfig, last_value_imputation
 from .rng import stream_rng
@@ -73,16 +73,22 @@ class TrainResult:
 
 @dataclass
 class DataBundle:
-    """Everything the optimisation loop needs about one dataset."""
+    """Everything the optimisation loop needs about one dataset.
+
+    A window is its start index s: it reads steps s..s+W-1 and targets the
+    next H steps. Each split is the range of its windows' starts.
+    """
 
     panel: Panel
     scaler: Scaler
     sim_mask: np.ndarray  # simulated validity, same shape as panel.mask
-    train: list[WindowSample]
-    val: list[WindowSample]
-    test: list[WindowSample]
+    train: range
+    val: range
+    test: range
+    window: int
+    horizon: int
 
-    def split(self, name: str) -> list[WindowSample]:
+    def split(self, name: str) -> range:
         return {"train": self.train, "val": self.val, "test": self.test}[name]
 
     @property
@@ -97,32 +103,31 @@ class AssembledBatch:
     u: np.ndarray
     targets: np.ndarray  # (H*B*N, d_x), horizon-major like the predictions, scaled
     target_masks: np.ndarray
+    raw_targets: np.ndarray  # targets in original units
 
 
-def assemble_batch(bundle: DataBundle, samples: list[WindowSample], mask_targets: bool) -> AssembledBatch:
-    """Stack windows along the node axis and combine the mask policies.
+def assemble_batch(bundle: DataBundle, starts, mask_targets: bool) -> AssembledBatch:
+    """Gather the windows at `starts` as B blocks of N rows; combine the mask policies.
 
-    Inputs are always masked by the simulated pattern; targets are only
-    masked during training (evaluation scores against originally-valid data).
+    One time-major index, start + t for each of the W+H steps t of each
+    window, reads every array at once. The gathered (W+H, B, N, C) blocks are
+    (W+H, B*N, C) without a copy. Inputs are always masked by the simulated
+    pattern; targets are only masked during training (evaluation scores
+    against originally-valid data).
     """
-    xs, ms, us, ys, mts = [], [], [], [], []
-    w_len = samples[0].x_window.shape[0]
-    h_len = samples[0].x_target.shape[0]
-    for s in samples:
-        sim_in = bundle.sim_mask[s.start : s.start + w_len]
-        sim_out = bundle.sim_mask[s.start + w_len : s.start + w_len + h_len]
-        xs.append(bundle.scaler.apply(s.x_window))
-        ms.append(s.m_window * sim_in)
-        us.append(s.u_window)
-        ys.append(bundle.scaler.apply(s.x_target))
-        mts.append(s.m_target * sim_out if mask_targets else s.m_target)
-    y, mt = np.concatenate(ys, axis=1), np.concatenate(mts, axis=1)  # (H, B*N, d_x)
+    panel, w = bundle.panel, bundle.window
+    steps = np.asarray(starts)[None, :] + np.arange(w + bundle.horizon)[:, None]  # (W+H, B)
+    shape = (w + bundle.horizon, steps.shape[1] * panel.n_nodes, panel.n_channels)
+    x = panel.x[steps].reshape(shape)
+    m = panel.mask[steps].reshape(shape)
+    sim = bundle.sim_mask[steps].reshape(shape)
     return AssembledBatch(
-        x=np.concatenate(xs, axis=1),
-        m=np.concatenate(ms, axis=1),
-        u=np.concatenate(us, axis=1),
-        targets=y.reshape(-1, y.shape[2]),
-        target_masks=mt.reshape(-1, mt.shape[2]),
+        x=bundle.scaler.apply(x[:w]),
+        m=m[:w] * sim[:w],
+        u=panel.u[steps[:w]].reshape(w, shape[1], panel.u.shape[2]),
+        targets=bundle.scaler.apply(x[w:]).reshape(-1, shape[2]),
+        target_masks=(m[w:] * sim[w:] if mask_targets else m[w:]).reshape(-1, shape[2]),
+        raw_targets=x[w:].reshape(-1, shape[2]),
     )
 
 
@@ -222,16 +227,17 @@ class PlateauScheduler:
 # -- evaluation ---------------------------------------------------------------------
 
 
-def _batched(seq: list, size: int):
-    for i in range(0, len(seq), size):
-        yield seq[i : i + size]
+def _batches(bundle: DataBundle, starts, batch_size: int):
+    """Yield (chunk of starts, its evaluation batch) chunk by chunk."""
+    for i in range(0, len(starts), batch_size):
+        chunk = starts[i : i + batch_size]
+        yield chunk, assemble_batch(bundle, chunk, mask_targets=False)
 
 
-def predict_windows(model: Model, bundle: DataBundle, samples: list[WindowSample], batch_size: int):
-    """Yield (samples, predictions in original units) chunk by chunk."""
-    for chunk in _batched(samples, batch_size):
-        batch = assemble_batch(bundle, chunk, mask_targets=False)
-        bf = model.forward_batch(batch.x, batch.m, batch.u, len(chunk), record_gradients=False)
+def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
+    """Yield (chunk of starts, predictions in original units, batch) chunk by chunk."""
+    for chunk, batch in _batches(bundle, starts, batch_size):
+        bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
         scaled = bf.preds.data.reshape(model.config.horizon, -1, model.config.d_x)
         yield chunk, bundle.scaler.invert(scaled), batch
 
@@ -245,8 +251,9 @@ class _MaskedErrorSums:
         self.counts = np.zeros(horizon, dtype=np.int64)
 
     def add(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> None:
-        """Accumulate (H, rows, d_x) predictions against targets under a mask."""
-        diff = pred - target
+        """Accumulate (H, rows, d_x) predictions against horizon-major targets under a mask."""
+        diff = pred - target.reshape(pred.shape)
+        mask = mask.reshape(pred.shape)
         self.abs_sum += (np.abs(diff) * mask).sum(axis=(1, 2))
         self.sq_sum += (diff**2 * mask).sum(axis=(1, 2))
         self.counts += mask.sum(axis=(1, 2)).astype(np.int64)
@@ -265,23 +272,20 @@ class _MaskedErrorSums:
 def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64) -> MetricsReport:
     """Masked metrics on originally-valid targets, inputs masked by simulation."""
     sums = _MaskedErrorSums(model.config.horizon)
-    for chunk, preds, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
-        target = np.concatenate([s.x_target for s in chunk], axis=1)
-        mask = np.concatenate([s.m_target for s in chunk], axis=1)
-        sums.add(preds, target, mask)
+    for _, preds, batch in predict_windows(model, bundle, bundle.split(split), batch_size):
+        sums.add(preds, batch.raw_targets, batch.target_masks)
     return sums.report()
 
 
 def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> MetricsReport:
     """Last-valid-observation baseline under the same evaluation protocol."""
     sums = _MaskedErrorSums(horizon)
-    for s in bundle.split(split):
-        w_len = s.x_window.shape[0]
-        sim_in = bundle.sim_mask[s.start : s.start + w_len]
-        scaled = bundle.scaler.apply(s.x_window)
-        imputed = last_value_imputation(scaled, s.m_window * sim_in)
-        pred = bundle.scaler.invert(np.repeat(imputed[-1][None], horizon, axis=0))
-        sums.add(pred, s.x_target, s.m_target)
+    # 32 windows per chunk, a small evaluation batch: the gathered exogenous
+    # channels (11 with time encodings) stay below the peak evaluation sets
+    for _, batch in _batches(bundle, bundle.split(split), 32):
+        last = last_value_imputation(batch.x, batch.m)[-1]
+        pred = bundle.scaler.invert(np.repeat(last[None], horizon, axis=0))
+        sums.add(pred, batch.raw_targets, batch.target_masks)
     return sums.report()
 
 
@@ -312,8 +316,8 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
         epoch_losses = []
         for batch_idx in range(cfg.batches_per_epoch):
             picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
-            batch = assemble_batch(bundle, [bundle.train[i] for i in picks], mask_targets=True)
-            bf = model.forward_batch(batch.x, batch.m, batch.u, cfg.batch_size)
+            batch = assemble_batch(bundle, bundle.train.start + picks, mask_targets=True)
+            bf = model.forward_batch(batch.x, batch.m, batch.u)
             loss = masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(

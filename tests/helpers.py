@@ -5,6 +5,7 @@ import numpy as np
 
 from downcast import autodiff as ad
 from downcast import graphs as gr
+from downcast import training as tr
 from downcast.errors import DimensionError
 from downcast.masking import FaultInterval
 from downcast.model import smp_messages
@@ -342,3 +343,21 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
         )
         for t in range(t_len):
             writer.writerow([t] + [str(int(v)) for v in mask[t].ravel()])
+
+
+def assemble_batch_reference(bundle, starts, mask_targets):
+    """Window-by-window batch assembly: slice each window by its start, then
+    concatenate the windows along the node axis."""
+    panel, w, h = bundle.panel, bundle.window, bundle.horizon
+    xs, ms, us, ys, mts, raws = [], [], [], [], [], []
+    for s in starts:
+        inputs, targets = slice(s, s + w), slice(s + w, s + w + h)
+        xs.append(bundle.scaler.apply(panel.x[inputs]))
+        ms.append(panel.mask[inputs] * bundle.sim_mask[inputs])
+        us.append(panel.u[inputs])
+        ys.append(bundle.scaler.apply(panel.x[targets]))
+        m_target = panel.mask[targets]
+        mts.append(m_target * bundle.sim_mask[targets] if mask_targets else m_target)
+        raws.append(panel.x[targets])
+    x, m, u, y, mt, raw = (np.concatenate(parts, axis=1) for parts in (xs, ms, us, ys, mts, raws))
+    return tr.AssembledBatch(x, m, u, *(a.reshape(-1, a.shape[2]) for a in (y, mt, raw)))

@@ -34,7 +34,7 @@ def _gradient_config(variant: str) -> tuple[Model, tr.DataBundle]:
     train_w, val_w, test_w = dt.make_windows(panel, 12, 4)
     scaler = dt.fit_scaler(panel, (0, 60), "standard")
     bundle = tr.DataBundle(panel=panel, scaler=scaler, sim_mask=sim.mask,
-                           train=train_w, val=val_w, test=test_w)
+                           train=train_w, val=val_w, test=test_w, window=12, horizon=4)
     config = ModelConfig(
         n_nodes=6, window=12, horizon=4, d_x=1, d_u=0, d_h=8,
         temporal_layers=2, temporal_factor=2, spatial_levels=1,
@@ -55,10 +55,10 @@ def test_criterion_1_gradient_correctness():
         batch = tr.assemble_batch(bundle, bundle.train[:2], mask_targets=True)
 
         def loss_value():
-            bf = model.forward_batch(batch.x, batch.m, batch.u, 2, record_gradients=False)
+            bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
             return float(tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks).data)
 
-        bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
+        bf = model.forward_batch(batch.x, batch.m, batch.u)
         # keep clear of the absolute-value kink so central differences are valid
         residual_floor = float(np.min(np.abs(bf.preds.data - batch.targets)[batch.target_masks == 1.0]))
         assert residual_floor > 1e-4, "test fixture too close to the |x| kink"
@@ -217,13 +217,13 @@ def test_criterion_5_architecture_contracts():
     # loss and gradients must ignore target values at masked entries
     target = rng.normal(size=(3, 9, 1))
     tmask = (rng.random(target.shape) > 0.4).astype(float)
-    bf = model.forward_batch(x, m, u, 1)
+    bf = model.forward_batch(x, m, u)
     loss1 = tr.masked_mae_loss(bf.preds, target.reshape(-1, 1), tmask.reshape(-1, 1))
     model.zero_grads()
     bf.tape.backward(loss1)
     grads1 = {k: v.grad.copy() for k, v in model.params.items()}
     target2 = np.where(tmask == 0.0, target + 1e6, target)
-    bf2 = model.forward_batch(x, m, u, 1)
+    bf2 = model.forward_batch(x, m, u)
     loss2 = tr.masked_mae_loss(bf2.preds, target2.reshape(-1, 1), tmask.reshape(-1, 1))
     model.zero_grads()
     bf2.tape.backward(loss2)
@@ -254,9 +254,9 @@ def _ordering_bundle(seed):
         x=np.where(panel.mask * sim.mask == 1.0, panel.x, 0.0),
         mask=panel.mask * sim.mask, u=panel.u,
     )
-    scaler = dt.fit_scaler(visible, (0, train_w[-1].start + 24), "standard")
+    scaler = dt.fit_scaler(visible, (0, train_w[-1] + 24), "standard")
     return graph, tr.DataBundle(panel=panel, scaler=scaler, sim_mask=sim.mask,
-                                train=train_w, val=val_w, test=test_w)
+                                train=train_w, val=val_w, test=test_w, window=24, horizon=6)
 
 
 def _ordering_run(graph, bundle, seed, layers, levels):

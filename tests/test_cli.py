@@ -81,6 +81,10 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="splits"):
             cli.resolve_config({"dataset": {"splits": [0.9, 0.2, 0.2]}})
 
+    def test_negative_split_fraction_rejected(self):
+        with pytest.raises(cli.ConfigError, match="dataset.splits: must be three nonnegative"):
+            cli.resolve_config({"dataset": {"splits": [1.2, -0.1, -0.1]}})
+
 
 class TestRunExperiment:
     def test_artifacts_and_schema(self, tmp_path):
@@ -222,6 +226,13 @@ class TestCliMain:
         path = write_config(tmp_path, tiny_config(tmp_path / "o", model={"decoder_hidden": widths}))
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "model.decoder_hidden" in capsys.readouterr().err
+
+    def test_empty_train_split_exits_2_naming_the_field(self, tmp_path, capsys):
+        # 199 steps, window 8 and horizon 2 give 190 windows: 95 val, 95 test, 0 train
+        cfg = tiny_config(tmp_path / "o", dataset={"steps": 199, "window": 8, "horizon": 2, "splits": [0.0, 0.5, 0.5]})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "dataset.splits: the train split is empty" in capsys.readouterr().err
 
     def test_mask_stats_command(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "o"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
-from downcast.errors import ContractError, CsvParseError, DimensionError
+from downcast.errors import ContractError, DimensionError
 from downcast import graphs as gr
 from helpers import (
     hop_rings,
@@ -368,33 +368,3 @@ class TestHierarchy:
         counts = [lvl.n for lvl in h.graphs]
         for a, b in zip(counts, counts[1:]):
             assert b <= a
-
-    def test_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        g = random_graph(10, 0.2, rng, directed=True)
-        path = tmp_path / "graph.csv"
-        gr.write_graph_csv(g, path)
-        back = gr.read_graph_csv(path, n=10, directed=True)
-        assert list(back.edges()) == list(g.edges())
-
-
-class TestGraphCsv:
-    def write(self, tmp_path, body):
-        path = tmp_path / "graph.csv"
-        path.write_text("src,dst,weight\n" + body)
-        return path
-
-    def test_non_numeric_field_reports_file_line_and_field(self, tmp_path):
-        path = self.write(tmp_path, "0,1,1.0\n1,x,1.0\n")
-        with pytest.raises(CsvParseError, match=r"graph\.csv: line 3: field 'dst': cannot read 'x'"):
-            gr.read_graph_csv(path, n=3)
-
-    def test_bad_weight_reports_field(self, tmp_path):
-        path = self.write(tmp_path, "0,1,heavy\n")
-        with pytest.raises(CsvParseError, match=r"graph\.csv: line 2: field 'weight': cannot read 'heavy'"):
-            gr.read_graph_csv(path, n=3)
-
-    def test_short_row_reports_file_and_line(self, tmp_path):
-        path = self.write(tmp_path, "0,1,1.0\n0,1\n")
-        with pytest.raises(CsvParseError, match=r"graph\.csv: line 3: expected fields src,dst,weight, got 2"):
-            gr.read_graph_csv(path, n=3)

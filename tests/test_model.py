@@ -5,7 +5,7 @@ from downcast import autodiff as ad
 from downcast import data as dt
 from downcast import graphs as gr
 from downcast import training as tr
-from downcast.errors import ContractError
+from downcast.errors import ContractError, DimensionError
 from downcast.model import (
     Model,
     ModelConfig,
@@ -89,20 +89,28 @@ class TestEncoder:
         model = make_setup()
         x, m, u = random_window(model, np.random.default_rng(0))
         tape = ad.Tape()
-        seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u, 1)
+        seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u)
         # the W steps stacked time-major as one (W*N, d_h) tensor
         assert seq.data.shape == (model.config.window * model.config.n_nodes, model.config.d_h)
 
     def test_stacked_steps_equal_per_step_encoding(self):
         model = make_setup()
         x, m, u = random_window(model, np.random.default_rng(1))
-        seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u, 1).data
+        seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u).data
         pv = {k: v.value for k, v in model.params.items()}
         n = model.config.n_nodes
         for t in range(model.config.window):
             feats = np.concatenate([last_value_imputation(x, m)[t], u[t], m[t], pv["embeddings"]], axis=1)
             np.testing.assert_array_equal(seq[t * n : (t + 1) * n], feats @ pv["encoder.weight"] + pv["encoder.bias"])
 
+
+    @pytest.mark.parametrize("rows", [0, 7, 13])
+    def test_rows_not_a_positive_multiple_of_nodes_rejected(self, rows):
+        model = make_setup()
+        x = np.zeros((model.config.window, rows, model.config.d_x))
+        u = np.zeros((model.config.window, rows, model.config.d_u))
+        with pytest.raises(DimensionError, match=f"{rows} window rows"):
+            model.forward_batch(x, np.ones_like(x), u, record_gradients=False)
 
 class TestTemporalStack:
     def test_scale_lengths_72_3_4(self):
@@ -118,7 +126,7 @@ class TestTemporalStack:
         x, m, u = random_window(model, np.random.default_rng(2))
         tape = ad.Tape()
         p = _TapeParams(tape, model.params)
-        z = model.temporal_stack(p, model.encode_inputs(p, x, m, u, 1))
+        z = model.temporal_stack(p, model.encode_inputs(p, x, m, u))
         layers = z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
         assert len(layers) == model.config.temporal_layers
         for z_l in layers:
@@ -134,7 +142,7 @@ class TestTemporalStack:
             model.params["embeddings"].value = emb
             tape = ad.Tape()
             p = _TapeParams(tape, model.params)
-            z = model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu, 1))
+            z = model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu))
             return z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
 
         emb0 = model.params["embeddings"].value.copy()
@@ -162,7 +170,7 @@ class TestRecordCounts:
         y = rng.normal(size=(6 * 32 * 20, 1))
         tape = ad.Tape()
         p = _TapeParams(tape, model.params)
-        seq = model.encode_inputs(p, x, m, u, 32)
+        seq = model.encode_inputs(p, x, m, u)
         z = model.temporal_stack(p, seq)
         slots = model.spatial_stack(p, z, model.runtime(32))
         _, fused = model.attention_fuse(p, slots)
@@ -233,13 +241,13 @@ class TestSpatialStack:
     def test_k0_slots_are_temporal_summaries(self):
         model = make_setup(levels=0)
         x, m, u = random_window(model, np.random.default_rng(5))
-        bf = model.forward_batch(x, m, u, 1)
+        bf = model.forward_batch(x, m, u)
         assert bf.slots.data.shape == (model.config.temporal_layers * model.config.n_nodes, model.config.d_h)
 
     def test_scale_count(self):
         model = make_setup(layers=3, levels=2, n=12)
         x, m, u = random_window(model, np.random.default_rng(6))
-        bf = model.forward_batch(x, m, u, 1)
+        bf = model.forward_batch(x, m, u)
         assert bf.slots.data.shape[0] // model.config.n_nodes == 3 * (2 + 1) == model.config.n_scales
 
     def test_single_supernode_level_algebra(self):
@@ -312,14 +320,14 @@ class TestAttentionFuse:
     def test_single_scale_alpha_is_one(self):
         model = make_setup(layers=1, levels=0)
         x, m, u = random_window(model, np.random.default_rng(7))
-        bf = model.forward_batch(x, m, u, 1)
+        bf = model.forward_batch(x, m, u)
         np.testing.assert_allclose(bf.alphas[0], np.ones((model.config.n_nodes, 1)), atol=1e-15)
 
     def test_zero_attention_weight_gives_uniform_mixture(self):
         model = make_setup(layers=2, levels=1)
         model.params["attention.weight"].value[...] = 0.0
         x, m, u = random_window(model, np.random.default_rng(8))
-        bf = model.forward_batch(x, m, u, 1)
+        bf = model.forward_batch(x, m, u)
         s = model.config.n_scales
         np.testing.assert_allclose(bf.alphas[0], np.full((model.config.n_nodes, s), 1.0 / s), atol=1e-12)
 
@@ -397,7 +405,7 @@ class TestForward:
         xs = np.concatenate([w1[0], w2[0]], axis=1)
         ms = np.concatenate([w1[1], w2[1]], axis=1)
         us = np.concatenate([w1[2], w2[2]], axis=1)
-        bf = model.forward_batch(xs, ms, us, batch_size=2)
+        bf = model.forward_batch(xs, ms, us)
         n = model.config.n_nodes
         solo1 = model.forward_window(*w1).predictions
         solo2 = model.forward_window(*w2).predictions

@@ -1,18 +1,20 @@
 import gc
 import json
 import weakref
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from downcast import autodiff as ad
+from downcast import cli
 from downcast import data as dt
 from downcast import graphs as gr
 from downcast import training as tr
 from downcast.errors import ContractError
 from downcast.masking import MaskConfig, simulate_block
-from downcast.model import Model, ModelConfig
-from helpers import masked_metrics
+from downcast.model import Model, ModelConfig, last_value_imputation
+from helpers import assemble_batch_reference, masked_metrics
 
 
 def make_bundle(
@@ -23,9 +25,10 @@ def make_bundle(
     panel, adot = dt.generate_mso(graph, hops=2, length=t, fan_in=3, seed=seed)
     sim = simulate_block(panel.x.shape, MaskConfig(eta=eta, p_f=p_f, s_min=3, s_max=9, seed=seed), adot)
     train_w, val_w, test_w = dt.make_windows(panel, window, horizon)
-    scaler = dt.fit_scaler(panel, (0, train_w[-1].start + window), "standard")
+    scaler = dt.fit_scaler(panel, (0, train_w[-1] + window), "standard")
     bundle = tr.DataBundle(
-        panel=panel, scaler=scaler, sim_mask=sim.mask, train=train_w, val=val_w, test=test_w
+        panel=panel, scaler=scaler, sim_mask=sim.mask, train=train_w, val=val_w, test=test_w,
+        window=window, horizon=horizon,
     )
     config = ModelConfig(
         n_nodes=n, window=window, horizon=horizon, d_x=1, d_u=0, d_h=d_h,
@@ -178,14 +181,50 @@ class TestTrainLoop:
         assert result.best_val_mae == pytest.approx(min(h["val_mae"] for h in result.history))
 
 
+def csv_bundle(tmp_path):
+    """A csv panel with time-of-day and day-of-week channels (d_u = 11), built by the CLI."""
+    t_len, n = 80, 4
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(t_len, n, 1))
+    mask = (rng.random(x.shape) > 0.1).astype(float)
+    stamps = [datetime(2024, 3, 1) + timedelta(hours=t) for t in range(t_len)]
+    dt.write_csv_panel(dt.Panel(x=x * mask, mask=mask, u=np.zeros((t_len, n, 0)), timestamps=stamps),
+                       tmp_path / "obs.csv")
+    (tmp_path / "coords.csv").write_text(
+        "node,lat,lon\n" + "".join(f"{j},{50 + 0.03 * j},{-1 - 0.02 * j}\n" for j in range(n))
+    )
+    resolved = cli.resolve_config({
+        "dataset": {"kind": "csv", "observations": str(tmp_path / "obs.csv"), "coords": str(tmp_path / "coords.csv"),
+                    "knn_cap": 3, "time_of_day": True, "day_of_week": True, "window": 6, "horizon": 3},
+        "mask": {"eta": 0.2, "p_f": 0.02, "s_min": 2, "s_max": 5},
+        "model": {"d_h": 4, "temporal_layers": 1, "spatial_levels": 0, "embedding_size": 2, "decoder_hidden": [4]},
+    })
+    return cli.prepare_experiment(resolved)[1]
+
+
+class TestAssembleBatch:
+    @pytest.mark.parametrize("kind", ["mso", "csv"])
+    @pytest.mark.parametrize("mask_targets", [True, False])
+    def test_gather_equals_window_by_window_assembly(self, tmp_path, kind, mask_targets):
+        bundle = make_bundle()[1] if kind == "mso" else csv_bundle(tmp_path)
+        assert bundle.panel.u.shape[2] == (0 if kind == "mso" else 11)
+        starts = np.random.default_rng(1).integers(0, len(bundle.train), size=5)
+        for chunk in (starts, bundle.test[:4], bundle.val[:1]):
+            got = tr.assemble_batch(bundle, chunk, mask_targets)
+            want = assemble_batch_reference(bundle, chunk, mask_targets)
+            for field in ("x", "m", "u", "targets", "target_masks", "raw_targets"):
+                assert getattr(got, field).shape == getattr(want, field).shape, field
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
+
 class TestEvaluate:
     def test_oracle_predictions_give_zero_mae(self):
         model, bundle = make_bundle()
         report = tr.evaluate(model, bundle, "test")
         # feed the model's own predictions back as the target panel slice
+        w, h = bundle.window, bundle.horizon
         for chunk, preds, _ in tr.predict_windows(model, bundle, bundle.test, 16):
-            target = np.concatenate([s.x_target for s in chunk], axis=1)
-            mask = np.concatenate([s.m_target for s in chunk], axis=1)
+            mask = np.concatenate([bundle.panel.mask[s + w : s + w + h] for s in chunk], axis=1)
             mae, mse, n = masked_metrics(preds, preds, mask)
             assert mae == 0.0 and mse == 0.0
         assert report.n_valid > 0
@@ -200,9 +239,11 @@ class TestEvaluate:
         offset = bundle.scaler.offset[0]
         abs_sum = 0.0
         count = 0
+        w, h = bundle.window, bundle.horizon
         for s in bundle.test:
-            abs_sum += (np.abs(offset - s.x_target) * s.m_target).sum()
-            count += s.m_target.sum()
+            target, mask = bundle.panel.x[s + w : s + w + h], bundle.panel.mask[s + w : s + w + h]
+            abs_sum += (np.abs(offset - target) * mask).sum()
+            count += mask.sum()
         assert report.mae == pytest.approx(abs_sum / count, rel=1e-10)
 
     def test_per_horizon_weighted_average_matches_overall(self):
@@ -213,17 +254,31 @@ class TestEvaluate:
 
     def test_future_panel_values_do_not_change_predictions(self):
         model, bundle = make_bundle()
-        sample = bundle.test[0]
-        _, preds, _ = next(iter(tr.predict_windows(model, bundle, [sample], 1)))
-        end = sample.start + sample.x_window.shape[0] + sample.x_target.shape[0]
+        starts = bundle.test[:1]
+        _, preds, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
+        end = starts[0] + bundle.window + bundle.horizon
         bundle.panel.x[end:] += 123.0  # beyond this window's reach
-        _, preds2, _ = next(iter(tr.predict_windows(model, bundle, [sample], 1)))
+        _, preds2, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         np.testing.assert_array_equal(preds, preds2)
 
     def test_persistence_baseline_reasonable(self):
         model, bundle = make_bundle()
         report = tr.persistence_metrics(bundle, "test", model.config.horizon)
         assert np.isfinite(report.mae) and report.mae > 0
+
+    def test_persistence_matches_window_by_window_baseline(self):
+        # the chunked baseline sums its errors in another order, so it agrees to rounding
+        _, bundle = make_bundle()
+        report = tr.persistence_metrics(bundle, "test", bundle.horizon)
+        abs_sum, count = 0.0, 0.0
+        for s in bundle.test:
+            batch = assemble_batch_reference(bundle, [s], mask_targets=False)
+            last = bundle.scaler.invert(last_value_imputation(batch.x, batch.m)[-1])
+            target = batch.raw_targets.reshape(bundle.horizon, *last.shape)
+            mask = batch.target_masks.reshape(target.shape)
+            abs_sum += (np.abs(last[None] - target) * mask).sum()
+            count += mask.sum()
+        assert report.mae == pytest.approx(abs_sum / count, rel=1e-12)
 
 
 class TestGradientEndToEnd:
@@ -235,10 +290,10 @@ class TestGradientEndToEnd:
         batch = tr.assemble_batch(bundle, bundle.train[:2], mask_targets=True)
 
         def loss_value():
-            bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
+            bf = model.forward_batch(batch.x, batch.m, batch.u)
             return float(tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks).data)
 
-        bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
+        bf = model.forward_batch(batch.x, batch.m, batch.u)
         loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
         model.zero_grads()
         bf.tape.backward(loss)
@@ -263,7 +318,7 @@ class TestGradientEndToEnd:
     def test_every_parameter_group_receives_gradient(self):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
         batch = tr.assemble_batch(bundle, bundle.train[:3], mask_targets=True)
-        bf = model.forward_batch(batch.x, batch.m, batch.u, 3)
+        bf = model.forward_batch(batch.x, batch.m, batch.u)
         loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
         model.zero_grads()
         bf.tape.backward(loss)
@@ -278,7 +333,7 @@ class TestTapeLifetime:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            bf = model.forward_batch(batch.x, batch.m, batch.u, 2)
+            bf = model.forward_batch(batch.x, batch.m, batch.u)
             loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
             bf.tape.backward(loss)
             slots = weakref.ref(bf.slots.data)
