@@ -339,11 +339,6 @@ def _concat(parts: list, axis: int) -> Tensor:
     return _emit(_merge_tape(*parts), data, pulls)
 
 
-def concat_cols(parts: list) -> Tensor:
-    """Concatenate matrices with equal row counts along columns."""
-    return _concat(parts, 1)
-
-
 def concat_rows(parts: list) -> Tensor:
     """Concatenate matrices with equal column counts along rows.
 
@@ -367,6 +362,26 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
 
     pulls = [(x.node, pull)] if x.tape is not None else []
     return _emit(x.tape, x.data[lo:hi], pulls)
+
+
+def add_blocks(x, y) -> Tensor:
+    """Add `y` (rows, w) to every block of `rows` rows of `x` (blocks * rows, w).
+
+    The broadcast is a view, so `y` is never tiled; its adjoint is the sum of
+    the output adjoint over the blocks.
+    """
+    x, y = _as_tensor(x), _as_tensor(y)
+    rows = y.data.shape[0] if y.data.ndim == 2 else 0
+    if x.data.ndim != 2 or rows == 0 or x.data.shape[1] != y.data.shape[1] or x.data.shape[0] % rows:
+        raise DimensionError(f"a matrix of shape {x.data.shape} is not row blocks of shape {y.data.shape}")
+    shape = (-1, *y.data.shape)
+    data = (x.data.reshape(shape) + y.data).reshape(x.data.shape)
+    pulls = []
+    if x.tape is not None:
+        pulls.append((x.node, lambda g: g))
+    if y.tape is not None:
+        pulls.append((y.node, lambda g: g.reshape(shape).sum(axis=0)))
+    return _emit(_merge_tape(x, y), data, pulls)
 
 
 def blocks_to_rows(x, n_blocks: int) -> Tensor:
@@ -596,10 +611,12 @@ def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted mixtures of S equally shaped encodings, per row.
 
     `stacked` holds the S encodings as S blocks of rows, (S * rows, d).
-    Scores are `stacked` times `theta` (d, n_sets), one product; each score
-    set gets a row softmax over the S encodings and mixes them with its
-    weights, summed in block order. Returns the mixtures stacked by score
-    set, (n_sets * rows, d), and the weights, (n_sets, rows, S).
+    The encodings are copied once node-major, (rows, S, d). Scores are that
+    copy times `theta` (d, n_sets), one product; each score set gets a row
+    softmax over the S encodings, and every row mixes its S encodings with
+    one batched product, (rows, n_sets, S) @ (rows, S, d). Returns the
+    mixtures stacked by score set, (n_sets * rows, d), and the weights,
+    (n_sets, rows, S).
     """
     x, theta = _as_tensor(stacked), _as_tensor(theta)
     n_rows, d = x.data.shape if x.data.ndim == 2 else (0, 0)
@@ -608,28 +625,31 @@ def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     if theta.data.ndim != 2 or theta.data.shape[0] != d:
         raise DimensionError(f"score weights of shape {theta.data.shape} do not fit encodings of width {d}")
     n_s, m, n_sets = n_scales, n_rows // n_scales, theta.data.shape[1]
-    z = x.data.reshape(n_s, m, d)
-    scores = (x.data @ theta.data).reshape(n_s, m, n_sets)
-    scores = np.ascontiguousarray(scores.transpose(2, 1, 0))  # (n_sets, rows, S)
+    z = np.ascontiguousarray(x.data.reshape(n_s, m, d).transpose(1, 0, 2))  # (rows, S, d)
+    scores = (z.reshape(m * n_s, d) @ theta.data).reshape(m, n_s, n_sets)
+    scores = np.ascontiguousarray(scores.transpose(0, 2, 1))  # (rows, n_sets, S)
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    alphas = e / e.sum(axis=2, keepdims=True)
-    fused, term = alphas[:, :, 0:1] * z[0], np.empty((n_sets, m, d))
-    for s in range(1, n_s):
-        fused += np.multiply(alphas[:, :, s : s + 1], z[s], out=term)
-    data = fused.reshape(n_sets * m, d)
+    alphas = e / e.sum(axis=2, keepdims=True)  # (rows, n_sets, S)
+    data = (alphas @ z).transpose(1, 0, 2).reshape(n_sets * m, d)
+    alphas_out = np.ascontiguousarray(alphas.transpose(1, 0, 2))
     tape = _merge_tape(x, theta)
     if tape is None:
-        return Tensor(data), alphas
+        return Tensor(data), alphas_out
     tracked = [t.tape is not None for t in (x, theta)]
 
     def vjp(g):
-        g = g.reshape(n_sets, m, d)
-        d_alpha = np.einsum("hmd,smd->hms", g, z)
+        g = g.reshape(n_sets, m, d).transpose(1, 0, 2)  # (rows, n_sets, d)
+        d_alpha = g @ z.transpose(0, 2, 1)
         d_scores = alphas * (d_alpha - (d_alpha * alphas).sum(axis=2, keepdims=True))
-        d_scores = d_scores.transpose(2, 1, 0).reshape(n_rows, n_sets)
-        dz = np.einsum("hms,hmd->smd", alphas, g).reshape(n_rows, d) + d_scores @ theta.data.T
-        grads = [dz, x.data.T @ d_scores]
-        return [gr for gr, on in zip(grads, tracked) if on]
+        d_scores = d_scores.transpose(0, 2, 1).reshape(m * n_s, n_sets)  # node-major, like z
+        grads = []
+        if tracked[0]:
+            dz = alphas.transpose(0, 2, 1) @ g
+            dz += (d_scores @ theta.data.T).reshape(m, n_s, d)
+            grads.append(dz.transpose(1, 0, 2).reshape(n_rows, d))
+        if tracked[1]:
+            grads.append(z.reshape(m * n_s, d).T @ d_scores)
+        return grads
 
     in_nodes = tuple(t.node for t in (x, theta) if t.tape is not None)
-    return _emit_joint(tape, data, in_nodes, vjp), alphas
+    return _emit_joint(tape, data, in_nodes, vjp), alphas_out

@@ -166,7 +166,8 @@ def time_encodings(timestamps, include_dow: bool = False) -> np.ndarray:
 
 
 def broadcast_exogenous(u: np.ndarray, n_nodes: int) -> np.ndarray:
-    return np.repeat(u[:, None, :], n_nodes, axis=1)
+    """The (T, d_u) encodings as a read-only (T, N, d_u) view: every node shares each row."""
+    return np.broadcast_to(u[:, None, :], (u.shape[0], n_nodes, u.shape[1]))
 
 
 # -- scaling ---------------------------------------------------------------------

@@ -184,7 +184,8 @@ class ModelRuntime:
     incidence). A batch of B windows stacks its activations as B blocks of
     rows, and `ad.sparse_matmul` and `ad.edge_messages` apply an operator to
     every block, so the operators do not depend on the batch size.
-    Per-window results are bit-identical to running windows one by one.
+    Per-window results equal running windows one by one up to last-ulp
+    rounding: BLAS picks its kernels by row count.
     """
 
     def __init__(self, hierarchy: CoarseningHierarchy, config: ModelConfig):
@@ -316,22 +317,22 @@ class Model:
         """Affine encoding of [imputed x, u, mask, node embedding] at every step.
 
         The B*N rows are B windows of N nodes. Returns the W steps stacked
-        time-major, (W*B*N, d_h): one product.
+        time-major, (W*B*N, d_h). The step features take one product with
+        the first rows of `encoder.weight`; the embeddings take one on N rows
+        with the rest, which is added to every block of N rows.
         """
         cfg = self.config
         m_rows = xw.shape[1]
         if xw.shape != (cfg.window, m_rows, cfg.d_x) or mw.shape != xw.shape:
             raise DimensionError("window arrays must be (W, B*N, d_x)")
-        batch_size, rest = divmod(m_rows, cfg.n_nodes)
-        if batch_size < 1 or rest:
+        if m_rows < 1 or m_rows % cfg.n_nodes:
             raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
-        emb = p["embeddings"]
-        for copies in (batch_size, cfg.window):  # tiled per window, then per step
-            if copies > 1:
-                emb = ad.concat_rows([emb] * copies)
-        return ad.concat_cols([ad.constant(feats), emb]) @ p["encoder.weight"] + p["encoder.bias"]
+        w, n_feats = p["encoder.weight"], feats.shape[1]
+        steps = ad.constant(feats) @ ad.slice_rows(w, 0, n_feats)
+        nodes = p["embeddings"] @ ad.slice_rows(w, n_feats, w.data.shape[0]) + p["encoder.bias"]
+        return ad.add_blocks(steps, nodes)
 
     def temporal_stack(self, p: _TapeParams, seq: Tensor) -> Tensor:
         """L per-layer summaries stacked layer-major, (L*B*N, d_h).
@@ -390,13 +391,6 @@ class Model:
         cfg = self.config
         if not cfg.per_step_attention:
             return ad.blocks_to_rows(_mlp(fused, p, cfg), cfg.horizon)
-        if fused.tape is None:
-            # nothing recorded: one decoder pass per set keeps arrays cache-sized
-            rows = fused.data.shape[0] // cfg.horizon
-            sets = [ad.slice_rows(fused, h * rows, (h + 1) * rows) for h in range(cfg.horizon)]
-            return ad.concat_rows([_mlp(s, p, cfg) for s in sets])
-        # recorded: one pass over all sets, since every row slice of `fused`
-        # would pull back an adjoint of its full size; rows decode alike either way
         return _mlp(fused, p, cfg)
 
     def forward_batch(
@@ -409,7 +403,8 @@ class Model:
         """Run B windows stacked along the node axis as B blocks of N rows.
 
         Every graph operator is applied to each block on its own (see
-        ModelRuntime), so each window's results equal a batch of one.
+        ModelRuntime), so each window's results equal a batch of one up to
+        last-ulp rounding.
 
         With `record_gradients` off, parameters enter as constants and no tape
         is built; results are identical and the pass is cheaper (evaluation,

@@ -8,7 +8,7 @@ from downcast import graphs as gr
 from downcast import training as tr
 from downcast.errors import DimensionError
 from downcast.masking import FaultInterval
-from downcast.model import smp_messages
+from downcast.model import last_value_imputation, smp_messages
 from downcast.rng import stream_rng
 
 
@@ -89,6 +89,20 @@ def spatial_stack_reference(model, p, z_list, rt):
     return slots
 
 
+def encode_inputs_reference(model, x, m, u):
+    """Concatenated encoder: the reference for `Model.encode_inputs`.
+
+    Every (step, node) row holds [imputed x, u, mask, embedding], the
+    embedding tiled over the windows and steps, and takes one product with
+    the whole `encoder.weight`. Returns the (W*B*N, d_h) array.
+    """
+    pv = {k: v.value for k, v in model.params.items()}
+    w, rows = x.shape[0], x.shape[1]
+    emb = np.tile(pv["embeddings"], (w * rows // model.config.n_nodes, 1))
+    feats = np.concatenate([last_value_imputation(x, m), u, m], axis=2).reshape(w * rows, -1)
+    return np.concatenate([feats, emb], axis=1) @ pv["encoder.weight"] + pv["encoder.bias"]
+
+
 def edge_messages_reference(x, src, recv, weight, w1, w2, w3):
     """Op-by-op gated edge messages: the reference for `ad.edge_messages`.
 
@@ -99,7 +113,7 @@ def edge_messages_reference(x, src, recv, weight, w1, w2, w3):
     x_recv = ad.sparse_matmul(recv, x)
     x_src = ad.sparse_matmul(src, x)
     tiled = np.tile(weight, (x.data.shape[0] // src.shape[1], 1))
-    feats = ad.concat_cols([x_recv, x_src, ad.constant(tiled)])
+    feats = concat_cols([x_recv, x_src, ad.constant(tiled)])
     m = ad.elu(feats @ w1) @ w2
     gated = ad.mul(ad.sigmoid(m @ w3), m)
     return ad.sparse_matmul(recv, gated, transpose=True)
@@ -113,7 +127,7 @@ def scale_attention_reference(slots, theta):
     score_cols = [z @ theta for z in slots]
     alphas, fused = [], []
     for h in range(theta.data.shape[1]):
-        al = softmax_rows(ad.concat_cols([slice_cols(s, h, h + 1) for s in score_cols]))
+        al = softmax_rows(concat_cols([slice_cols(s, h, h + 1) for s in score_cols]))
         z_mix = None
         for s, z in enumerate(slots):
             term = ad.mul(slice_cols(al, s, s + 1), z)
@@ -153,6 +167,11 @@ def softmax_rows(x):
 
     pulls = [(x.node, pull)] if x.tape is not None else []
     return ad._emit(x.tape, out, pulls)
+
+
+def concat_cols(parts):
+    """Concatenate matrices with equal row counts along columns."""
+    return ad._concat(parts, 1)
 
 
 def slice_cols(x, lo, hi):

@@ -1,4 +1,5 @@
 """The benchmark's probes bind program names by attribute; a rename breaks them here first."""
+import inspect
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from downcast import data as dt
 from downcast import graphs as gr
+from downcast import training
 from downcast.model import Model, ModelConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -33,3 +35,10 @@ def test_runtime_exposes_the_counted_operators(variant):
             ops.extend(entry if isinstance(entry, list) else [entry])
     ops = [op for op in ops if op is not None]
     assert ops and all(isinstance(op.nnz, int) for op in ops)
+
+
+def test_benchmark_calls_bind_to_the_program_signatures():
+    # probes.Timeline calls evaluate as below, and bench/child.py calls the
+    # persistence baseline with a positional horizon
+    inspect.signature(training.evaluate).bind(None, None, "val", batch_size=128)
+    inspect.signature(training.persistence_metrics).bind(None, "test", 6)

@@ -15,7 +15,7 @@ from downcast.model import (
     init_params,
     last_value_imputation,
 )
-from helpers import permute_hierarchy, softmax_rows, spatial_stack_reference
+from helpers import encode_inputs_reference, permute_hierarchy, softmax_rows, spatial_stack_reference
 
 RNG = np.random.default_rng(17)
 
@@ -94,15 +94,50 @@ class TestEncoder:
         assert seq.data.shape == (model.config.window * model.config.n_nodes, model.config.d_h)
 
     def test_stacked_steps_equal_per_step_encoding(self):
+        # three windows, so the embedding term is added to every block of N rows
         model = make_setup()
-        x, m, u = random_window(model, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        x, m, u = (np.concatenate(parts, axis=1) for parts in zip(*(random_window(model, rng) for _ in range(3))))
         seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u).data
         pv = {k: v.value for k, v in model.params.items()}
-        n = model.config.n_nodes
+        n, rows = model.config.n_nodes, x.shape[1]
+        n_feats = 2 * model.config.d_x + model.config.d_u
+        nodes = pv["embeddings"] @ pv["encoder.weight"][n_feats:] + pv["encoder.bias"]
+        ximp = last_value_imputation(x, m)
         for t in range(model.config.window):
-            feats = np.concatenate([last_value_imputation(x, m)[t], u[t], m[t], pv["embeddings"]], axis=1)
-            np.testing.assert_array_equal(seq[t * n : (t + 1) * n], feats @ pv["encoder.weight"] + pv["encoder.bias"])
+            feats = np.concatenate([ximp[t], u[t], m[t]], axis=1)
+            for b in range(rows // n):
+                block = slice(b * n, (b + 1) * n)
+                want = feats[block] @ pv["encoder.weight"][:n_feats] + nodes
+                np.testing.assert_array_equal(seq[t * rows + b * n : t * rows + (b + 1) * n], want)
+        # the factored products drift from one concatenated product in the last ulps
+        np.testing.assert_allclose(seq, encode_inputs_reference(model, x, m, u), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["embeddings", "encoder.weight", "encoder.bias"])
+    def test_gradient_matches_finite_differences(self, name):
+        model = make_setup()
+        rng = np.random.default_rng(5)
+        x, m, u = (np.concatenate(parts, axis=1) for parts in zip(*(random_window(model, rng) for _ in range(3))))
+        weight = rng.normal(size=(model.config.window * x.shape[1], model.config.d_h))
+
+        def loss(tape):
+            seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u)
+            return ad.reduce_sum(ad.mul(seq, ad.constant(weight)))
+
+        tape = ad.Tape()
+        model.zero_grads()
+        tape.backward(loss(tape))
+        param, eps = model.params[name], 1e-6
+        numeric = np.zeros_like(param.value)
+        for idx in np.ndindex(param.value.shape):
+            orig = param.value[idx]
+            param.value[idx] = orig + eps
+            up = float(loss(None).data)
+            param.value[idx] = orig - eps
+            down = float(loss(None).data)
+            param.value[idx] = orig
+            numeric[idx] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(param.grad, numeric, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("rows", [0, 7, 13])
     def test_rows_not_a_positive_multiple_of_nodes_rejected(self, rows):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -216,6 +217,17 @@ class TestAssembleBatch:
                 assert getattr(got, field).shape == getattr(want, field).shape, field
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
+    def test_csv_exogenous_is_a_read_only_view(self, tmp_path):
+        # the time encodings are shared by every node: one broadcast view, not N copies
+        bundle = csv_bundle(tmp_path)
+        u = bundle.panel.u
+        assert not u.flags.writeable and u.strides[1] == 0
+        copied = dataclasses.replace(bundle, panel=dataclasses.replace(bundle.panel, u=np.array(u)))
+        for chunk in (bundle.train[:5], bundle.test[:4]):
+            got, want = tr.assemble_batch(bundle, chunk, False), tr.assemble_batch(copied, chunk, False)
+            for field in ("x", "m", "u", "targets", "target_masks", "raw_targets"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+
 
 class TestEvaluate:
     def test_oracle_predictions_give_zero_mae(self):
@@ -261,6 +273,11 @@ class TestEvaluate:
         _, preds2, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         np.testing.assert_array_equal(preds, preds2)
 
+    def test_persistence_horizon_must_match_the_bundle(self):
+        _, bundle = make_bundle()
+        with pytest.raises(ContractError, match=r"horizon 6 .*bundle\.horizon = 3"):
+            tr.persistence_metrics(bundle, "test", 6)
+
     def test_persistence_baseline_reasonable(self):
         model, bundle = make_bundle()
         report = tr.persistence_metrics(bundle, "test", model.config.horizon)
@@ -279,6 +296,55 @@ class TestEvaluate:
             abs_sum += (np.abs(last[None] - target) * mask).sum()
             count += mask.sum()
         assert report.mae == pytest.approx(abs_sum / count, rel=1e-12)
+
+
+class TestGroupedEvaluation:
+    """Evaluation runs each chunk forward in groups of whole windows under a row budget."""
+
+    @staticmethod
+    def grouped(monkeypatch, windows_per_group=3):
+        # anisotropic per-step model; groups of 3 split every 8-window chunk
+        # into 3 + 3 + a ragged 2
+        model, bundle = make_bundle(variant="anisotropic", per_step=True)
+        monkeypatch.setattr(tr, "_EVAL_ROWS", windows_per_group * model.config.n_nodes + 1)
+        return model, bundle
+
+    def test_predictions_match_window_by_window_forward(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        cfg = model.config
+        starts = bundle.test[:19]  # chunks of 8, 8 and 3 windows
+        for chunk, preds, _ in tr.predict_windows(model, bundle, starts, 8):
+            assert preds.shape == (cfg.horizon, len(chunk) * cfg.n_nodes, cfg.d_x)
+            for j, s in enumerate(chunk):
+                one = tr.assemble_batch(bundle, [s], mask_targets=False)
+                bf = model.forward_batch(one.x, one.m, one.u, record_gradients=False)
+                want = bundle.scaler.invert(bf.preds.data.reshape(cfg.horizon, cfg.n_nodes, cfg.d_x))
+                got = preds[:, j * cfg.n_nodes : (j + 1) * cfg.n_nodes]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_evaluate_repeats_bit_for_bit(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        first = tr.evaluate(model, bundle, "test", batch_size=8)
+        assert repr(tr.evaluate(model, bundle, "test", batch_size=8)) == repr(first)
+
+    @pytest.mark.parametrize("windows_per_group", [3, 0])
+    def test_unrecorded_passes_stay_within_the_row_budget(self, monkeypatch, windows_per_group):
+        # a budget below one window's rows still runs one window per pass
+        model, bundle = self.grouped(monkeypatch, windows_per_group)
+        n, rows = model.config.n_nodes, []
+        forward = Model.forward_batch
+
+        def counting(self, xw, mw, uw, record_gradients=True):
+            if not record_gradients:
+                rows.append(xw.shape[1])
+            return forward(self, xw, mw, uw, record_gradients)
+
+        monkeypatch.setattr(Model, "forward_batch", counting)
+        tr.evaluate(model, bundle, "test", batch_size=8)
+        assert max(rows) == max(1, windows_per_group) * n <= max(tr._EVAL_ROWS, n)
+        assert sum(rows) == len(bundle.test) * n
+        if windows_per_group == 3:
+            assert 2 * n in rows  # the ragged tail of an 8-window chunk
 
 
 class TestGradientEndToEnd:
