@@ -2,8 +2,12 @@
 orchestration and interpretability exports.
 
 The config file is JSON with four blocks (dataset, mask, model, train) plus a
-seed and an output directory. Every default that applies is materialised into
-resolved-config.json, which re-runs the experiment bit-identically. All
+seed and an output directory. Each block is the JSON form of one dataclass
+(`data.DatasetConfig`, `masking.MaskConfig`, `model.ModelConfig`,
+`training.TrainConfig`), less the fields the run supplies: their fields are
+the keys, their type hints the types, their defaults the defaults, and their
+`__post_init__` checks the bounds. Every default that applies is materialised
+into resolved-config.json, which re-runs the experiment bit-identically. All
 artifacts are written atomically (temp file + rename).
 """
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from . import data as dt
 from . import graphs as gr
 from . import masking as mk
 from . import training as tr
-from .errors import ContractError, CsvParseError, DimensionError
+from .errors import ContractError, CsvParseError, DimensionError, require
 from .model import Model, ModelConfig
 
 
@@ -32,118 +39,64 @@ class ConfigError(ValueError):
 # -- schema -------------------------------------------------------------------------
 
 
-def _typed(kind, *, choices=None, minimum=None):
-    def check(value, path):
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-            raise ConfigError(f"{path}: expected {getattr(kind, '__name__', kind)}, got {value!r}")
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
-        return value
+@dataclass(frozen=True)
+class RunConfig:
+    """The top level of a config file besides the four blocks."""
 
-    return check
+    seed: int = 0
+    output_dir: str = "run-output"
+
+    def __post_init__(self):
+        require(self, "nonnegative", "seed")
 
 
-def _number_list(value, path):
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    return [float(v) for v in value]
-
-
-def _positive_int_list(value, path):
-    if not isinstance(value, list) or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in value):
-        raise ConfigError(f"{path}: expected a list of positive integers, got {value!r}")
-    return list(value)
-
-
-def _optional_str(value, path):
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string or null")
+def _coerce(value, hint, path: str):
+    """`value` as the JSON form of type `hint`: an int widens to float, and a tuple is a list."""
+    args = get_args(hint)
+    if type(None) in args:  # `X | None`
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if get_origin(hint) is tuple:  # `tuple[X, ...]`
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [_coerce(v, get_args(hint)[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if hint is float and type(value) is int:
+        value = float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return value
 
 
-def _optional_float(value, path):
-    if value is None:
-        return None
-    return _typed(float, minimum=0.0)(value, path)
+def _build(cls, block: dict, path: str, **supplied):
+    """The `cls` that `block` describes; a ContractError from its checks becomes a ConfigError under `path`."""
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in block.items()}, **supplied)
+    except ContractError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
-DATASET_SCHEMA = {
-    "kind": ("mso", _typed(str, choices={"mso", "csv"})),
-    "nodes": (20, _typed(int, minimum=2)),
-    "steps": (5000, _typed(int, minimum=1)),
-    "fan_in": (5, _typed(int, minimum=1)),
-    "hops": (2, _typed(int, minimum=1)),
-    "in_degree": (3, _typed(int, minimum=1)),
-    "observations": (None, _optional_str),
-    "mask_file": (None, _optional_str),
-    "coords": (None, _optional_str),
-    "tau": (0.1, _typed(float)),
-    "knn_cap": (8, _typed(int, minimum=1)),
-    "connect_components": (True, _typed(bool)),
-    "time_of_day": (False, _typed(bool)),
-    "day_of_week": (False, _typed(bool)),
-    "window": (24, _typed(int, minimum=1)),
-    "horizon": (6, _typed(int, minimum=1)),
-    "splits": ([0.7, 0.1, 0.2], _number_list),
-    "scaling": ("standard", _typed(str, choices={"standard", "minmax"})),
-    "pool_hops": (1, _typed(int, minimum=1)),
-}
+def _resolve_block(raw, cls, path: str, **supplied) -> dict:
+    """A block of a config file as the JSON form of `cls`, with every default filled in.
 
-MASK_SCHEMA = {
-    "eta": (0.0, _typed(float, minimum=0.0)),
-    "p_f": (0.0, _typed(float, minimum=0.0)),
-    "s_min": (1, _typed(int, minimum=1)),
-    "s_max": (1, _typed(int, minimum=1)),
-    "p_g": ([], _number_list),
-    "propagate_over": ("mixing", _typed(str, choices={"mixing", "graph"})),
-}
-
-MODEL_SCHEMA = {
-    "d_h": (32, _typed(int, minimum=1)),
-    "temporal_layers": (3, _typed(int, minimum=1)),
-    "temporal_factor": (3, _typed(int, minimum=1)),
-    "spatial_levels": (2, _typed(int, minimum=0)),
-    "embedding_size": (16, _typed(int, minimum=1)),
-    "smp_variant": ("isotropic", _typed(str, choices={"isotropic", "anisotropic"})),
-    "diffusion_hops": (2, _typed(int, minimum=1)),
-    "decoder_hidden": ([128, 128], _positive_int_list),
-    "per_step_attention": (False, _typed(bool)),
-    "normalize_ascent": (False, _typed(bool)),
-}
-
-TRAIN_SCHEMA = {
-    "learning_rate": (0.001, _typed(float, minimum=0.0)),
-    "weight_decay": (0.01, _typed(float, minimum=0.0)),
-    "batch_size": (32, _typed(int, minimum=1)),
-    "batches_per_epoch": (300, _typed(int, minimum=1)),
-    "max_epochs": (200, _typed(int, minimum=0)),
-    "plateau_factor": (0.5, _typed(float, minimum=0.0)),
-    "plateau_patience": (10, _typed(int, minimum=1)),
-    "early_stop_patience": (30, _typed(int, minimum=1)),
-    "grad_clip_norm": (None, _optional_float),
-    "eval_batch_size": (64, _typed(int, minimum=1)),
-}
-
-TOP_SCHEMA = {
-    "seed": (0, _typed(int, minimum=0)),
-    "output_dir": ("run-output", _typed(str)),
-}
-
-
-def _resolve_block(raw: dict, schema: dict, path: str) -> dict:
-    unknown = set(raw) - set(schema)
+    The block's keys are the fields of `cls` that are not `supplied` by the
+    run. Its bounds are checked by building `cls`, with the `supplied` values
+    standing in for those fields.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {raw!r}")
+    keys = [f for f in fields(cls) if f.name not in supplied]
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
+    hints = get_type_hints(cls)
     out = {}
-    for key, (default, check) in schema.items():
-        if key in raw:
-            out[key] = check(raw[key], f"{path}.{key}")
-        else:
-            out[key] = default
+    for f in keys:
+        value = _coerce(raw[f.name], hints[f.name], f"{path}.{f.name}") if f.name in raw else f.default
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    _build(cls, out, path, **supplied)
     return out
 
 
@@ -151,32 +104,25 @@ def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in every default."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"seed", "output_dir", "dataset", "mask", "model", "train"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"config: unknown top-level key(s): {', '.join(sorted(unknown))}")
-    resolved = _resolve_block({k: raw[k] for k in raw if k in TOP_SCHEMA}, TOP_SCHEMA, "config")
-    resolved["dataset"] = _resolve_block(raw.get("dataset", {}), DATASET_SCHEMA, "dataset")
-    resolved["mask"] = _resolve_block(raw.get("mask", {}), MASK_SCHEMA, "mask")
-    resolved["model"] = _resolve_block(raw.get("model", {}), MODEL_SCHEMA, "model")
-    resolved["train"] = _resolve_block(raw.get("train", {}), TRAIN_SCHEMA, "train")
-    ds = resolved["dataset"]
-    if ds["kind"] == "csv":
-        if not ds["observations"]:
-            raise ConfigError("dataset.observations: required when dataset.kind is 'csv'")
-    if resolved["mask"]["s_min"] > resolved["mask"]["s_max"]:
-        raise ConfigError("mask.s_min: must not exceed mask.s_max")
-    splits = resolved["dataset"]["splits"]
-    if len(splits) != 3 or min(splits) < 0.0 or abs(sum(splits) - 1.0) > 1e-9:
-        raise ConfigError("dataset.splits: must be three nonnegative fractions summing to 1")
+    blocks = ("dataset", "mask", "model", "train")
+    resolved = _resolve_block({k: v for k, v in raw.items() if k not in blocks}, RunConfig, "config")
+    ds = resolved["dataset"] = _resolve_block(raw.get("dataset", {}), dt.DatasetConfig, "dataset")
+    seed = {"seed": resolved["seed"]}
+    shape = {"n_nodes": ds["nodes"], "window": ds["window"], "horizon": ds["horizon"], "d_x": 1, "d_u": 0}
+    for block, cls, supplied in (("mask", mk.MaskConfig, seed), ("model", ModelConfig, shape),
+                                 ("train", tr.TrainConfig, seed)):
+        resolved[block] = _resolve_block(raw.get(block, {}), cls, block, **supplied)
     return resolved
 
 
-def load_config(path) -> dict:
+def load_config(path, **overrides) -> dict:
+    """Read and resolve a config file; `overrides` that are not None replace its top-level keys."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from exc
+    if isinstance(raw, dict):
+        raw |= {k: v for k, v in overrides.items() if v is not None}
     return resolve_config(raw)
 
 
@@ -186,40 +132,33 @@ def load_config(path) -> dict:
 def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
     """Deterministically build data, masks, hierarchy and an initialised model."""
     seed = resolved["seed"]
-    ds = resolved["dataset"]
-    mask_cfg = resolved["mask"]
+    ds = _build(dt.DatasetConfig, resolved["dataset"], "dataset")
+    mask_cfg = _build(mk.MaskConfig, resolved["mask"], "mask", seed=seed)
 
-    if ds["kind"] == "mso":
-        graph = dt.random_indegree_graph(ds["nodes"], ds["in_degree"], seed)
-        panel, adot = dt.generate_mso(graph, ds["hops"], ds["steps"], ds["fan_in"], seed)
-        prop_graph = adot if mask_cfg["propagate_over"] == "mixing" else graph
+    if ds.kind == "mso":
+        graph = dt.random_indegree_graph(ds.nodes, ds.in_degree, seed)
+        panel, adot = dt.generate_mso(graph, ds.hops, ds.steps, ds.fan_in, seed)
+        prop_graph = adot if mask_cfg.propagate_over == "mixing" else graph
     else:
-        panel, coords = dt.load_csv_panel(
-            ds["observations"], mask_path=ds["mask_file"], coords_path=ds["coords"]
-        )
+        panel, coords = dt.load_csv_panel(ds.observations, mask_path=ds.mask_file, coords_path=ds.coords)
         if coords is None:
             raise ConfigError("dataset.coords: required to build the graph for csv datasets")
-        graph = gr.build_graph_from_coords(coords, ds["tau"], ds["knn_cap"])
-        if ds["connect_components"]:
-            graph = gr.ensure_connected(graph, coords, ds["tau"])
-        if ds["time_of_day"]:
+        graph = gr.build_graph_from_coords(coords, ds.tau, ds.knn_cap)
+        if ds.connect_components:
+            graph = gr.ensure_connected(graph, coords, ds.tau)
+        if ds.time_of_day:
             if panel.timestamps is None:
                 raise ConfigError("dataset.time_of_day: needs datetime timestamps in the csv")
-            enc = dt.time_encodings(panel.timestamps, include_dow=ds["day_of_week"])
+            enc = dt.time_encodings(panel.timestamps, include_dow=ds.day_of_week)
             panel = dt.Panel(
                 x=panel.x, mask=panel.mask,
                 u=dt.broadcast_exogenous(enc, panel.n_nodes), timestamps=panel.timestamps,
             )
         prop_graph = graph
 
-    mask_args = {k: v for k, v in mask_cfg.items() if k != "propagate_over"}
-    sim = mk.simulate_block(
-        panel.x.shape,
-        mk.MaskConfig(**mask_args | {"p_g": tuple(mask_cfg["p_g"])}, seed=seed),
-        prop_graph if (mask_cfg["p_g"] or mask_cfg["p_f"] > 0) else None,
-    )
+    sim = mk.simulate_block(panel.x.shape, mask_cfg, prop_graph if (mask_cfg.p_g or mask_cfg.p_f > 0) else None)
 
-    train_w, val_w, test_w = dt.make_windows(panel, ds["window"], ds["horizon"], tuple(ds["splits"]))
+    train_w, val_w, test_w = dt.make_windows(panel, ds.window, ds.horizon, ds.splits)
     if not train_w:
         raise ConfigError("dataset.splits: the train split is empty at this size")
     if not val_w or not test_w:
@@ -230,24 +169,23 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
         u=panel.u,
         timestamps=panel.timestamps,
     )
-    scaler = dt.fit_scaler(visible, (0, train_w[-1] + ds["window"]), ds["scaling"])
+    scaler = dt.fit_scaler(visible, (0, train_w[-1] + ds.window), ds.scaling)
 
-    model_cfg = ModelConfig(
-        n_nodes=panel.n_nodes, window=ds["window"], horizon=ds["horizon"],
+    model_cfg = _build(
+        ModelConfig, resolved["model"], "model", n_nodes=panel.n_nodes, window=ds.window, horizon=ds.horizon,
         d_x=panel.n_channels, d_u=panel.u.shape[2],
-        **resolved["model"] | {"decoder_hidden": tuple(resolved["model"]["decoder_hidden"])},
     )
-    hierarchy = gr.build_hierarchy(graph, ds["pool_hops"], model_cfg.spatial_levels)
+    hierarchy = gr.build_hierarchy(graph, ds.pool_hops, model_cfg.spatial_levels)
     model = Model(model_cfg, hierarchy, init_seed=seed)
     bundle = tr.DataBundle(
         panel=panel, scaler=scaler, sim_mask=sim.mask, train=train_w, val=val_w, test=test_w,
-        window=ds["window"], horizon=ds["horizon"],
+        window=ds.window, horizon=ds.horizon,
     )
     return model, bundle
 
 
 def train_config_from(resolved: dict) -> tr.TrainConfig:
-    return tr.TrainConfig(seed=resolved["seed"], **resolved["train"])
+    return _build(tr.TrainConfig, resolved["train"], "train", seed=resolved["seed"])
 
 
 # -- artifact writers ----------------------------------------------------------------------
@@ -296,16 +234,11 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
 
 def run_experiment(config_path, seed: int | None = None, out: str | None = None) -> dict:
     """Full pipeline: data, masks, hierarchy, training, evaluation, artifacts."""
-    resolved = load_config(config_path)
-    if seed is not None:
-        resolved["seed"] = seed
-    if out is not None:
-        resolved["output_dir"] = out
+    resolved = load_config(config_path, seed=seed, output_dir=out)
+    model, bundle = prepare_experiment(resolved)
     out_dir = Path(resolved["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "resolved-config.json", resolved)
-
-    model, bundle = prepare_experiment(resolved)
     _write_json(out_dir / "mask-stats.json", mk.mask_statistics(bundle.sim_mask))
 
     try:
@@ -344,7 +277,7 @@ def dump_scores(checkpoint_dir, window_index: int, out_path) -> None:
     resolved = meta.get("resolved_config") if isinstance(meta, dict) else None
     if resolved is None:
         raise ContractError(f"{checkpoint_dir}: checkpoint metadata has no 'resolved_config'")
-    model, bundle = prepare_experiment(resolved)
+    model, bundle = prepare_experiment(resolve_config(resolved))
     if model.config != config:
         raise ContractError("checkpoint configuration does not match its dataset config")
     unknown = sorted(set(values) - set(model.params))

@@ -14,11 +14,59 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field
+from .errors import ContractError, CsvParseError, DimensionError, parse_csv_field, require, require_one_of
 from .graphs import WeightedDigraph
 from .rng import stream_rng
 
 MISSING_TOKENS = {"", "nan", "NaN", "NAN", "NA", "null"}
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """Where an experiment's panel comes from, and how it is windowed and scaled.
+
+    Kind "mso" generates the synthetic benchmark from `nodes` .. `in_degree`;
+    kind "csv" reads `observations`, an optional validity `mask_file`, and the
+    `coords` whose kernel graph (`tau`, `knn_cap`, `connect_components`) the
+    model runs on.
+    """
+
+    kind: str = "mso"
+    nodes: int = 20
+    steps: int = 5000
+    fan_in: int = 5
+    hops: int = 2
+    in_degree: int = 3
+    observations: str | None = None
+    mask_file: str | None = None
+    coords: str | None = None
+    tau: float = 0.1
+    knn_cap: int = 8
+    connect_components: bool = True
+    time_of_day: bool = False
+    day_of_week: bool = False
+    window: int = 24
+    horizon: int = 6
+    splits: tuple[float, ...] = (0.7, 0.1, 0.2)
+    scaling: str = "standard"
+    pool_hops: int = 1  # independence radius used by the pooling
+
+    def __post_init__(self):
+        require_one_of(self, "kind", ("mso", "csv"))
+        if self.nodes < 2:
+            raise ContractError(f"nodes: must be at least 2, got {self.nodes}")
+        require(self, "positive", "steps", "fan_in", "hops", "in_degree", "knn_cap", "window", "horizon", "pool_hops")
+        if self.kind == "mso" and self.in_degree >= self.nodes:
+            raise ContractError(f"in_degree: must be below nodes ({self.nodes}), got {self.in_degree}")
+        if self.kind == "mso" and self.steps < self.window + self.horizon:
+            raise ContractError(f"steps: must be at least window + horizon, got {self.steps}")
+        if self.kind == "csv" and not self.observations:
+            raise ContractError("observations: required when kind is 'csv'")
+        if not (0.0 < self.tau < 1.0):
+            raise ContractError(f"tau: must lie in (0, 1), got {self.tau!r}")
+        if len(self.splits) != 3 or min(self.splits) < 0.0 or abs(sum(self.splits) - 1.0) > 1e-9:
+            raise ContractError("splits: must be three nonnegative fractions summing to 1")
+        require_one_of(self, "scaling", ("standard", "minmax"))
 
 
 @dataclass
@@ -215,7 +263,7 @@ def make_windows(
     return range(n_train), range(n_train, n_train + n_val), range(n_train + n_val, total)
 
 
-# -- delimited panel import/export ---------------------------------------------------
+# -- delimited panel import ---------------------------------------------------------
 
 
 _COLUMN_RE = re.compile(r"^node(\d+)_ch(\d+)$")
@@ -228,48 +276,20 @@ def _parse_timestamp(token: str):
         return datetime.fromisoformat(token)
 
 
-def _format_value(v: float) -> str:
-    return repr(float(v))
-
-
-def write_csv_panel(panel: Panel, obs_path, mask_path=None) -> None:
-    """Wide-format observations; invalid cells are written as empty fields."""
-    t_col = panel.timestamps if panel.timestamps is not None else list(range(panel.n_steps))
-    header = ["timestamp"] + [
-        f"node{j}_ch{c}" for j in range(panel.n_nodes) for c in range(panel.n_channels)
-    ]
-    with open(obs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(panel.n_steps):
-            row = [t_col[t] if not isinstance(t_col[t], datetime) else t_col[t].isoformat()]
-            for j in range(panel.n_nodes):
-                for c in range(panel.n_channels):
-                    if panel.mask[t, j, c] == 1.0:
-                        row.append(_format_value(panel.x[t, j, c]))
-                    else:
-                        row.append("")
-            writer.writerow(row)
-    if mask_path is not None:
-        with open(mask_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(panel.n_steps):
-                row = [t_col[t] if not isinstance(t_col[t], datetime) else t_col[t].isoformat()]
-                row += [
-                    str(int(panel.mask[t, j, c]))
-                    for j in range(panel.n_nodes)
-                    for c in range(panel.n_channels)
-                ]
-                writer.writerow(row)
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(token)
+    return value
 
 
 def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     """Returns (timestamps, values (T,N,C), validity (T,N,C)).
 
     Cells are stripped; missing tokens and NaN are invalid and read as 0.
-    All cells are converted at once, and cell by cell only when that fails,
-    so a CsvParseError names the file, line and field of the bad cell.
+    All cells are converted at once, and cell by cell only when that fails or
+    yields an infinity, so a CsvParseError names the file, line and field of
+    the bad cell.
     Row lengths and timestamps are checked first, row by row.
     """
     with open(path, newline="") as fh:
@@ -301,9 +321,11 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     missing = np.isin(tokens, list(MISSING_TOKENS))
     try:
         values = np.where(missing, "nan", tokens).astype(np.float64)  # float() on each cell
-    except ValueError:  # cell by cell, to name the first unreadable one
+    except ValueError:
+        values = None
+    if values is None or np.isinf(values).any():  # cell by cell, to name the first bad one
         values = np.array([
-            [np.nan if skip else parse_csv_field(path, lineno, name, str(token), float)
+            [np.nan if skip else parse_csv_field(path, lineno, name, str(token), _finite_float)
              for name, token, skip in zip(header[1:], row, row_missing)]
             for lineno, (row, row_missing) in enumerate(zip(tokens, missing), start=2)
         ])
@@ -358,7 +380,9 @@ def read_coords_csv(path) -> np.ndarray:
             node = parse_csv_field(path, lineno, "node", row[0], int)
             if node in coords:
                 raise CsvParseError(f"{path}: line {lineno}: field 'node': node {node} also on line {lines[node]}")
-            coords[node] = [parse_csv_field(path, lineno, name, row[f], float) for f, name in ((1, "lat"), (2, "lon"))]
+            coords[node] = [
+                parse_csv_field(path, lineno, name, row[f], _finite_float) for f, name in ((1, "lat"), (2, "lon"))
+            ]
             lines[node] = lineno
     outside = sorted(set(coords) - set(range(len(coords))))
     if outside:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, require, require_one_of
 from .graphs import WeightedDigraph, hop_distances
 from .rng import stream_rng
 
@@ -27,14 +27,18 @@ class MaskConfig:
     s_min: int = 1
     s_max: int = 1
     p_g: tuple[float, ...] = ()
+    propagate_over: str = "mixing"  # the "mixing" matrix of a synthetic panel, or the "graph"
     seed: int = 0
 
     def __post_init__(self):
-        for name, p in (("eta", self.eta), ("p_f", self.p_f), *((f"p_g[{i}]", v) for i, v in enumerate(self.p_g))):
+        require(self, "a probability", "eta", "p_f")
+        for i, p in enumerate(self.p_g):
             if not (0.0 <= p <= 1.0):
-                raise ContractError(f"{name} must be a probability, got {p}")
-        if not (1 <= self.s_min <= self.s_max):
-            raise ContractError("fault duration bounds must satisfy 1 <= s_min <= s_max")
+                raise ContractError(f"p_g[{i}]: must be a probability, got {p!r}")
+        require(self, "positive", "s_min", "s_max")
+        if self.s_min > self.s_max:
+            raise ContractError(f"s_min: must not exceed s_max, got {self.s_min} > {self.s_max}")
+        require_one_of(self, "propagate_over", ("mixing", "graph"))
 
 
 @dataclass(frozen=True)

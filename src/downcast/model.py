@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require, require_one_of
 from .graphs import CoarseningHierarchy, temporal_chain
 from .rng import stream_rng
 from .sparse import CsrMatrix
@@ -38,11 +38,11 @@ class ModelConfig:
     horizon: int
     d_x: int = 1
     d_u: int = 0
-    d_h: int = 64
-    temporal_layers: int = 4  # L
+    d_h: int = 32
+    temporal_layers: int = 3  # L
     temporal_factor: int = 3  # d
-    spatial_levels: int = 3  # K
-    embedding_size: int = 32
+    spatial_levels: int = 2  # K
+    embedding_size: int = 16
     smp_variant: str = "isotropic"
     diffusion_hops: int = 2  # P, isotropic messages only
     decoder_hidden: tuple[int, ...] = (128, 128)
@@ -50,17 +50,12 @@ class ModelConfig:
     normalize_ascent: bool = False
 
     def __post_init__(self):
-        if self.temporal_layers < 1 or self.temporal_factor < 1 or self.spatial_levels < 0:
-            raise ContractError("temporal layers/factor must be >= 1 and spatial levels >= 0")
-        for name in ("n_nodes", "window", "horizon", "d_x", "d_h", "embedding_size"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
-        if self.d_u < 0 or self.diffusion_hops < 1:
-            raise ContractError("d_u must be >= 0 and diffusion_hops >= 1")
+        require(self, "positive", "n_nodes", "window", "horizon", "d_x", "d_h", "temporal_layers",
+                "temporal_factor", "embedding_size", "diffusion_hops")
+        require(self, "nonnegative", "d_u", "spatial_levels")
         if any(w < 1 for w in self.decoder_hidden):
-            raise ContractError(f"decoder_hidden widths must be positive, got {self.decoder_hidden}")
-        if self.smp_variant not in SMP_VARIANTS:
-            raise ContractError(f"smp_variant must be one of {SMP_VARIANTS}")
+            raise ContractError(f"decoder_hidden: widths must be positive, got {list(self.decoder_hidden)}")
+        require_one_of(self, "smp_variant", SMP_VARIANTS)
 
     @property
     def n_scales(self) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import Panel, Scaler
-from .errors import ContractError
+from .errors import ContractError, require
 from .model import Model, ModelConfig, last_value_imputation
 from .rng import stream_rng
 
@@ -45,13 +45,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.batches_per_epoch) <= 0:
-            raise ContractError("learning rate, batch size and batches/epoch must be positive")
-        if self.max_epochs < 0 or self.weight_decay < 0:
-            raise ContractError("epochs and weight decay must be nonnegative")
-        for name in ("plateau_patience", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be a positive integer")
+        require(self, "positive", "learning_rate", "batch_size", "batches_per_epoch", "plateau_patience",
+                "early_stop_patience", "eval_batch_size")
+        require(self, "nonnegative", "weight_decay", "max_epochs", "plateau_factor")
+        if self.grad_clip_norm is not None:
+            require(self, "nonnegative", "grad_clip_norm")
 
 
 @dataclass

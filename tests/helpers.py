@@ -1,5 +1,6 @@
 """Shared test utilities and the reference implementations the program is checked against."""
 import csv
+from datetime import datetime
 
 import numpy as np
 
@@ -350,6 +351,19 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tu
     if n == 0:
         return float("nan"), float("nan"), 0
     return float(diff.sum() / n), float(((pred - target) ** 2 * mask).sum() / n), n
+
+
+def write_csv_panel(panel, path) -> None:
+    """A panel's observations as a wide CSV; invalid cells are empty fields."""
+    stamps = panel.timestamps if panel.timestamps is not None else range(panel.n_steps)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["timestamp"] + [f"node{j}_ch{c}" for j in range(panel.n_nodes) for c in range(panel.n_channels)]
+        )
+        for stamp, values, valid in zip(stamps, panel.x, panel.mask):
+            cells = [repr(float(v)) if ok == 1.0 else "" for v, ok in zip(values.ravel(), valid.ravel())]
+            writer.writerow([stamp.isoformat() if isinstance(stamp, datetime) else stamp] + cells)
 
 
 def write_mask_csv(mask: np.ndarray, path) -> None:

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downcast import cli
 
@@ -84,6 +91,49 @@ class TestConfigValidation:
     def test_negative_split_fraction_rejected(self):
         with pytest.raises(cli.ConfigError, match="dataset.splits: must be three nonnegative"):
             cli.resolve_config({"dataset": {"splits": [1.2, -0.1, -0.1]}})
+
+
+    def test_readme_config_block_lists_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Config\n.*?```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(re.sub(r"//.*", "", block)) == cli.resolve_config({})
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("mask", "eta", 1.5),
+        ("mask", "p_g", [2.0]),
+        ("mask", "s_min", 9),
+        ("train", "learning_rate", 0),
+        ("train", "eval_batch_size", 0),
+        ("train", "plateau_factor", -0.5),
+        ("train", "grad_clip_norm", -1.0),
+        ("model", "d_h", 0),
+        ("model", "spatial_levels", -1),
+        ("model", "smp_variant", "spectral"),
+        ("model", "per_step_attention", 1),
+        ("dataset", "window", 0),
+        ("dataset", "in_degree", 8),
+        ("dataset", "steps", 10),
+        ("dataset", "tau", 1.5),
+        ("dataset", "scaling", "zscore"),
+        ("dataset", "steps", 1e400),
+        ("config", "seed", -1),
+        ("config", "output_dir", 7),
+    ])
+    def test_out_of_range_value_exits_2_naming_the_field_before_any_artifact(
+        self, tmp_path, capsys, block, field, value
+    ):
+        cfg = tiny_config(tmp_path / "o")
+        (cfg if block == "config" else cfg[block])[field] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert f"config error: {block}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_is_checked_like_the_config_seed(self, tmp_path, capsys):
+        path = write_config(tmp_path, tiny_config(tmp_path / "o"))
+        assert cli.main(["run", "--config", str(path), "--seed", "-1"]) == 2
+        assert "config error: config.seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunExperiment:
@@ -233,6 +283,7 @@ class TestCliMain:
         path = write_config(tmp_path, cfg)
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "dataset.splits: the train split is empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mask_stats_command(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_config(tmp_path / "o"))
@@ -313,3 +364,104 @@ class TestCsvDatasetPath:
         assert np.isfinite(metrics["test_mae"])
         resolved = json.loads((tmp_path / "out" / "resolved-config.json").read_text())
         assert resolved["dataset"]["day_of_week"] is True
+
+
+# -- properties over the schema -----------------------------------------------------------------
+
+# Per JSON key of each block: a strategy for small valid values and one value
+# that breaks the key's type or bounds. Runs stay small: N <= 8, one epoch of
+# two batches.
+FIELDS = {
+    "config": {"seed": (st.integers(0, 2**16), -1), "output_dir": (st.just("run"), 7)},
+    "dataset": {
+        "kind": (st.just("mso"), "parquet"), "nodes": (st.integers(3, 8), 1), "steps": (st.integers(60, 90), 0),
+        "fan_in": (st.integers(1, 3), 0), "hops": (st.integers(1, 2), 0), "in_degree": (st.integers(1, 2), 0),
+        "observations": (st.none(), 5), "mask_file": (st.none(), 5), "coords": (st.none(), 5),
+        "tau": (st.floats(0.05, 0.9), 1.5), "knn_cap": (st.integers(1, 8), 0),
+        "connect_components": (st.booleans(), "yes"), "time_of_day": (st.booleans(), "yes"),
+        "day_of_week": (st.booleans(), "yes"), "window": (st.integers(2, 8), 0), "horizon": (st.integers(1, 3), 0),
+        "splits": (st.sampled_from([[0.7, 0.1, 0.2], [0.5, 0.25, 0.25]]), [0.5, 0.5]),
+        "scaling": (st.sampled_from(["standard", "minmax"]), "zscore"), "pool_hops": (st.integers(1, 2), 0),
+    },
+    "mask": {
+        "eta": (st.floats(0.0, 0.3), 1.5), "p_f": (st.floats(0.0, 0.05), -0.1), "s_min": (st.integers(1, 3), 0),
+        "s_max": (st.integers(3, 6), 0), "p_g": (st.lists(st.floats(0.0, 1.0), max_size=2), [2.0]),
+        "propagate_over": (st.sampled_from(["mixing", "graph"]), "air"),
+    },
+    "model": {
+        "d_h": (st.integers(2, 6), 0), "temporal_layers": (st.integers(1, 3), 0),
+        "temporal_factor": (st.integers(1, 3), 0), "spatial_levels": (st.integers(0, 2), -1),
+        "embedding_size": (st.integers(1, 4), 0), "smp_variant": (st.sampled_from(["isotropic", "anisotropic"]), "x"),
+        "diffusion_hops": (st.integers(1, 3), 0), "decoder_hidden": (st.lists(st.integers(1, 8), max_size=2), [0]),
+        "per_step_attention": (st.booleans(), 1), "normalize_ascent": (st.booleans(), "no"),
+    },
+    "train": {
+        "learning_rate": (st.floats(1e-4, 1e-2), 0), "weight_decay": (st.floats(0.0, 0.1), -1.0),
+        "batch_size": (st.integers(1, 4), 0), "batches_per_epoch": (st.just(2), 0), "max_epochs": (st.just(1), -1),
+        "plateau_factor": (st.floats(0.0, 1.0), -0.5), "plateau_patience": (st.integers(1, 3), 0),
+        "early_stop_patience": (st.integers(1, 3), 0), "grad_clip_norm": (st.none() | st.floats(0.1, 5.0), -1.0),
+        "eval_batch_size": (st.integers(1, 16), 0),
+    },
+}
+
+small_configs = st.fixed_dictionaries({
+    block: st.fixed_dictionaries({key: valid for key, (valid, _) in keys.items()}) for block, keys in FIELDS.items()
+}).map(lambda c: {**c.pop("config"), **c})
+
+
+def deterministic(max_examples):
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+def test_fields_cover_the_schema():
+    resolved = cli.resolve_config({})
+    assert set(FIELDS["config"]) == {k for k in resolved if k not in FIELDS}
+    assert all(set(FIELDS[block]) == set(resolved[block]) for block in FIELDS if block != "config")
+    assert sum(map(len, FIELDS.values())) == 47
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("variant", ["isotropic", "anisotropic"])
+@pytest.mark.parametrize("per_step", [False, True])
+@deterministic(10)
+@given(cfg=small_configs)
+def test_small_valid_configs_run_and_rerun_bit_identically(variant, per_step, cfg):
+    cfg["model"] |= {"smp_variant": variant, "per_step_attention": per_step}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps(cfg | {"output_dir": str(tmp / "a")}))
+        assert _main("run", "--config", str(path)) == (0, "")
+        metrics = json.loads((tmp / "a" / "metrics.json").read_text())
+        assert np.all(np.isfinite([metrics["test_mae"], metrics["test_mse"], metrics["val_mae"]]))
+        assert np.all(np.isfinite(metrics["per_horizon_mae"]))
+        with open(tmp / "a" / "attention.csv") as fh:
+            sums = {}
+            for row in csv.DictReader(fh):
+                key = (row["node"], row["horizon_step"])
+                sums[key] = sums.get(key, 0.0) + float(row["alpha"])
+        assert max(abs(v - 1.0) for v in sums.values()) <= 1e-9
+        rerun = ("run", "--config", str(tmp / "a" / "resolved-config.json"), "--out", str(tmp / "b"))
+        assert _main(*rerun) == (0, "")
+        assert (tmp / "a" / "metrics.json").read_bytes() == (tmp / "b" / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize("block, key", [(b, k) for b, keys in FIELDS.items() for k in keys])
+@deterministic(3)
+@given(cfg=small_configs)
+def test_one_field_out_of_range_exits_2_naming_it(block, key, cfg):
+    (cfg if block == "config" else cfg[block])[key] = FIELDS[block][key][1]
+    with tempfile.TemporaryDirectory() as tmp:
+        if (block, key) != ("config", "output_dir"):
+            cfg["output_dir"] = str(Path(tmp) / "out")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, err = _main("run", "--config", str(path))
+        assert code == 2 and f"config error: {block}.{key}" in err
+        assert list(Path(tmp).iterdir()) == [path]

@@ -6,6 +6,7 @@ import pytest
 from downcast import data as dt
 from downcast.errors import ContractError, CsvParseError
 from downcast.graphs import WeightedDigraph
+from helpers import write_csv_panel, write_mask_csv
 
 
 def small_graph(n=8, indeg=2, seed=0):
@@ -175,6 +176,14 @@ class TestCoordsCsv:
         with pytest.raises(CsvParseError, match=r"coords\.csv: line 3: field 'lat': cannot read 'north'"):
             dt.read_coords_csv(path)
 
+    @pytest.mark.parametrize("lat, lon, field, token", [
+        ("inf", "1.0", "lat", "inf"), ("50.5", "nan", "lon", "nan"), ("-Infinity", "NaN", "lat", "-Infinity"),
+    ])
+    def test_non_finite_coordinate_reports_line_and_field(self, tmp_path, lat, lon, field, token):
+        path = self.write(tmp_path, f"0,50.0,1.0\n1,{lat},{lon}\n")
+        with pytest.raises(CsvParseError, match=rf"coords\.csv: line 3: field '{field}': cannot read '{token}'"):
+            dt.read_coords_csv(path)
+
     def test_short_row_reports_line(self, tmp_path):
         path = self.write(tmp_path, "0,50.0,1.0\n1,50.5\n")
         with pytest.raises(CsvParseError, match=r"coords\.csv: line 3: expected fields node,lat,lon, got 2"):
@@ -213,7 +222,8 @@ class TestCsvPanel:
         mask = (rng.random((12, 3, 2)) > 0.2).astype(float)
         x = np.where(mask == 1.0, x, 0.0)
         panel = dt.Panel(x=x, mask=mask, u=np.zeros((12, 3, 0)))
-        dt.write_csv_panel(panel, tmp_path / "p.csv", tmp_path / "m.csv")
+        write_csv_panel(panel, tmp_path / "p.csv")
+        write_mask_csv(panel.mask, tmp_path / "m.csv")
         back, _ = dt.load_csv_panel(tmp_path / "p.csv", mask_path=tmp_path / "m.csv")
         assert np.array_equal(back.x, panel.x)
         assert np.array_equal(back.mask, panel.mask)
@@ -241,6 +251,15 @@ class TestCsvPanel:
         path = tmp_path / "obs.csv"
         path.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,fast\n")
         with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'node1_ch0': cannot read 'fast'"):
+            dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("cells, field, token", [
+        ("3.0,inf", "node1_ch0", "inf"), ("-Infinity,4.0", "node0_ch0", "-Infinity"), ("inf,fast", "node0_ch0", "inf"),
+    ])
+    def test_infinite_cell_reports_file_line_and_field(self, tmp_path, cells, field, token):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,{cells}\n")
+        with pytest.raises(CsvParseError, match=rf"obs\.csv: line 3: field '{field}': cannot read '{token}'"):
             dt.load_csv_panel(path)
 
     def test_bad_timestamp_reports_file_line_and_field(self, tmp_path):

@@ -15,7 +15,7 @@ from downcast import training as tr
 from downcast.errors import ContractError
 from downcast.masking import MaskConfig, simulate_block
 from downcast.model import Model, ModelConfig, last_value_imputation
-from helpers import assemble_batch_reference, masked_metrics
+from helpers import assemble_batch_reference, masked_metrics, write_csv_panel
 
 
 def make_bundle(
@@ -189,8 +189,8 @@ def csv_bundle(tmp_path):
     x = rng.normal(size=(t_len, n, 1))
     mask = (rng.random(x.shape) > 0.1).astype(float)
     stamps = [datetime(2024, 3, 1) + timedelta(hours=t) for t in range(t_len)]
-    dt.write_csv_panel(dt.Panel(x=x * mask, mask=mask, u=np.zeros((t_len, n, 0)), timestamps=stamps),
-                       tmp_path / "obs.csv")
+    write_csv_panel(dt.Panel(x=x * mask, mask=mask, u=np.zeros((t_len, n, 0)), timestamps=stamps),
+                    tmp_path / "obs.csv")
     (tmp_path / "coords.csv").write_text(
         "node,lat,lon\n" + "".join(f"{j},{50 + 0.03 * j},{-1 - 0.02 * j}\n" for j in range(n))
     )
