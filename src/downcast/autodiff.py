@@ -572,7 +572,7 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
     tape = _merge_tape(x, w1, w2, w3)
     gate = _sigmoid(a, out=h if tape is None else np.empty_like(a))  # unrecorded: h is spent
     gated = np.multiply(gate, m, out=a)
-    summed = recv.csr_t @ gated.reshape(n_edges, blocks * d)
+    summed = recv.csr.T @ gated.reshape(n_edges, blocks * d)
     data = summed.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
     if tape is None:
         return Tensor(data)
@@ -593,8 +593,8 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
         grads = [None, None, h.T @ d_m, m.T @ d_a]
         if tracked[0] or tracked[1]:
             d_pre = d_pre.reshape(n_edges, blocks * d)
-            at_recv = (recv.csr_t @ d_pre).reshape(n * blocks, d)
-            at_src = (src.csr_t @ d_pre).reshape(n * blocks, d)
+            at_recv = (recv.csr.T @ d_pre).reshape(n * blocks, d)
+            at_src = (src.csr.T @ d_pre).reshape(n * blocks, d)
             if tracked[0]:
                 dxn = at_recv @ w1_recv.T + at_src @ w1_src.T
                 grads[0] = dxn.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)

@@ -150,10 +150,7 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
             if panel.timestamps is None:
                 raise ConfigError("dataset.time_of_day: needs datetime timestamps in the csv")
             enc = dt.time_encodings(panel.timestamps, include_dow=ds.day_of_week)
-            panel = dt.Panel(
-                x=panel.x, mask=panel.mask,
-                u=dt.broadcast_exogenous(enc, panel.n_nodes), timestamps=panel.timestamps,
-            )
+            panel = dt.Panel(x=panel.x, mask=panel.mask, u=enc, timestamps=panel.timestamps)
         prop_graph = graph
 
     sim = mk.simulate_block(panel.x.shape, mask_cfg, prop_graph if (mask_cfg.p_g or mask_cfg.p_f > 0) else None)
@@ -173,7 +170,7 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
 
     model_cfg = _build(
         ModelConfig, resolved["model"], "model", n_nodes=panel.n_nodes, window=ds.window, horizon=ds.horizon,
-        d_x=panel.n_channels, d_u=panel.u.shape[2],
+        d_x=panel.n_channels, d_u=panel.u.shape[1],
     )
     hierarchy = gr.build_hierarchy(graph, ds.pool_hops, model_cfg.spatial_levels)
     model = Model(model_cfg, hierarchy, init_seed=seed)
@@ -216,19 +213,18 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
     starts = bundle.test
     if not (0 <= window_index < len(starts)):
         raise ContractError(f"window index {window_index} out of range (0..{len(starts) - 1})")
-    batch = tr.assemble_batch(bundle, starts[window_index : window_index + 1], mask_targets=False)
-    trace = model.forward_window(batch.x, batch.m, batch.u)
+    ((_, _, _, alphas),) = tr.predict_windows(model, bundle, starts[window_index : window_index + 1], 1)
     cfg = model.config
     tmp = Path(str(path) + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "horizon_step", "k", "l", "alpha"])
         for h in range(cfg.horizon):
-            alphas = trace.alphas[h] if cfg.per_step_attention else trace.alphas[0]
+            scores = alphas[h if cfg.per_step_attention else 0]
             for node in range(cfg.n_nodes):
                 for slot in range(cfg.n_scales):  # spatial-major: slot k*L + (l-1)
                     k, l_idx = divmod(slot, cfg.temporal_layers)
-                    writer.writerow([node, h, k, l_idx + 1, repr(float(alphas[node, slot]))])
+                    writer.writerow([node, h, k, l_idx + 1, repr(float(scores[node, slot]))])
     os.replace(tmp, path)
 
 

@@ -28,7 +28,7 @@ class DatasetConfig:
     Kind "mso" generates the synthetic benchmark from `nodes` .. `in_degree`;
     kind "csv" reads `observations`, an optional validity `mask_file`, and the
     `coords` whose kernel graph (`tau`, `knn_cap`, `connect_components`) the
-    model runs on.
+    model runs on, and encodes its timestamps when `time_of_day` is set.
     """
 
     kind: str = "mso"
@@ -62,6 +62,9 @@ class DatasetConfig:
             raise ContractError(f"steps: must be at least window + horizon, got {self.steps}")
         if self.kind == "csv" and not self.observations:
             raise ContractError("observations: required when kind is 'csv'")
+        for name in ("time_of_day", "day_of_week"):
+            if self.kind == "mso" and getattr(self, name):
+                raise ContractError(f"{name}: the synthetic 'mso' panel has no timestamps to encode")
         if not (0.0 < self.tau < 1.0):
             raise ContractError(f"tau: must lie in (0, 1), got {self.tau!r}")
         if len(self.splits) != 3 or min(self.splits) < 0.0 or abs(sum(self.splits) - 1.0) > 1e-9:
@@ -74,8 +77,8 @@ class Panel:
     """Synchronized multivariate series over N nodes.
 
     `x` is (T, N, d_x) with zeros at invalid cells, `mask` marks validity
-    (1 = valid), `u` is (T, N, d_u) exogenous input (d_u may be zero) and
-    `timestamps` is an optional list of datetimes.
+    (1 = valid), `u` is (T, d_u) exogenous input shared by every node (d_u
+    may be zero) and `timestamps` is an optional list of datetimes.
     """
 
     x: np.ndarray
@@ -89,8 +92,8 @@ class Panel:
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.x.ndim != 3 or self.mask.shape != self.x.shape:
             raise DimensionError("panel arrays must be (T, N, d_x) with matching mask")
-        if self.u.shape[:2] != self.x.shape[:2]:
-            raise DimensionError("exogenous block must cover the same (T, N) grid")
+        if self.u.ndim != 2 or self.u.shape[0] != self.x.shape[0]:
+            raise DimensionError(f"exogenous block must be ({self.x.shape[0]}, d_u), a row per step, got {self.u.shape}")
         if not np.all((self.mask == 0.0) | (self.mask == 1.0)):
             raise ContractError("mask must be binary")
         if not np.all(np.isfinite(self.x[self.mask == 1.0])):
@@ -185,7 +188,7 @@ def generate_mso(
     base = np.sin(t * freq)
     mixed = base + (adot.csr.T.tocsr() @ base.T).T
     x = mixed[:, :, None]
-    panel = Panel(x=x, mask=np.ones_like(x), u=np.zeros((length, n, 0)), timestamps=None)
+    panel = Panel(x=x, mask=np.ones_like(x), u=np.zeros((length, 0)), timestamps=None)
     return panel, adot
 
 
@@ -211,11 +214,6 @@ def time_encodings(timestamps, include_dow: bool = False) -> np.ndarray:
             row.extend(onehot)
         rows.append(row)
     return np.asarray(rows, dtype=np.float64)
-
-
-def broadcast_exogenous(u: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The (T, d_u) encodings as a read-only (T, N, d_u) view: every node shares each row."""
-    return np.broadcast_to(u[:, None, :], (u.shape[0], n_nodes, u.shape[1]))
 
 
 # -- scaling ---------------------------------------------------------------------
@@ -353,12 +351,7 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
         values = np.where(valid == 1.0, values, 0.0)
     timestamps = stamps if stamps and isinstance(stamps[0], datetime) else None
     values[valid == 0.0] = 0.0
-    panel = Panel(
-        x=values,
-        mask=valid,
-        u=np.zeros(values.shape[:2] + (0,)),
-        timestamps=timestamps,
-    )
+    panel = Panel(x=values, mask=valid, u=np.zeros((values.shape[0], 0)), timestamps=timestamps)
     coords = None
     if coords_path is not None:
         coords = read_coords_csv(coords_path)

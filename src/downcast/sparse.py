@@ -15,18 +15,19 @@ from .errors import DimensionError
 
 
 class CsrMatrix:
-    """Immutable canonical CSR operator of 64-bit floats and its transpose.
+    """Immutable canonical CSR operator of 64-bit floats.
 
     Canonical means duplicates summed and column indices sorted; stored zeros
     are kept. The input is copied, so the caller's matrix is never modified.
+    The transpose is `csr.T`, a CSC view that sums in the same order as a
+    stored CSR transpose would.
     """
 
-    __slots__ = ("csr", "csr_t")
+    __slots__ = ("csr",)
 
     def __init__(self, m):
         self.csr = sp.csr_array(m, dtype=np.float64, copy=True)
         self.csr.sum_duplicates()
-        self.csr_t = self.csr.T.tocsr()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -48,7 +49,7 @@ class CsrMatrix:
         ascent and diffusion), so both regroupings copy node rows, never edge
         rows.
         """
-        op = self.csr_t if transpose else self.csr
+        op = self.csr.T if transpose else self.csr
         n_out, n_in = op.shape
         if x.ndim != 2 or n_in == 0 or x.shape[0] == 0 or x.shape[0] % n_in:
             raise DimensionError(

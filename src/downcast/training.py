@@ -109,9 +109,10 @@ def assemble_batch(bundle: DataBundle, starts, mask_targets: bool) -> AssembledB
 
     One time-major index, start + t for each of the W+H steps t of each
     window, reads every array at once. The gathered (W+H, B, N, C) blocks are
-    (W+H, B*N, C) without a copy. Inputs are always masked by the simulated
-    pattern; targets are only masked during training (evaluation scores
-    against originally-valid data).
+    (W+H, B*N, C) without a copy; the exogenous rows, one per step, are
+    gathered as (W, B, d_u) and repeated for the N nodes. Inputs are always
+    masked by the simulated pattern; targets are only masked during training
+    (evaluation scores against originally-valid data).
     """
     panel, w = bundle.panel, bundle.window
     steps = np.asarray(starts)[None, :] + np.arange(w + bundle.horizon)[:, None]  # (W+H, B)
@@ -119,14 +120,11 @@ def assemble_batch(bundle: DataBundle, starts, mask_targets: bool) -> AssembledB
     x = panel.x[steps].reshape(shape)
     m = panel.mask[steps].reshape(shape)
     sim = bundle.sim_mask[steps].reshape(shape)
-    # exogenous rows shared by every node (a broadcast view) are gathered once
-    # per step and copied per node: a gather through the zero stride is ~10x slower
-    u = panel.u[:, :1] if panel.u.strides[1] == 0 else panel.u
-    u = np.broadcast_to(u[steps[:w]], (w, steps.shape[1], panel.n_nodes, panel.u.shape[2]))
+    u = panel.u[steps[:w], None]  # (W, B, 1, d_u)
     return AssembledBatch(
         x=bundle.scaler.apply(x[:w]),
         m=m[:w] * sim[:w],
-        u=u.reshape(w, shape[1], panel.u.shape[2]),
+        u=np.broadcast_to(u, (w, steps.shape[1], panel.n_nodes, u.shape[3])).reshape(w, shape[1], u.shape[3]),
         targets=bundle.scaler.apply(x[w:]).reshape(-1, shape[2]),
         target_masks=(m[w:] * sim[w:] if mask_targets else m[w:]).reshape(-1, shape[2]),
         raw_targets=x[w:].reshape(-1, shape[2]),
@@ -245,22 +243,18 @@ _EVAL_ROWS = 1024
 
 
 def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
-    """Yield (chunk of starts, predictions in original units, batch) chunk by chunk.
+    """Yield (chunk of starts, predictions in original units, batch, alphas) chunk by chunk.
 
-    Each chunk of `batch_size` windows is gathered once and run forward in
-    groups of consecutive windows of at most `_EVAL_ROWS` rows. Windows do
-    not interact, so the groups' predictions equal one pass's up to
-    last-ulp rounding (BLAS picks its kernels by row count).
+    Each chunk of consecutive windows, at most `batch_size` and at most
+    `_EVAL_ROWS` rows unless one window has more, is gathered and run forward
+    once, unrecorded. `alphas` is its (n_score_sets, rows, S) attention.
+    Windows do not interact, so a chunk's predictions equal one pass's over
+    all windows up to last-ulp rounding (BLAS picks its kernels by row count).
     """
     cfg = model.config
-    group = max(1, _EVAL_ROWS // cfg.n_nodes)
-    for chunk, batch in _batches(bundle, starts, batch_size):
-        preds = []
-        for g0 in range(0, len(chunk), group):
-            rows = slice(g0 * cfg.n_nodes, min(g0 + group, len(chunk)) * cfg.n_nodes)
-            bf = model.forward_batch(batch.x[:, rows], batch.m[:, rows], batch.u[:, rows], record_gradients=False)
-            preds.append(bf.preds.data.reshape(cfg.horizon, -1, cfg.d_x))
-        yield chunk, bundle.scaler.invert(np.concatenate(preds, axis=1)), batch
+    for chunk, batch in _batches(bundle, starts, max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))):
+        bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
+        yield chunk, bundle.scaler.invert(bf.preds.data.reshape(cfg.horizon, -1, cfg.d_x)), batch, bf.alphas
 
 
 class _MaskedErrorSums:
@@ -293,7 +287,7 @@ class _MaskedErrorSums:
 def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64) -> MetricsReport:
     """Masked metrics on originally-valid targets, inputs masked by simulation."""
     sums = _MaskedErrorSums(model.config.horizon)
-    for _, preds, batch in predict_windows(model, bundle, bundle.split(split), batch_size):
+    for _, preds, batch, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
         sums.add(preds, batch.raw_targets, batch.target_masks)
     return sums.report()
 
@@ -306,8 +300,8 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
     if horizon != bundle.horizon:
         raise ContractError(f"horizon {horizon} does not match the bundle's horizon (bundle.horizon = {bundle.horizon})")
     sums = _MaskedErrorSums(horizon)
-    # 32 windows per chunk, a small evaluation batch: the gathered exogenous
-    # channels (11 with time encodings) stay below the peak evaluation sets
+    # 32 windows per chunk keep the gathered arrays small; the baseline never
+    # reads their exogenous channels (11 with time encodings)
     for _, batch in _batches(bundle, bundle.split(split), 32):
         last = last_value_imputation(batch.x, batch.m)[-1]
         pred = bundle.scaler.invert(np.repeat(last[None], horizon, axis=0))
@@ -322,9 +316,10 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     """Mini-batch training; returns the snapshot with minimal validation MAE.
 
     Batches are drawn uniformly with replacement from the training windows,
-    with inputs and targets both masked by the simulated pattern. Validation
-    after each epoch is masked-input / original-target. Training stops early
-    after `early_stop_patience` epochs without strict improvement.
+    with inputs and targets both masked by the simulated pattern; a batch
+    with no valid target is skipped (an epoch with none logs a NaN loss).
+    Validation after each epoch is masked-input / original-target. Training
+    stops early after `early_stop_patience` epochs without strict improvement.
     """
     if not bundle.train or not bundle.val:
         raise ContractError("training and validation splits must be non-empty")
@@ -343,6 +338,8 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
         for batch_idx in range(cfg.batches_per_epoch):
             picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
             batch = assemble_batch(bundle, bundle.train.start + picks, mask_targets=True)
+            if not batch.target_masks.any():
+                continue
             bf = model.forward_batch(batch.x, batch.m, batch.u)
             loss = masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
             if not np.isfinite(loss.data):
@@ -367,7 +364,7 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
         history.append(
             {
                 "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)),
+                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
                 "val_mae": val.mae,
                 "lr": lr_now,
             }

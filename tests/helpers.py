@@ -380,14 +380,15 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
 
 def assemble_batch_reference(bundle, starts, mask_targets):
     """Window-by-window batch assembly: slice each window by its start, then
-    concatenate the windows along the node axis."""
+    concatenate the windows along the node axis. The exogenous rows are
+    stored per step and repeated for every node."""
     panel, w, h = bundle.panel, bundle.window, bundle.horizon
     xs, ms, us, ys, mts, raws = [], [], [], [], [], []
     for s in starts:
         inputs, targets = slice(s, s + w), slice(s + w, s + w + h)
         xs.append(bundle.scaler.apply(panel.x[inputs]))
         ms.append(panel.mask[inputs] * bundle.sim_mask[inputs])
-        us.append(panel.u[inputs])
+        us.append(np.repeat(panel.u[inputs, None], panel.n_nodes, axis=1))  # each step's row for every node
         ys.append(bundle.scaler.apply(panel.x[targets]))
         m_target = panel.mask[targets]
         mts.append(m_target * bundle.sim_mask[targets] if mask_targets else m_target)

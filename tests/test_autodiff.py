@@ -260,7 +260,7 @@ class TestSparseMatmul:
     def test_blockwise_apply_equals_block_diagonal_product(self, blocks, shape):
         op = self.random_op(*shape)
         for transpose in (False, True):
-            mat = op.csr_t if transpose else op.csr
+            mat = op.csr.T if transpose else op.csr
             x = RNG.uniform(-2, 2, (blocks * mat.shape[1], 4))
             expected = sp.block_diag([mat] * blocks, format="csr") @ x
             assert np.array_equal(op.apply(x, transpose=transpose), expected)
@@ -589,7 +589,7 @@ class TestEdgeMessages:
         rng = np.random.default_rng(40 + blocks)
         n, d = 7, 5
         src, recv, weight = _edge_operators(rng, n, p_edge=0.4)
-        assert recv.csr_t[[0]].nnz == 0 and src.csr_t[[0]].nnz > 0  # node 0 only sends
+        assert recv.csr.T[[0]].nnz == 0 and src.csr.T[[0]].nnz > 0  # node 0 only sends
         x0, weights0 = rng.normal(size=(blocks * n, d)), _message_weights(rng, d)
         cot = ad.constant(rng.normal(size=(blocks * n, d)))
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from downcast import cli
+from downcast import training as tr
 
 
 def tiny_config(out_dir, **overrides):
@@ -115,6 +116,8 @@ class TestConfigValidation:
         ("dataset", "steps", 10),
         ("dataset", "tau", 1.5),
         ("dataset", "scaling", "zscore"),
+        ("dataset", "time_of_day", True),  # the mso panel has no timestamps
+        ("dataset", "day_of_week", True),
         ("dataset", "steps", 1e400),
         ("config", "seed", -1),
         ("config", "output_dir", 7),
@@ -198,6 +201,27 @@ class TestRunExperiment:
         with open(out / "attention.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["alpha"] for r in rows} == {"1.0"}  # single scale -> weight 1
+
+
+class TestAttentionExport:
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_export_equals_one_built_from_the_forward_window_trace(self, tmp_path, per_step):
+        cfg = tiny_config(tmp_path / "o", model={"per_step_attention": per_step, "smp_variant": "anisotropic"})
+        model, bundle = cli.prepare_experiment(cli.resolve_config(cfg))
+        cli.write_attention_csv(tmp_path / "attention.csv", model, bundle, window_index=5)
+        batch = tr.assemble_batch(bundle, bundle.test[5:6], mask_targets=False)
+        trace = model.forward_window(batch.x, batch.m, batch.u)
+        c = model.config
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["node", "horizon_step", "k", "l", "alpha"])
+        for h in range(c.horizon):
+            scores = trace.alphas[h if per_step else 0]
+            for node in range(c.n_nodes):
+                for slot in range(c.n_scales):
+                    k, l_idx = divmod(slot, c.temporal_layers)
+                    writer.writerow([node, h, k, l_idx + 1, repr(float(scores[node, slot]))])
+        assert (tmp_path / "attention.csv").read_bytes() == want.getvalue().encode()
 
 
 class TestCliMain:
@@ -378,8 +402,8 @@ FIELDS = {
         "fan_in": (st.integers(1, 3), 0), "hops": (st.integers(1, 2), 0), "in_degree": (st.integers(1, 2), 0),
         "observations": (st.none(), 5), "mask_file": (st.none(), 5), "coords": (st.none(), 5),
         "tau": (st.floats(0.05, 0.9), 1.5), "knn_cap": (st.integers(1, 8), 0),
-        "connect_components": (st.booleans(), "yes"), "time_of_day": (st.booleans(), "yes"),
-        "day_of_week": (st.booleans(), "yes"), "window": (st.integers(2, 8), 0), "horizon": (st.integers(1, 3), 0),
+        "connect_components": (st.booleans(), "yes"), "time_of_day": (st.just(False), "yes"),
+        "day_of_week": (st.just(False), "yes"), "window": (st.integers(2, 8), 0), "horizon": (st.integers(1, 3), 0),
         "splits": (st.sampled_from([[0.7, 0.1, 0.2], [0.5, 0.25, 0.25]]), [0.5, 0.5]),
         "scaling": (st.sampled_from(["standard", "minmax"]), "zscore"), "pool_hops": (st.integers(1, 2), 0),
     },

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from downcast import data as dt
-from downcast.errors import ContractError, CsvParseError
+from downcast.errors import ContractError, CsvParseError, DimensionError
 from downcast.graphs import WeightedDigraph
 from helpers import write_csv_panel, write_mask_csv
 
@@ -83,11 +83,15 @@ class TestTimeEncodings:
         assert u.shape[1] == 11
         np.testing.assert_array_equal(u[0, 4:], [1, 0, 0, 0, 0, 0, 0])
 
-    def test_broadcast_across_nodes(self):
+    def test_panel_holds_one_row_per_step(self):
+        # every node shares a step's encodings, so a panel stores them per step
         stamps = [datetime(2024, 1, 1) + timedelta(hours=h) for h in range(5)]
-        u = dt.broadcast_exogenous(dt.time_encodings(stamps), n_nodes=3)
-        assert u.shape == (5, 3, 4)
-        np.testing.assert_array_equal(u[:, 0], u[:, 2])
+        u = dt.time_encodings(stamps)
+        x = np.zeros((5, 3, 1))
+        assert dt.Panel(x=x, mask=np.ones_like(x), u=u).u.shape == (5, 4)
+        per_node = np.broadcast_to(u[:, None], (5, 3, 4))
+        with pytest.raises(DimensionError, match=r"must be \(5, d_u\).*got \(5, 3, 4\)"):
+            dt.Panel(x=x, mask=np.ones_like(x), u=per_node)
 
 
 class TestScaler:
@@ -95,7 +99,7 @@ class TestScaler:
         x = np.asarray(x, dtype=float)
         mask = np.ones_like(x) if mask is None else np.asarray(mask, dtype=float)
         x = np.where(mask == 1.0, x, 0.0)
-        return dt.Panel(x=x, mask=mask, u=np.zeros(x.shape[:2] + (0,)))
+        return dt.Panel(x=x, mask=mask, u=np.zeros((x.shape[0], 0)))
 
     def test_constant_channel_floored(self):
         panel = self.make_panel(np.full((4, 2, 1), 3.0))
@@ -134,7 +138,7 @@ class TestScaler:
 class TestWindows:
     def make_panel(self, t, n=2, d=1):
         x = np.arange(t * n * d, dtype=float).reshape(t, n, d)
-        return dt.Panel(x=x, mask=np.ones_like(x), u=np.zeros((t, n, 0)))
+        return dt.Panel(x=x, mask=np.ones_like(x), u=np.zeros((t, 0)))
 
     def test_window_count(self):
         train, val, test = dt.make_windows(self.make_panel(10), 3, 2, (0.7, 0.1, 0.2))
@@ -221,7 +225,7 @@ class TestCsvPanel:
         x = rng.normal(size=(12, 3, 2))
         mask = (rng.random((12, 3, 2)) > 0.2).astype(float)
         x = np.where(mask == 1.0, x, 0.0)
-        panel = dt.Panel(x=x, mask=mask, u=np.zeros((12, 3, 0)))
+        panel = dt.Panel(x=x, mask=mask, u=np.zeros((12, 0)))
         write_csv_panel(panel, tmp_path / "p.csv")
         write_mask_csv(panel.mask, tmp_path / "m.csv")
         back, _ = dt.load_csv_panel(tmp_path / "p.csv", mask_path=tmp_path / "m.csv")

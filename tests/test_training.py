@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import weakref
@@ -158,6 +157,16 @@ class TestTrainLoop:
         for k, v in model.params.items():
             np.testing.assert_array_equal(v.value, before[k])
 
+    def test_batches_without_a_valid_target_are_skipped(self):
+        # the simulated pattern masks every training target: no step has a loss
+        model, bundle = make_bundle()
+        bundle.sim_mask[:] = 0.0
+        before = {k: v.value.copy() for k, v in model.params.items()}
+        result = tr.train(model, bundle, tr.TrainConfig(max_epochs=1, batches_per_epoch=3, batch_size=2))
+        assert np.isnan(result.history[0]["train_loss"]) and np.isfinite(result.history[0]["val_mae"])
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v.value, before[k])
+
     def test_learning_beats_initialization(self):
         model, bundle = make_bundle(t=260)
         cfg = tr.TrainConfig(max_epochs=4, batches_per_epoch=20, batch_size=8, seed=1)
@@ -189,7 +198,7 @@ def csv_bundle(tmp_path):
     x = rng.normal(size=(t_len, n, 1))
     mask = (rng.random(x.shape) > 0.1).astype(float)
     stamps = [datetime(2024, 3, 1) + timedelta(hours=t) for t in range(t_len)]
-    write_csv_panel(dt.Panel(x=x * mask, mask=mask, u=np.zeros((t_len, n, 0)), timestamps=stamps),
+    write_csv_panel(dt.Panel(x=x * mask, mask=mask, u=np.zeros((t_len, 0)), timestamps=stamps),
                     tmp_path / "obs.csv")
     (tmp_path / "coords.csv").write_text(
         "node,lat,lon\n" + "".join(f"{j},{50 + 0.03 * j},{-1 - 0.02 * j}\n" for j in range(n))
@@ -208,7 +217,7 @@ class TestAssembleBatch:
     @pytest.mark.parametrize("mask_targets", [True, False])
     def test_gather_equals_window_by_window_assembly(self, tmp_path, kind, mask_targets):
         bundle = make_bundle()[1] if kind == "mso" else csv_bundle(tmp_path)
-        assert bundle.panel.u.shape[2] == (0 if kind == "mso" else 11)
+        assert bundle.panel.u.shape[1] == (0 if kind == "mso" else 11)
         starts = np.random.default_rng(1).integers(0, len(bundle.train), size=5)
         for chunk in (starts, bundle.test[:4], bundle.val[:1]):
             got = tr.assemble_batch(bundle, chunk, mask_targets)
@@ -217,16 +226,15 @@ class TestAssembleBatch:
                 assert getattr(got, field).shape == getattr(want, field).shape, field
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
 
-    def test_csv_exogenous_is_a_read_only_view(self, tmp_path):
-        # the time encodings are shared by every node: one broadcast view, not N copies
+    def test_csv_time_encodings_are_stored_per_step_and_repeated_per_node(self, tmp_path):
         bundle = csv_bundle(tmp_path)
-        u = bundle.panel.u
-        assert not u.flags.writeable and u.strides[1] == 0
-        copied = dataclasses.replace(bundle, panel=dataclasses.replace(bundle.panel, u=np.array(u)))
+        panel, w = bundle.panel, bundle.window
+        assert panel.u.shape == (panel.n_steps, 11)
         for chunk in (bundle.train[:5], bundle.test[:4]):
-            got, want = tr.assemble_batch(bundle, chunk, False), tr.assemble_batch(copied, chunk, False)
-            for field in ("x", "m", "u", "targets", "target_masks", "raw_targets"):
-                np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+            u = tr.assemble_batch(bundle, chunk, False).u.reshape(w, len(chunk), panel.n_nodes, 11)
+            for b, s in enumerate(chunk):
+                for node in range(panel.n_nodes):
+                    np.testing.assert_array_equal(u[:, b, node], panel.u[s : s + w])
 
 
 class TestEvaluate:
@@ -235,7 +243,7 @@ class TestEvaluate:
         report = tr.evaluate(model, bundle, "test")
         # feed the model's own predictions back as the target panel slice
         w, h = bundle.window, bundle.horizon
-        for chunk, preds, _ in tr.predict_windows(model, bundle, bundle.test, 16):
+        for chunk, preds, _, _ in tr.predict_windows(model, bundle, bundle.test, 16):
             mask = np.concatenate([bundle.panel.mask[s + w : s + w + h] for s in chunk], axis=1)
             mae, mse, n = masked_metrics(preds, preds, mask)
             assert mae == 0.0 and mse == 0.0
@@ -267,10 +275,10 @@ class TestEvaluate:
     def test_future_panel_values_do_not_change_predictions(self):
         model, bundle = make_bundle()
         starts = bundle.test[:1]
-        _, preds, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
+        _, preds, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         end = starts[0] + bundle.window + bundle.horizon
         bundle.panel.x[end:] += 123.0  # beyond this window's reach
-        _, preds2, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
+        _, preds2, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         np.testing.assert_array_equal(preds, preds2)
 
     def test_persistence_horizon_must_match_the_bundle(self):
@@ -299,52 +307,63 @@ class TestEvaluate:
 
 
 class TestGroupedEvaluation:
-    """Evaluation runs each chunk forward in groups of whole windows under a row budget."""
+    """Evaluation gathers and runs forward groups of whole windows, one pass per group, under a row budget."""
 
     @staticmethod
     def grouped(monkeypatch, windows_per_group=3):
-        # anisotropic per-step model; groups of 3 split every 8-window chunk
-        # into 3 + 3 + a ragged 2
+        # anisotropic per-step model under a budget of `windows_per_group` windows' rows
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
         monkeypatch.setattr(tr, "_EVAL_ROWS", windows_per_group * model.config.n_nodes + 1)
         return model, bundle
 
-    def test_predictions_match_window_by_window_forward(self, monkeypatch):
+    def test_predictions_and_alphas_match_window_by_window_forward(self, monkeypatch):
         model, bundle = self.grouped(monkeypatch)
         cfg = model.config
-        starts = bundle.test[:19]  # chunks of 8, 8 and 3 windows
-        for chunk, preds, _ in tr.predict_windows(model, bundle, starts, 8):
-            assert preds.shape == (cfg.horizon, len(chunk) * cfg.n_nodes, cfg.d_x)
+        starts = bundle.test[:19]  # six groups of 3 windows and a tail of 1
+        for chunk, preds, batch, alphas in tr.predict_windows(model, bundle, starts, 8):
+            rows = len(chunk) * cfg.n_nodes
+            assert preds.shape == (cfg.horizon, rows, cfg.d_x) and batch.x.shape[1] == rows
+            assert alphas.shape == (cfg.horizon, rows, cfg.n_scales)
             for j, s in enumerate(chunk):
                 one = tr.assemble_batch(bundle, [s], mask_targets=False)
                 bf = model.forward_batch(one.x, one.m, one.u, record_gradients=False)
                 want = bundle.scaler.invert(bf.preds.data.reshape(cfg.horizon, cfg.n_nodes, cfg.d_x))
-                got = preds[:, j * cfg.n_nodes : (j + 1) * cfg.n_nodes]
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+                node_rows = slice(j * cfg.n_nodes, (j + 1) * cfg.n_nodes)
+                np.testing.assert_allclose(preds[:, node_rows], want, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(want).max()))
+                np.testing.assert_allclose(alphas[:, node_rows], bf.alphas, rtol=0, atol=1e-12)
 
     def test_evaluate_repeats_bit_for_bit(self, monkeypatch):
         model, bundle = self.grouped(monkeypatch)
         first = tr.evaluate(model, bundle, "test", batch_size=8)
         assert repr(tr.evaluate(model, bundle, "test", batch_size=8)) == repr(first)
 
-    @pytest.mark.parametrize("windows_per_group", [3, 0])
-    def test_unrecorded_passes_stay_within_the_row_budget(self, monkeypatch, windows_per_group):
-        # a budget below one window's rows still runs one window per pass
+    @pytest.mark.parametrize("windows_per_group, batch_size, group", [
+        (5, 8, 5),  # the row budget sets the group size
+        (0, 8, 1),  # a budget below one window's rows still runs one window per pass
+        (5, 4, 4),  # a batch size below the budget sets it
+    ])
+    def test_each_pass_is_one_gather_of_at_most_one_group(self, monkeypatch, windows_per_group, batch_size, group):
         model, bundle = self.grouped(monkeypatch, windows_per_group)
-        n, rows = model.config.n_nodes, []
-        forward = Model.forward_batch
+        n, rows, gathered = model.config.n_nodes, [], []
+        forward, assemble = Model.forward_batch, tr.assemble_batch
 
-        def counting(self, xw, mw, uw, record_gradients=True):
+        def counting_forward(self, xw, mw, uw, record_gradients=True):
             if not record_gradients:
                 rows.append(xw.shape[1])
             return forward(self, xw, mw, uw, record_gradients)
 
-        monkeypatch.setattr(Model, "forward_batch", counting)
-        tr.evaluate(model, bundle, "test", batch_size=8)
-        assert max(rows) == max(1, windows_per_group) * n <= max(tr._EVAL_ROWS, n)
-        assert sum(rows) == len(bundle.test) * n
-        if windows_per_group == 3:
-            assert 2 * n in rows  # the ragged tail of an 8-window chunk
+        def counting_assemble(bundle, starts, mask_targets):
+            gathered.append(len(starts) * n)
+            return assemble(bundle, starts, mask_targets)
+
+        monkeypatch.setattr(Model, "forward_batch", counting_forward)
+        monkeypatch.setattr(tr, "assemble_batch", counting_assemble)
+        tr.evaluate(model, bundle, "test", batch_size=batch_size)
+        full, tail = divmod(len(bundle.test), group)
+        assert tail or group == 1  # 42 test windows: groups of 4 and 5 end in a ragged tail
+        assert rows == gathered
+        assert rows == [group * n] * full + ([tail * n] if tail else [])
 
 
 class TestGradientEndToEnd:
