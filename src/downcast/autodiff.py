@@ -1,9 +1,9 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 The engine is define-by-run: every forward pass builds a fresh tape of
-recorded operations, each holding closures that pull the output adjoint back
-to its inputs. Everything is 64-bit; desk scale makes the cost irrelevant and
-finite-difference checks need the precision headroom.
+recorded operations, each holding one vjp that pulls the output adjoint back
+to all of its inputs. Everything is 64-bit; desk scale makes the cost
+irrelevant and finite-difference checks need the precision headroom.
 
 Broadcasting in binary elementwise operations is restricted to singleton
 extents on equal-rank operands (the adjoint is then a sum over the singleton
@@ -38,9 +38,11 @@ class Tape:
     """Ordered record of one forward pass.
 
     Each entry is (output node id, input node ids, vjp) where `vjp` maps the
-    output adjoint to one adjoint contribution per input, in order. Node ids
-    are assigned in execution order, so the record is topologically sorted by
-    construction. A tape is confined to a single thread.
+    output adjoint to one adjoint contribution per input, in order. An
+    untracked input's node id is None, and its contribution, which the vjp
+    may leave None, is skipped. Node ids are assigned in execution order, so
+    the record is topologically sorted by construction. A tape is confined to
+    a single thread.
 
     A tape is differentiated once: `backward` consumes the record, breaking
     the cycle from the vjp closures through their tensors back to the tape,
@@ -58,9 +60,6 @@ class Tape:
         nid = self._next_id
         self._next_id += 1
         return nid
-
-    def _record(self, out_node: int, in_nodes: tuple, vjp) -> None:
-        self._records.append((out_node, in_nodes, vjp))
 
     def parameter(self, p: Parameter) -> "Tensor":
         """Enter a parameter as a leaf of this tape."""
@@ -96,8 +95,9 @@ class Tape:
             # a vjp never writes to its input, so an adjoint may alias another
             # node's; it is therefore summed out of place, never updated in place
             for in_node, contrib in zip(in_nodes, vjp(g)):
-                acc = adjoints.get(in_node)
-                adjoints[in_node] = contrib if acc is None else acc + contrib
+                if in_node is not None:
+                    acc = adjoints.get(in_node)
+                    adjoints[in_node] = contrib if acc is None else acc + contrib
         for p, node in param_nodes:
             g = adjoints.get(node)
             if g is not None:
@@ -162,22 +162,17 @@ def _merge_tape(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _emit(tape: Tape | None, data: np.ndarray, pulls: list) -> Tensor:
-    """Create the result tensor, recording it when any input is tracked.
+def _emit(inputs, data: np.ndarray, vjp) -> Tensor:
+    """Create the result tensor of an op on `inputs`, recording it when any input is tracked.
 
-    `pulls` holds one (input node id, pull) pair per tracked input, where
-    `pull` maps the output adjoint to that input's contribution.
+    `vjp(g)` maps the output adjoint to one adjoint per input, in order. The
+    entry of an untracked input is never read, so the vjp may leave it None.
     """
-    if tape is None or not pulls:
+    tape = _merge_tape(*inputs)
+    if tape is None:
         return Tensor(data)
-    fns = tuple(pull for _, pull in pulls)
-    return _emit_joint(tape, data, tuple(node for node, _ in pulls), lambda g: [f(g) for f in fns])
-
-
-def _emit_joint(tape: Tape, data: np.ndarray, in_nodes: tuple, vjp) -> Tensor:
-    """Record an op whose adjoints share work: `vjp(g)` returns one per input node."""
     out = Tensor(data, tape=tape, node=tape._new_node())
-    tape._record(out.node, in_nodes, vjp)
+    tape._records.append((out.node, tuple(t.node for t in inputs), vjp))
     return out
 
 
@@ -208,12 +203,14 @@ def _binary(a, b, fwd, da, db) -> Tensor:
     if a.data.ndim and b.data.ndim:
         _broadcast_check(a.data.shape, b.data.shape)
     data = fwd(a.data, b.data)
-    pulls = []
-    if a.tape is not None:
-        pulls.append((a.node, lambda g, a=a, b=b: _unbroadcast(da(g, a.data, b.data), a.data.shape)))
-    if b.tape is not None:
-        pulls.append((b.node, lambda g, a=a, b=b: _unbroadcast(db(g, a.data, b.data), b.data.shape)))
-    return _emit(_merge_tape(a, b), data, pulls)
+
+    def vjp(g):
+        return (
+            _unbroadcast(da(g, a.data, b.data), a.data.shape) if a.tape is not None else None,
+            _unbroadcast(db(g, a.data, b.data), b.data.shape) if b.tape is not None else None,
+        )
+
+    return _emit((a, b), data, vjp)
 
 
 def add(a, b) -> Tensor:
@@ -231,10 +228,7 @@ def mul(a, b) -> Tensor:
 def _unary(x, fwd, dx) -> Tensor:
     x = _as_tensor(x)
     data = fwd(x.data)
-    pulls = []
-    if x.tape is not None:
-        pulls.append((x.node, lambda g, x=x, data=data: dx(g, x.data, data)))
-    return _emit(x.tape, data, pulls)
+    return _emit((x,), data, lambda g: (dx(g, x.data, data),))
 
 
 def _sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -277,13 +271,12 @@ def reduce_sum(x, axis: int | None = None) -> Tensor:
         raise DimensionError(f"axis {axis} out of range for rank {x.data.ndim}")
     data = x.data.sum(axis=axis)
 
-    def pull(g, x=x, axis=axis):
+    def vjp(g):
         if axis is None:
-            return np.broadcast_to(g, x.data.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy()
+            return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, data, pulls)
+    return _emit((x,), data, vjp)
 
 
 # -- structured ops -----------------------------------------------------------
@@ -296,12 +289,11 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"inner extents differ: {a.data.shape} x {b.data.shape}")
     data = a.data @ b.data
-    pulls = []
-    if a.tape is not None:
-        pulls.append((a.node, lambda g, b=b: g @ b.data.T))
-    if b.tape is not None:
-        pulls.append((b.node, lambda g, a=a: a.data.T @ g))
-    return _emit(_merge_tape(a, b), data, pulls)
+
+    def vjp(g):
+        return (g @ b.data.T if a.tape is not None else None, a.data.T @ g if b.tape is not None else None)
+
+    return _emit((a, b), data, vjp)
 
 
 def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
@@ -315,10 +307,7 @@ def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("sparse_matmul operand must be a matrix")
     data = op.apply(x.data, transpose=transpose)
-    pulls = []
-    if x.tape is not None:
-        pulls.append((x.node, lambda g: op.apply(g, transpose=not transpose)))
-    return _emit(x.tape, data, pulls)
+    return _emit((x,), data, lambda g: (op.apply(g, transpose=not transpose),))
 
 
 def _concat(parts: list, axis: int) -> Tensor:
@@ -329,14 +318,9 @@ def _concat(parts: list, axis: int) -> Tensor:
     if any(p.data.ndim != 2 or p.data.shape[1 - axis] != parts[0].data.shape[1 - axis] for p in parts):
         raise DimensionError(f"operands joined along axis {axis} must be matrices of equal extent across it")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    pulls, offset = [], 0
-    for p in parts:
-        size = p.data.shape[axis]
-        if p.tape is not None:
-            span = (slice(None),) * axis + (slice(offset, offset + size),)
-            pulls.append((p.node, lambda g, span=span: g[span]))
-        offset += size
-    return _emit(_merge_tape(*parts), data, pulls)
+    ends = np.cumsum([p.data.shape[axis] for p in parts]).tolist()
+    spans = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip([0, *ends], ends)]
+    return _emit(parts, data, lambda g: [g[span] for span in spans])
 
 
 def concat_rows(parts: list) -> Tensor:
@@ -355,13 +339,12 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
     if not (0 <= lo <= hi <= x.data.shape[0]):
         raise DimensionError(f"slice [{lo}:{hi}] out of range for {x.data.shape}")
 
-    def pull(g, x=x, lo=lo, hi=hi):
+    def vjp(g):
         full = np.zeros_like(x.data)
         full[lo:hi] = g
-        return full
+        return (full,)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, x.data[lo:hi], pulls)
+    return _emit((x,), x.data[lo:hi], vjp)
 
 
 def add_blocks(x, y) -> Tensor:
@@ -376,12 +359,7 @@ def add_blocks(x, y) -> Tensor:
         raise DimensionError(f"a matrix of shape {x.data.shape} is not row blocks of shape {y.data.shape}")
     shape = (-1, *y.data.shape)
     data = (x.data.reshape(shape) + y.data).reshape(x.data.shape)
-    pulls = []
-    if x.tape is not None:
-        pulls.append((x.node, lambda g: g))
-    if y.tape is not None:
-        pulls.append((y.node, lambda g: g.reshape(shape).sum(axis=0)))
-    return _emit(_merge_tape(x, y), data, pulls)
+    return _emit((x, y), data, lambda g: (g, g.reshape(shape).sum(axis=0) if y.tape is not None else None))
 
 
 def blocks_to_rows(x, n_blocks: int) -> Tensor:
@@ -392,13 +370,12 @@ def blocks_to_rows(x, n_blocks: int) -> Tensor:
     m, w = x.data.shape[0], x.data.shape[1] // n_blocks
     data = x.data.reshape(m, n_blocks, w).transpose(1, 0, 2).reshape(n_blocks * m, w)
 
-    def pull(g):
+    def vjp(g):
         # contiguous, so reductions over its rows sum in the same order as
         # over an adjoint assembled column block by column block
-        return np.ascontiguousarray(g.reshape(n_blocks, m, w).transpose(1, 0, 2).reshape(m, n_blocks * w))
+        return (np.ascontiguousarray(g.reshape(n_blocks, m, w).transpose(1, 0, 2).reshape(m, n_blocks * w)),)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return _emit(x.tape, data, pulls)
+    return _emit((x,), data, vjp)
 
 
 # -- fused primitives ------------------------------------------------------------
@@ -444,24 +421,24 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
     m, n_t = n_rows // n_steps, steps.size
     all_steps = n_t == n_steps
     x3 = x.data.reshape(n_steps, m, d_in)
-    tape = _merge_tape(x, *weights)
-    if tape is not None:
+    recorded = _merge_tape(x, *weights) is not None
+    if recorded:
         xs = x.data if all_steps else x3[steps].reshape(n_t * m, d_in)
         proj = np.matmul(xs, w_in).reshape(3, n_t, m, d_h)
     else:
         proj_t = np.empty((3, m, d_h))
-    n_kept = n_t if tape is not None else 1
+    n_kept = n_t if recorded else 1
     ru_all = np.empty((2, n_kept, m, d_h))  # reset and update gates
     c_all, rh_all = np.empty((n_kept, m, d_h)), np.empty((n_kept, m, d_h))
     states = np.empty((n_t, m, d_h))
     a_ru, a_c, tmp = np.empty((2, m, d_h)), np.empty((m, d_h)), np.empty((m, d_h))
     h = np.zeros((m, d_h))
     for t in range(n_t):
-        k = t if tape is not None else 0
+        k = t if recorded else 0
         ru, c, rh = ru_all[:, k], c_all[k], rh_all[k]
         # with nothing to differentiate, each step is projected into one
         # buffer: the all-steps product would be a large fresh temporary
-        p = proj[:, t] if tape is not None else np.matmul(x3[steps[t]], w_in, out=proj_t)
+        p = proj[:, t] if recorded else np.matmul(x3[steps[t]], w_in, out=proj_t)
         np.add(p[:2], np.matmul(h, w_hid[:2], out=a_ru), out=a_ru)
         _sigmoid(np.add(a_ru, bias[:2], out=a_ru), out=ru)
         r, u = ru
@@ -472,13 +449,11 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
         np.multiply(np.subtract(1.0, u, out=a_c), c, out=a_c)
         h = np.add(tmp, a_c, out=states[t])
     data = states.reshape(n_t * m, d_h)
-    if tape is None:
-        return Tensor(data)
 
     def vjp(g):
         g = g.reshape(n_t, m, d_h)
         da = np.empty((3, n_t, m, d_h))  # pre-activation adjoints per gate
-        dx = np.empty((n_t, m, d_in)) if x.tape is not None else None
+        dx = np.zeros((n_steps, m, d_in)) if x.tape is not None else None  # unread steps stay zero
         dh, zero = np.zeros((m, d_h)), np.zeros((m, d_h))
         d_rh, t1, t2, one_u = (np.empty((m, d_h)) for _ in range(4))
         d_hid, d_in3 = np.empty((2, m, d_h)), np.empty((3, m, d_in))
@@ -503,26 +478,18 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
             np.add(np.add(dh, d_hid[0], out=dh), d_hid[1], out=dh)
             if dx is not None:
                 np.matmul(da[:, t], w_in.transpose(0, 2, 1), out=d_in3)
-                np.add(np.add(d_in3[0], d_in3[1], out=dx[t]), d_in3[2], out=dx[t])
+                np.add(np.add(d_in3[0], d_in3[1], out=dx[steps[t]]), d_in3[2], out=dx[steps[t]])
         da = da.reshape(3, n_t * m, d_h)
         d_w_in = np.matmul(xs.T, da)
         # the state before step t is row block t - 1 of the output; step 0 starts from zero
         d_w_hid = [*np.matmul(data[: (n_t - 1) * m].T, da[:2, m:]), rh_all.reshape(n_t * m, d_h).T @ da[2]]
         d_bias = np.matmul(np.ones((1, n_t * m)), da)
-        grads = [None]
+        grads = [None if dx is None else dx.reshape(n_rows, d_in)]
         for k in range(3):
             grads += [d_w_in[k], d_w_hid[k], d_bias[k]]
-        if dx is not None:
-            if all_steps:
-                grads[0] = dx.reshape(n_rows, d_in)
-            else:
-                grads[0] = np.zeros((n_steps, m, d_in))
-                grads[0][steps] = dx
-                grads[0] = grads[0].reshape(n_rows, d_in)
-        return [gr for gr, t in zip(grads, (x, *weights)) if t.tape is not None]
+        return grads
 
-    in_nodes = tuple(t.node for t in (x, *weights) if t.tape is not None)
-    return _emit_joint(tape, data, in_nodes, vjp)
+    return _emit((x, *weights), data, vjp)
 
 
 def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2, w3) -> Tensor:
@@ -569,14 +536,11 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
     h = h.reshape(n_edges * blocks, d)
     m = h @ w2.data
     a = np.matmul(m, w3.data, out=tmp.reshape(n_edges * blocks, d))
-    tape = _merge_tape(x, w1, w2, w3)
-    gate = _sigmoid(a, out=h if tape is None else np.empty_like(a))  # unrecorded: h is spent
+    recorded = _merge_tape(x, w1, w2, w3) is not None
+    gate = _sigmoid(a, out=np.empty_like(a) if recorded else h)  # unrecorded: h is spent
     gated = np.multiply(gate, m, out=a)
     summed = recv.csr.T @ gated.reshape(n_edges, blocks * d)
     data = summed.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
-    if tape is None:
-        return Tensor(data)
-    tracked = [t.tape is not None for t in (x, w1, w2, w3)]
 
     def vjp(g):
         gn = g.reshape(blocks, n, d).transpose(1, 0, 2).reshape(n, blocks, d)
@@ -591,20 +555,19 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
         slope = np.minimum(h, 0.0)
         np.multiply(d_pre, np.add(slope, 1.0, out=slope), out=d_pre)  # through the elu
         grads = [None, None, h.T @ d_m, m.T @ d_a]
-        if tracked[0] or tracked[1]:
+        if x.tape is not None or w1.tape is not None:
             d_pre = d_pre.reshape(n_edges, blocks * d)
             at_recv = (recv.csr.T @ d_pre).reshape(n * blocks, d)
             at_src = (src.csr.T @ d_pre).reshape(n * blocks, d)
-            if tracked[0]:
+            if x.tape is not None:
                 dxn = at_recv @ w1_recv.T + at_src @ w1_src.T
                 grads[0] = dxn.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
-            if tracked[1]:
+            if w1.tape is not None:
                 d_weight = (weight.T @ d_pre).reshape(blocks, d).sum(axis=0, keepdims=True)
                 grads[1] = np.concatenate([xn.T @ at_recv, xn.T @ at_src, d_weight])
-        return [gr for gr, on in zip(grads, tracked) if on]
+        return grads
 
-    in_nodes = tuple(t.node for t in (x, w1, w2, w3) if t.tape is not None)
-    return _emit_joint(tape, data, in_nodes, vjp)
+    return _emit((x, w1, w2, w3), data, vjp)
 
 
 def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
@@ -632,24 +595,17 @@ def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     alphas = e / e.sum(axis=2, keepdims=True)  # (rows, n_sets, S)
     data = (alphas @ z).transpose(1, 0, 2).reshape(n_sets * m, d)
     alphas_out = np.ascontiguousarray(alphas.transpose(1, 0, 2))
-    tape = _merge_tape(x, theta)
-    if tape is None:
-        return Tensor(data), alphas_out
-    tracked = [t.tape is not None for t in (x, theta)]
 
     def vjp(g):
         g = g.reshape(n_sets, m, d).transpose(1, 0, 2)  # (rows, n_sets, d)
         d_alpha = g @ z.transpose(0, 2, 1)
         d_scores = alphas * (d_alpha - (d_alpha * alphas).sum(axis=2, keepdims=True))
         d_scores = d_scores.transpose(0, 2, 1).reshape(m * n_s, n_sets)  # node-major, like z
-        grads = []
-        if tracked[0]:
+        dz = None
+        if x.tape is not None:
             dz = alphas.transpose(0, 2, 1) @ g
             dz += (d_scores @ theta.data.T).reshape(m, n_s, d)
-            grads.append(dz.transpose(1, 0, 2).reshape(n_rows, d))
-        if tracked[1]:
-            grads.append(z.reshape(m * n_s, d).T @ d_scores)
-        return grads
+            dz = dz.transpose(1, 0, 2).reshape(n_rows, d)
+        return dz, (z.reshape(m * n_s, d).T @ d_scores if theta.tape is not None else None)
 
-    in_nodes = tuple(t.node for t in (x, theta) if t.tape is not None)
-    return _emit_joint(tape, data, in_nodes, vjp), alphas_out
+    return _emit((x, theta), data, vjp), alphas_out

@@ -118,8 +118,8 @@ def resolve_config(raw: dict) -> dict:
 def load_config(path, **overrides) -> dict:
     """Read and resolve a config file; `overrides` that are not None replace its top-level keys."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from exc
     if isinstance(raw, dict):
         raw |= {k: v for k, v in overrides.items() if v is not None}
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except tr.TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except (ContractError, DimensionError, CsvParseError, FileNotFoundError) as exc:
+    except (ContractError, DimensionError, CsvParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

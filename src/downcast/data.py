@@ -28,7 +28,8 @@ class DatasetConfig:
     Kind "mso" generates the synthetic benchmark from `nodes` .. `in_degree`;
     kind "csv" reads `observations`, an optional validity `mask_file`, and the
     `coords` whose kernel graph (`tau`, `knn_cap`, `connect_components`) the
-    model runs on, and encodes its timestamps when `time_of_day` is set.
+    model runs on, and encodes its timestamps when `time_of_day` is set, with
+    the weekday when `day_of_week` is set too.
     """
 
     kind: str = "mso"
@@ -65,6 +66,8 @@ class DatasetConfig:
         for name in ("time_of_day", "day_of_week"):
             if self.kind == "mso" and getattr(self, name):
                 raise ContractError(f"{name}: the synthetic 'mso' panel has no timestamps to encode")
+        if self.day_of_week and not self.time_of_day:
+            raise ContractError("day_of_week: needs time_of_day, since the weekday is encoded with the time of day")
         if not (0.0 < self.tau < 1.0):
             raise ContractError(f"tau: must lie in (0, 1), got {self.tau!r}")
         if len(self.splits) != 3 or min(self.splits) < 0.0 or abs(sum(self.splits) - 1.0) > 1e-9:

@@ -63,7 +63,6 @@ class MetricsReport:
 
 @dataclass
 class TrainResult:
-    best_params: dict[str, np.ndarray]
     best_val_mae: float
     history: list[dict]
     epochs_run: int
@@ -313,7 +312,7 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
 
 
 def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
-    """Mini-batch training; returns the snapshot with minimal validation MAE.
+    """Mini-batch training; leaves the model at the snapshot with minimal validation MAE.
 
     Batches are drawn uniformly with replacement from the training windows,
     with inputs and targets both masked by the simulated pattern; a batch
@@ -374,9 +373,7 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
 
     for p in params:
         p.value[...] = best_snapshot[p.name]
-    return TrainResult(
-        best_params=best_snapshot, best_val_mae=best_val, history=history, epochs_run=epochs_run
-    )
+    return TrainResult(best_val_mae=best_val, history=history, epochs_run=epochs_run)
 
 
 # -- checkpoints ----------------------------------------------------------------------

@@ -162,12 +162,11 @@ def softmax_rows(x):
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
-    def pull(g, out=out):
+    def vjp(g):
         dot = (g * out).sum(axis=1, keepdims=True)
-        return out * (g - dot)
+        return (out * (g - dot),)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return ad._emit(x.tape, out, pulls)
+    return ad._emit((x,), out, vjp)
 
 
 def concat_cols(parts):
@@ -183,13 +182,12 @@ def slice_cols(x, lo, hi):
         raise DimensionError(f"slice [{lo}:{hi}] out of range for {x.data.shape}")
     data = x.data[:, lo:hi].copy()
 
-    def pull(g, x=x, lo=lo, hi=hi):
+    def vjp(g):
         full = np.zeros_like(x.data)
         full[:, lo:hi] = g
-        return full
+        return (full,)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return ad._emit(x.tape, data, pulls)
+    return ad._emit((x,), data, vjp)
 
 
 def reduce_mean(x, axis=None):
@@ -199,13 +197,12 @@ def reduce_mean(x, axis=None):
     n = x.data.size if axis is None else x.data.shape[axis]
     data = x.data.mean(axis=axis)
 
-    def pull(g, x=x, axis=axis, n=n):
+    def vjp(g):
         if axis is None:
-            return np.broadcast_to(g / n, x.data.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy()
+            return (np.broadcast_to(g / n, x.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy(),)
 
-    pulls = [(x.node, pull)] if x.tape is not None else []
-    return ad._emit(x.tape, data, pulls)
+    return ad._emit((x,), data, vjp)
 
 
 # -- graph oracles: feature maps and breadth-first search ------------------------------

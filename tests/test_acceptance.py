@@ -116,8 +116,9 @@ def test_criterion_2_mask_calibration():
     assert abs(block - 0.27) <= 0.03
     # Known shortfall: with identical copied intervals and successor
     # neighbourhoods over the fixed 5-per-column mixing matrix, the expected
-    # fraction is ~0.59 (undirected neighbourhoods give ~0.78); see the
-    # decisions ledger for the full analysis.
+    # fraction is ~0.59 (measured 0.5847; transposed neighbourhoods give
+    # 0.5445 and undirected ones 0.7661); see "Standing failure" in
+    # ROADMAP.md for the full analysis.
     assert abs(prop - 0.67) <= 0.05
 
 

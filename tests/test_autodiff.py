@@ -488,6 +488,67 @@ def _scans():
     return [(24, tuple(range(24)))] + [(c.input_length, c.kept_indices) for c in chain]
 
 
+def _multi_input_ops():
+    """(name, op on tensors, input arrays) for every op that takes more than one tensor."""
+    rng = np.random.default_rng(50)
+    src, recv, weight = _edge_operators(rng, n=4, p_edge=0.6)
+    x_gru, gates = _gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6)
+
+    def gru(steps):
+        return lambda x, *w: ad.gru_scan(x, 6, steps, [w[0:3], w[3:6], w[6:9]])
+
+    return [
+        ("add", ad.add, [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]),
+        ("sub", ad.sub, [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]),
+        ("mul", ad.mul, [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))]),
+        ("matmul", ad.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
+        ("concat_rows", lambda *parts: ad.concat_rows(parts), [rng.normal(size=(k, 3)) for k in (2, 1, 4)]),
+        ("add_blocks", ad.add_blocks, [rng.normal(size=(3 * 4, 2)), rng.normal(size=(4, 2))]),
+        ("gru_scan", gru(range(6)), [x_gru, *(w for gate in gates for w in gate)]),
+        ("gru_scan_some_steps", gru((1, 3, 5)), [x_gru, *(w for gate in gates for w in gate)]),
+        ("edge_messages", lambda x, *w: ad.edge_messages(x, src, recv, weight, *w),
+         [rng.normal(size=(2 * 4, 3)), *_message_weights(rng, 3)]),
+        ("scale_attention", lambda z, theta: ad.scale_attention(z, 3, theta)[0],
+         [rng.normal(size=(3 * 4, 5)), rng.normal(size=(5, 2))]),
+    ]
+
+
+MULTI_INPUT_OPS = _multi_input_ops()
+
+
+class TestConstantInputs:
+    """Leaving some inputs of an op constant changes nothing for the tracked ones."""
+
+    @pytest.mark.parametrize("op,arrays", [c[1:] for c in MULTI_INPUT_OPS], ids=[c[0] for c in MULTI_INPUT_OPS])
+    def test_tracked_adjoints_equal_the_fully_tracked_run(self, op, arrays):
+        n = len(arrays)
+        cot = np.random.default_rng(51).normal(size=op(*arrays).shape)
+
+        def run(tracked):
+            tape = ad.Tape()
+            inputs = [tape.leaf(a) if on else ad.constant(a) for a, on in zip(arrays, tracked)]
+            out = op(*inputs)
+            if not any(tracked):
+                assert out.tape is None
+                return out.data, {}
+            prod = ad.mul(out, ad.constant(cot))
+            loss = ad.reduce_sum(prod)
+            adj = tape.backward(loss)
+            leaves = {i: t.node for i, t in enumerate(inputs) if tracked[i]}
+            assert set(adj) == {*leaves.values(), out.node, prod.node, loss.node}
+            return out.data, {i: adj[node] for i, node in leaves.items()}
+
+        full_out, full_adj = run([True] * n)
+        # each input constant alone, each tracked alone, and none tracked
+        masks = {tuple((j == i) is alone for j in range(n)) for i in range(n) for alone in (False, True)}
+        for tracked in sorted(masks) + [(False,) * n]:
+            out, adj = run(tracked)
+            np.testing.assert_array_equal(out, full_out)
+            assert set(adj) == {i for i in range(n) if tracked[i]}
+            for i, g in adj.items():
+                np.testing.assert_array_equal(g, full_adj[i])
+
+
 class TestGruScan:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("n_steps,steps", _scans())

@@ -295,6 +295,17 @@ class TestCliMain:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "wat" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"output_dir": "r\u00e9sultats"}'.encode("latin-1"))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: not valid JSON")
+
+    def test_config_path_that_is_a_directory_exits_4_naming_it(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     @pytest.mark.parametrize("widths", [[0], [-3], [8, 0]])
     def test_non_positive_decoder_width_exits_2_naming_the_field(self, tmp_path, capsys, widths):
         path = write_config(tmp_path, tiny_config(tmp_path / "o", model={"decoder_hidden": widths}))
@@ -346,7 +357,9 @@ class TestCsvDatasetPath:
         assert cli.main(["mask-stats", "--config", str(path)]) == 4
         assert f"error: {tmp_path / bad}: " in capsys.readouterr().err
 
-    def test_csv_experiment_with_time_encodings(self, tmp_path):
+    @staticmethod
+    def time_encoded_config(tmp_path):
+        """A 5-node hourly csv panel with one missing cell, encoding the time of day and the weekday."""
         rng = np.random.default_rng(0)
         t_len, n = 60, 5
         lines = ["timestamp," + ",".join(f"node{j}_ch0" for j in range(n))]
@@ -362,7 +375,7 @@ class TestCsvDatasetPath:
         coords.write_text(
             "node,lat,lon\n" + "\n".join(f"{j},{50 + 0.03 * j},{-1 - 0.02 * j}" for j in range(n)) + "\n"
         )
-        cfg = {
+        return {
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
             "dataset": {
@@ -383,11 +396,21 @@ class TestCsvDatasetPath:
             },
             "train": {"max_epochs": 1, "batches_per_epoch": 2, "batch_size": 3, "eval_batch_size": 8},
         }
-        path = write_config(tmp_path, cfg)
+
+    def test_csv_experiment_with_time_encodings(self, tmp_path):
+        path = write_config(tmp_path, self.time_encoded_config(tmp_path))
         metrics = cli.run_experiment(path)
         assert np.isfinite(metrics["test_mae"])
         resolved = json.loads((tmp_path / "out" / "resolved-config.json").read_text())
         assert resolved["dataset"]["day_of_week"] is True
+
+    def test_day_of_week_without_time_of_day_exits_2_before_any_artifact(self, tmp_path, capsys):
+        cfg = self.time_encoded_config(tmp_path)
+        cfg["dataset"]["time_of_day"] = False
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config error: dataset.day_of_week" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # -- properties over the schema -----------------------------------------------------------------
