@@ -381,13 +381,14 @@ def blocks_to_rows(x, n_blocks: int) -> Tensor:
 # -- fused primitives ------------------------------------------------------------
 
 
-def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
+def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
     """Run a gated recurrent unit over chosen steps of a time-major sequence.
 
     `seq` stacks `n_steps` blocks of equal row count; the unit reads the
-    blocks listed in `steps` (strictly increasing) from a zero state. `gates`
-    holds (w_in, w_hid, bias) for the reset, update and candidate gates, in
-    that order. Per step, with g = (x @ w_in + h @ w_hid) + bias:
+    blocks listed in `steps` (strictly increasing) from a zero state. `w_in`
+    (3, d_in, d_h), `w_hid` (3, d_h, d_h) and `bias` (3, 1, d_h) stack the
+    reset, update and candidate gates, in that order. Per step, with
+    g = (x @ w_in + h @ w_hid) + bias:
 
         r = sigmoid(g_reset), u = sigmoid(g_update)
         c = tanh((x @ w_in + (r * h) @ w_hid) + bias)   (candidate weights)
@@ -400,30 +401,24 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
     step loops write into preallocated arrays, because a fresh temporary the
     size of a batch's gates is mapped and page-faulted anew on every step.
     """
-    x = _as_tensor(seq)
-    weights = [_as_tensor(w) for gate in gates for w in gate]
-    if len(weights) != 9:
-        raise ContractError("gru_scan takes (w_in, w_hid, bias) for three gates")
+    x, weights = _as_tensor(seq), [_as_tensor(w) for w in (w_in, w_hid, bias)]
+    w_in, w_hid, bias = (w.data for w in weights)
     steps = np.asarray(steps, dtype=np.int64)
     n_rows, d_in = x.data.shape if x.data.ndim == 2 else (0, 0)
     if n_steps < 1 or n_rows == 0 or n_rows % n_steps:
         raise DimensionError(f"a sequence of shape {x.data.shape} is not a stack of {n_steps} blocks")
     if steps.ndim != 1 or steps.size == 0 or steps[0] < 0 or steps[-1] >= n_steps or np.any(np.diff(steps) <= 0):
         raise ContractError("steps must be strictly increasing indices into the sequence")
-    # gates stacked on a leading axis (reset, update, candidate), so every
-    # per-gate block in the loops below is contiguous
-    w_in = np.stack([w.data for w in weights[0::3]])
-    w_hid = np.stack([w.data for w in weights[1::3]])
-    bias = np.stack([w.data for w in weights[2::3]])
-    d_h = w_hid.shape[2]
+    d_h = w_hid.shape[-1] if w_hid.ndim else 0
     if w_in.shape != (3, d_in, d_h) or w_hid.shape != (3, d_h, d_h) or bias.shape != (3, 1, d_h):
-        raise DimensionError("gate weights must be (d_in, d_h), (d_h, d_h) and (1, d_h)")
+        raise DimensionError(
+            f"weights {w_in.shape}, {w_hid.shape}, {bias.shape} are not (3, {d_in}, d_h), (3, d_h, d_h), (3, 1, d_h)"
+        )
     m, n_t = n_rows // n_steps, steps.size
-    all_steps = n_t == n_steps
     x3 = x.data.reshape(n_steps, m, d_in)
     recorded = _merge_tape(x, *weights) is not None
     if recorded:
-        xs = x.data if all_steps else x3[steps].reshape(n_t * m, d_in)
+        xs = x.data if n_t == n_steps else x3[steps].reshape(n_t * m, d_in)
         proj = np.matmul(xs, w_in).reshape(3, n_t, m, d_h)
     else:
         proj_t = np.empty((3, m, d_h))
@@ -480,14 +475,12 @@ def gru_scan(seq, n_steps: int, steps, gates) -> Tensor:
                 np.matmul(da[:, t], w_in.transpose(0, 2, 1), out=d_in3)
                 np.add(np.add(d_in3[0], d_in3[1], out=dx[steps[t]]), d_in3[2], out=dx[steps[t]])
         da = da.reshape(3, n_t * m, d_h)
-        d_w_in = np.matmul(xs.T, da)
+        d_w_hid = np.empty((3, d_h, d_h))
         # the state before step t is row block t - 1 of the output; step 0 starts from zero
-        d_w_hid = [*np.matmul(data[: (n_t - 1) * m].T, da[:2, m:]), rh_all.reshape(n_t * m, d_h).T @ da[2]]
+        np.matmul(data[: (n_t - 1) * m].T, da[:2, m:], out=d_w_hid[:2])
+        np.matmul(rh_all.reshape(n_t * m, d_h).T, da[2], out=d_w_hid[2])
         d_bias = np.matmul(np.ones((1, n_t * m)), da)
-        grads = [None if dx is None else dx.reshape(n_rows, d_in)]
-        for k in range(3):
-            grads += [d_w_in[k], d_w_hid[k], d_bias[k]]
-        return grads
+        return None if dx is None else dx.reshape(n_rows, d_in), np.matmul(xs.T, da), d_w_hid, d_bias
 
     return _emit((x, *weights), data, vjp)
 

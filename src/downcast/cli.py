@@ -249,7 +249,7 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         "val_mae": result.best_val_mae if result.history else float("nan"),
         "per_horizon_mae": test.per_horizon_mae,
         "missing_fraction": bundle.combined_missing_fraction,
-        "epochs_run": result.epochs_run,
+        "epochs_run": len(result.history),
     }
     _write_json(out_dir / "metrics.json", metrics)
     _write_history(out_dir / "history.csv", result.history)
@@ -258,7 +258,7 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         model,
         {
             "resolved_config": resolved,
-            "epoch": result.epochs_run,
+            "epoch": len(result.history),
             "val_mae": result.best_val_mae,
             "seed": resolved["seed"],
         },

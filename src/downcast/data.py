@@ -8,9 +8,11 @@ forecaster has to exploit the graph to recover the components.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 
@@ -284,6 +286,17 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _csv_rows(path):
+    """A csv reader over the file, which must be UTF-8; a bad byte raises CsvParseError naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")  # whole, so a bad byte's offset is into the file
+        return csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    except UnicodeDecodeError as exc:
+        line = 1 + raw.count(b"\n", 0, exc.start)
+        raise CsvParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8") from None
+
+
 def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     """Returns (timestamps, values (T,N,C), validity (T,N,C)).
 
@@ -293,29 +306,31 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     the bad cell.
     Row lengths and timestamps are checked first, row by row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if not header or header[0] != "timestamp":
-            raise CsvParseError(f"{path}: first column must be 'timestamp'")
-        if len(header) == 1:
-            raise CsvParseError(f"{path}: no node columns after 'timestamp'")
-        slots = []
-        for name in header[1:]:
-            m = _COLUMN_RE.match(name)
-            if not m:
-                raise CsvParseError(f"{path}: unrecognized column {name!r}")
-            slots.append((int(m.group(1)), int(m.group(2))))
-        n = 1 + max(s[0] for s in slots)
-        d = 1 + max(s[1] for s in slots)
-        if len(slots) != n * d or len(set(slots)) != len(slots):
-            raise CsvParseError(f"{path}: columns do not form a dense node/channel grid")
-        stamps, cells = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            stamps.append(parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp))
-            cells.append(row[1:])
+    reader = _csv_rows(path)
+    header = next(reader, [])
+    if not header or header[0] != "timestamp":
+        raise CsvParseError(f"{path}: first column must be 'timestamp'")
+    if len(header) == 1:
+        raise CsvParseError(f"{path}: no node columns after 'timestamp'")
+    slots = []
+    for name in header[1:]:
+        m = _COLUMN_RE.match(name)
+        if not m:
+            raise CsvParseError(f"{path}: unrecognized column {name!r}")
+        slots.append((int(m.group(1)), int(m.group(2))))
+    n = 1 + max(s[0] for s in slots)
+    d = 1 + max(s[1] for s in slots)
+    if len(slots) != n * d or len(set(slots)) != len(slots):
+        raise CsvParseError(f"{path}: columns do not form a dense node/channel grid")
+    stamps, cells = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+        stamp = parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp)
+        if stamps and isinstance(stamp, int) != isinstance(stamps[0], int):
+            raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} mixes integer and ISO forms")
+        stamps.append(stamp)
+        cells.append(row[1:])
     if not stamps:
         raise CsvParseError(f"{path}: no data rows after the header")
     tokens = np.strings.strip(np.array(cells))
@@ -352,8 +367,7 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
             raise DimensionError("mask file shape differs from observations")
         valid = (mvals != 0.0).astype(np.float64)
         values = np.where(valid == 1.0, values, 0.0)
-    timestamps = stamps if stamps and isinstance(stamps[0], datetime) else None
-    values[valid == 0.0] = 0.0
+    timestamps = stamps if isinstance(stamps[0], datetime) else None
     panel = Panel(x=values, mask=valid, u=np.zeros((values.shape[0], 0)), timestamps=timestamps)
     coords = None
     if coords_path is not None:
@@ -366,20 +380,19 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
 def read_coords_csv(path) -> np.ndarray:
     """(lat, lon) rows in node order; the node ids must be exactly 0..N-1."""
     coords, lines = {}, {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:3] != ["node", "lat", "lon"]:
-            raise CsvParseError(f"{path}: expected header node,lat,lon")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 3:
-                raise CsvParseError(f"{path}: line {lineno}: expected fields node,lat,lon, got {len(row)}")
-            node = parse_csv_field(path, lineno, "node", row[0], int)
-            if node in coords:
-                raise CsvParseError(f"{path}: line {lineno}: field 'node': node {node} also on line {lines[node]}")
-            coords[node] = [
-                parse_csv_field(path, lineno, name, row[f], _finite_float) for f, name in ((1, "lat"), (2, "lon"))
-            ]
-            lines[node] = lineno
+    reader = _csv_rows(path)
+    if next(reader, [])[:3] != ["node", "lat", "lon"]:
+        raise CsvParseError(f"{path}: expected header node,lat,lon")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) < 3:
+            raise CsvParseError(f"{path}: line {lineno}: expected fields node,lat,lon, got {len(row)}")
+        node = parse_csv_field(path, lineno, "node", row[0], int)
+        if node in coords:
+            raise CsvParseError(f"{path}: line {lineno}: field 'node': node {node} also on line {lines[node]}")
+        coords[node] = [
+            parse_csv_field(path, lineno, name, row[f], _finite_float) for f, name in ((1, "lat"), (2, "lon"))
+        ]
+        lines[node] = lineno
     outside = sorted(set(coords) - set(range(len(coords))))
     if outside:
         node = outside[0]

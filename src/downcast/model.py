@@ -104,24 +104,26 @@ def init_params(config: ModelConfig, hierarchy: CoarseningHierarchy, seed: int) 
     rng = stream_rng(seed, "init")
     params: dict[str, Parameter] = {}
 
+    def put(name, value):
+        params[name] = Parameter(name, value)
+
     def dense(name, d_in, d_out):
-        params[name] = Parameter(name, _uniform(rng, (d_in, d_out), 1.0 / np.sqrt(d_in)))
+        put(name, _uniform(rng, (d_in, d_out), 1.0 / np.sqrt(d_in)))
 
-    def bias(name, d_out):
-        params[name] = Parameter(name, np.zeros((1, d_out)))
-
-    params["embeddings"] = Parameter(
-        "embeddings", _uniform(rng, (config.n_nodes, config.embedding_size), 0.1)
-    )
-    enc_in = 2 * config.d_x + config.d_u + config.embedding_size
-    dense("encoder.weight", enc_in, config.d_h)
-    bias("encoder.bias", config.d_h)
+    put("embeddings", _uniform(rng, (config.n_nodes, config.embedding_size), 0.1))
+    n_feats = 2 * config.d_x + config.d_u
+    enc_in = n_feats + config.embedding_size
+    encoder = _uniform(rng, (enc_in, config.d_h), 1.0 / np.sqrt(enc_in))  # one draw, split by rows
+    put("encoder.steps", encoder[:n_feats])
+    put("encoder.nodes", encoder[n_feats:])
+    put("encoder.bias", np.zeros((1, config.d_h)))
 
     for layer in range(config.temporal_layers):
-        for gate in ("reset", "update", "cand"):
-            dense(f"temporal.l{layer}.{gate}.w_in", config.d_h, config.d_h)
-            dense(f"temporal.l{layer}.{gate}.w_hid", config.d_h, config.d_h)
-            bias(f"temporal.l{layer}.{gate}.bias", config.d_h)
+        # per gate (reset, update, candidate), its input weight and then its hidden weight
+        gates = _uniform(rng, (3, 2, config.d_h, config.d_h), 1.0 / np.sqrt(config.d_h))
+        put(f"temporal.l{layer}.w_in", np.ascontiguousarray(gates[:, 0]))
+        put(f"temporal.l{layer}.w_hid", np.ascontiguousarray(gates[:, 1]))
+        put(f"temporal.l{layer}.bias", np.zeros((3, 1, config.d_h)))
 
     for k in range(1, config.spatial_levels + 1):
         prefix = f"spatial.k{k}"
@@ -135,7 +137,7 @@ def init_params(config: ModelConfig, hierarchy: CoarseningHierarchy, seed: int) 
             dense(f"{prefix}.msg.w2", config.d_h, config.d_h)
             dense(f"{prefix}.msg.w3", config.d_h, config.d_h)
         dense(f"{prefix}.self.weight", config.d_h, config.d_h)
-        bias(f"{prefix}.self.bias", config.d_h)
+        put(f"{prefix}.self.bias", np.zeros((1, config.d_h)))
 
     n_score_sets = config.horizon if config.per_step_attention else 1
     dense("attention.weight", config.d_h, n_score_sets)
@@ -143,10 +145,10 @@ def init_params(config: ModelConfig, hierarchy: CoarseningHierarchy, seed: int) 
     widths = [config.d_h, *config.decoder_hidden]
     for i, (d_in, d_out) in enumerate(zip(widths, widths[1:])):
         dense(f"readout.h{i}.weight", d_in, d_out)
-        bias(f"readout.h{i}.bias", d_out)
+        put(f"readout.h{i}.bias", np.zeros((1, d_out)))
     out_dim = config.d_x if config.per_step_attention else config.horizon * config.d_x
     dense("readout.out.weight", widths[-1], out_dim)
-    bias("readout.out.bias", out_dim)
+    put("readout.out.bias", np.zeros((1, out_dim)))
     return params
 
 
@@ -313,8 +315,8 @@ class Model:
 
         The B*N rows are B windows of N nodes. Returns the W steps stacked
         time-major, (W*B*N, d_h). The step features take one product with
-        the first rows of `encoder.weight`; the embeddings take one on N rows
-        with the rest, which is added to every block of N rows.
+        `encoder.steps`; the embeddings take one on N rows with
+        `encoder.nodes`, which is added to every block of N rows.
         """
         cfg = self.config
         m_rows = xw.shape[1]
@@ -324,9 +326,8 @@ class Model:
             raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
-        w, n_feats = p["encoder.weight"], feats.shape[1]
-        steps = ad.constant(feats) @ ad.slice_rows(w, 0, n_feats)
-        nodes = p["embeddings"] @ ad.slice_rows(w, n_feats, w.data.shape[0]) + p["encoder.bias"]
+        steps = ad.constant(feats) @ p["encoder.steps"]
+        nodes = p["embeddings"] @ p["encoder.nodes"] + p["encoder.bias"]
         return ad.add_blocks(steps, nodes)
 
     def temporal_stack(self, p: _TapeParams, seq: Tensor) -> Tensor:
@@ -340,12 +341,7 @@ class Model:
         n_steps, steps = cfg.window, range(cfg.window)
         lasts = []
         for layer in range(cfg.temporal_layers):
-            prefix = f"temporal.l{layer}"
-            gates = [
-                (p[f"{prefix}.{gate}.w_in"], p[f"{prefix}.{gate}.w_hid"], p[f"{prefix}.{gate}.bias"])
-                for gate in ("reset", "update", "cand")
-            ]
-            seq = ad.gru_scan(seq, n_steps, steps, gates)
+            seq = ad.gru_scan(seq, n_steps, steps, *(p[f"temporal.l{layer}.{w}"] for w in ("w_in", "w_hid", "bias")))
             rows = seq.data.shape[0] // len(steps)
             lasts.append(ad.slice_rows(seq, rows * (len(steps) - 1), rows * len(steps)))
             n_steps, steps = len(steps), chain[layer].kept_indices

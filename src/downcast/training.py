@@ -65,7 +65,6 @@ class MetricsReport:
 class TrainResult:
     best_val_mae: float
     history: list[dict]
-    epochs_run: int
 
 
 @dataclass
@@ -329,7 +328,6 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     best_val = float("inf")
     stale = 0
     history: list[dict] = []
-    epochs_run = 0
 
     for epoch in range(cfg.max_epochs):
         rng = stream_rng(cfg.seed, f"batches-{epoch}")
@@ -351,7 +349,6 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
                 clip_gradients(params, cfg.grad_clip_norm)
             adamw_step(params, state, weight_decay=cfg.weight_decay)
             epoch_losses.append(float(loss.data))
-        epochs_run = epoch + 1
         val = evaluate(model, bundle, "val", batch_size=cfg.eval_batch_size)
         if val.mae < best_val:
             best_val = val.mae
@@ -373,13 +370,13 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
 
     for p in params:
         p.value[...] = best_snapshot[p.name]
-    return TrainResult(best_val_mae=best_val, history=history, epochs_run=epochs_run)
+    return TrainResult(best_val_mae=best_val, history=history)
 
 
 # -- checkpoints ----------------------------------------------------------------------
 
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:

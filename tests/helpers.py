@@ -51,13 +51,14 @@ def permute_hierarchy(hierarchy, perm):
     return gr.CoarseningHierarchy(graphs=new_graphs, selections=new_sels)
 
 
-def gru_layer_reference(seq, gates):
+def gru_layer_reference(seq, w_in, w_hid, bias):
     """Op-by-op gated recurrent layer: the reference for `ad.gru_scan`.
 
-    `seq` is a list of per-step tensors; `gates` holds (w_in, w_hid, bias)
-    for the reset, update and candidate gates. Returns every state.
+    `seq` is a list of per-step tensors; `w_in`, `w_hid` and `bias` stack
+    the reset, update and candidate gates on their leading axis, and each
+    gate's block is taken out of them by its own record. Returns every state.
     """
-    (wr, ur, br), (wu, uu, bu), (wc, uc, bc) = gates
+    (wr, wu, wc), (ur, uu, uc), (br, bu, bc) = ([take(w, k) for k in range(3)] for w in (w_in, w_hid, bias))
     h = ad.constant(np.zeros((seq[0].data.shape[0], uc.data.shape[1])))
     out = []
     for x_t in seq:
@@ -95,13 +96,14 @@ def encode_inputs_reference(model, x, m, u):
 
     Every (step, node) row holds [imputed x, u, mask, embedding], the
     embedding tiled over the windows and steps, and takes one product with
-    the whole `encoder.weight`. Returns the (W*B*N, d_h) array.
+    `encoder.steps` stacked on `encoder.nodes`. Returns the (W*B*N, d_h) array.
     """
     pv = {k: v.value for k, v in model.params.items()}
     w, rows = x.shape[0], x.shape[1]
     emb = np.tile(pv["embeddings"], (w * rows // model.config.n_nodes, 1))
     feats = np.concatenate([last_value_imputation(x, m), u, m], axis=2).reshape(w * rows, -1)
-    return np.concatenate([feats, emb], axis=1) @ pv["encoder.weight"] + pv["encoder.bias"]
+    weight = np.concatenate([pv["encoder.steps"], pv["encoder.nodes"]])
+    return np.concatenate([feats, emb], axis=1) @ weight + pv["encoder.bias"]
 
 
 def edge_messages_reference(x, src, recv, weight, w1, w2, w3):
@@ -188,6 +190,20 @@ def slice_cols(x, lo, hi):
         return (full,)
 
     return ad._emit((x,), data, vjp)
+
+
+def take(x, k):
+    """Block k along the leading axis of a stacked array; its adjoint is zero outside block k."""
+    x = ad._as_tensor(x)
+    if x.data.ndim != 3 or not (0 <= k < x.data.shape[0]):
+        raise DimensionError(f"block {k} out of range for {x.data.shape}")
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        full[k] = g
+        return (full,)
+
+    return ad._emit((x,), x.data[k], vjp)
 
 
 def reduce_mean(x, axis=None):

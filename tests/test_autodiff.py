@@ -386,15 +386,14 @@ class TestRecordedOpFiniteDifferences:
         check_grad(build, RNG.uniform(-2, 2, (3, 4)))
 
     def test_gru_scan(self):
-        # every input in turn: the sequence, then the nine gate arrays
+        # every input in turn: the sequence, then the three gate-stacked arrays
         rng = np.random.default_rng(21)
-        x0, gates0 = _gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6)
-        arrays = [x0] + [w for gate in gates0 for w in gate]
+        arrays = _gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6)
         weight = ad.constant(rng.normal(size=(3 * 3, 4)))
         for i, a0 in enumerate(arrays):
             def build(v, i=i):
                 args = [v if j == i else ad.constant(a) for j, a in enumerate(arrays)]
-                states = ad.gru_scan(args[0], 6, (1, 3, 5), [args[1:4], args[4:7], args[7:10]])
+                states = ad.gru_scan(args[0], 6, (1, 3, 5), *args[1:])
                 return ad.reduce_sum(ad.mul(states, weight))
 
             check_grad(build, a0)
@@ -473,12 +472,14 @@ def _message_weights(rng, d):
 
 
 def _gru_inputs(rng, rows, d_in, d_h, n_steps):
+    """(sequence, w_in, w_hid, bias), the weights stacked by gate (reset, update, candidate)."""
     x = rng.normal(size=(n_steps * rows, d_in))
-    gates = [
-        (rng.uniform(-0.6, 0.6, (d_in, d_h)), rng.uniform(-0.6, 0.6, (d_h, d_h)), rng.uniform(-0.3, 0.3, (1, d_h)))
-        for _ in range(3)
-    ]
-    return x, gates
+    return (
+        x,
+        rng.uniform(-0.6, 0.6, (3, d_in, d_h)),
+        rng.uniform(-0.6, 0.6, (3, d_h, d_h)),
+        rng.uniform(-0.3, 0.3, (3, 1, d_h)),
+    )
 
 
 def _scans():
@@ -492,10 +493,10 @@ def _multi_input_ops():
     """(name, op on tensors, input arrays) for every op that takes more than one tensor."""
     rng = np.random.default_rng(50)
     src, recv, weight = _edge_operators(rng, n=4, p_edge=0.6)
-    x_gru, gates = _gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6)
+    gru_arrays = list(_gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6))
 
     def gru(steps):
-        return lambda x, *w: ad.gru_scan(x, 6, steps, [w[0:3], w[3:6], w[6:9]])
+        return lambda x, *w: ad.gru_scan(x, 6, steps, *w)
 
     return [
         ("add", ad.add, [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]),
@@ -504,8 +505,8 @@ def _multi_input_ops():
         ("matmul", ad.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
         ("concat_rows", lambda *parts: ad.concat_rows(parts), [rng.normal(size=(k, 3)) for k in (2, 1, 4)]),
         ("add_blocks", ad.add_blocks, [rng.normal(size=(3 * 4, 2)), rng.normal(size=(4, 2))]),
-        ("gru_scan", gru(range(6)), [x_gru, *(w for gate in gates for w in gate)]),
-        ("gru_scan_some_steps", gru((1, 3, 5)), [x_gru, *(w for gate in gates for w in gate)]),
+        ("gru_scan", gru(range(6)), gru_arrays),
+        ("gru_scan_some_steps", gru((1, 3, 5)), gru_arrays),
         ("edge_messages", lambda x, *w: ad.edge_messages(x, src, recv, weight, *w),
          [rng.normal(size=(2 * 4, 3)), *_message_weights(rng, 3)]),
         ("scale_attention", lambda z, theta: ad.scale_attention(z, 3, theta)[0],
@@ -557,49 +558,61 @@ class TestGruScan:
         # sums in another order, so it is held to 1e-12 of the largest entry
         rng = np.random.default_rng(100 * batch + n_steps)
         rows = 4 * batch
-        x0, gates0 = _gru_inputs(rng, rows=rows, d_in=5, d_h=6, n_steps=n_steps)
+        arrays = _gru_inputs(rng, rows=rows, d_in=5, d_h=6, n_steps=n_steps)
         weight = ad.constant(rng.normal(size=(len(steps) * rows, 6)))
 
         def run(fused):
             tape = ad.Tape()
-            x = tape.leaf(x0)
-            gates = [tuple(tape.leaf(w) for w in gate) for gate in gates0]
+            x, *weights = (tape.leaf(a) for a in arrays)
             if fused:
-                states = ad.gru_scan(x, n_steps, steps, gates)
+                states = ad.gru_scan(x, n_steps, steps, *weights)
             else:
                 blocks = [ad.slice_rows(x, t * rows, (t + 1) * rows) for t in steps]
-                states = ad.concat_rows(gru_layer_reference(blocks, gates))
+                states = ad.concat_rows(gru_layer_reference(blocks, *weights))
             adj = tape.backward(ad.reduce_sum(ad.mul(states, weight)))
-            return states.data, [adj[x.node]] + [adj[w.node] for gate in gates for w in gate]
+            return states.data, [adj[t.node] for t in (x, *weights)]
 
         fused_states, fused_adj = run(True)
         ref_states, ref_adj = run(False)
         np.testing.assert_array_equal(fused_states, ref_states)
-        assert len(fused_adj) == 10
+        assert len(fused_adj) == 4
         for got, want in zip(fused_adj, ref_adj):
+            assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_untracked_inputs_record_nothing(self):
         rng = np.random.default_rng(5)
-        x0, gates0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
-        gates = [tuple(ad.constant(w) for w in gate) for gate in gates0]
-        out = ad.gru_scan(ad.constant(x0), 4, range(4), gates)
+        x0, *weights0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
+        weights = [ad.constant(w) for w in weights0]
+        out = ad.gru_scan(ad.constant(x0), 4, range(4), *weights)
         assert out.tape is None
         tape = ad.Tape()
-        tracked = ad.gru_scan(tape.leaf(x0), 4, range(4), gates)
+        tracked = ad.gru_scan(tape.leaf(x0), 4, range(4), *weights)
         np.testing.assert_array_equal(out.data, tracked.data)
 
     def test_bad_steps_and_shapes_rejected(self):
         rng = np.random.default_rng(6)
-        x0, gates0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
-        gates = [tuple(ad.constant(w) for w in gate) for gate in gates0]
+        x0, *weights0 = _gru_inputs(rng, rows=2, d_in=3, d_h=3, n_steps=4)
+        weights = [ad.constant(w) for w in weights0]
         for steps in [(1, 1), (2, 1), (0, 4), ()]:
             with pytest.raises(ContractError):
-                ad.gru_scan(ad.constant(x0), 4, steps, gates)
+                ad.gru_scan(ad.constant(x0), 4, steps, *weights)
         with pytest.raises(DimensionError):
-            ad.gru_scan(ad.constant(x0), 3, (0, 1), gates)
+            ad.gru_scan(ad.constant(x0), 3, (0, 1), *weights)
         with pytest.raises(DimensionError):
-            ad.gru_scan(ad.constant(x0[:, :2]), 4, (0, 1), gates)
+            ad.gru_scan(ad.constant(x0[:, :2]), 4, (0, 1), *weights)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["one gate", "two gates", "flattened"])
+    def test_mis_shaped_stacked_weight_names_the_stacked_shapes(self, which, bad):
+        rng = np.random.default_rng(7)
+        x0, *weights0 = _gru_inputs(rng, rows=2, d_in=3, d_h=4, n_steps=4)
+        w = weights0[which]
+        weights0[which] = {"one gate": w[0], "two gates": w[:2], "flattened": w.reshape(3, -1)}[bad]
+        pattern = r"are not \(3, 3, d_h\), \(3, d_h, d_h\), \(3, 1, d_h\)$"
+        with pytest.raises(DimensionError, match=pattern) as err:
+            ad.gru_scan(ad.constant(x0), 4, range(4), *(ad.constant(a) for a in weights0))
+        assert str(weights0[which].shape) in str(err.value)
 
 
 class TestScaleAttention:

@@ -266,7 +266,7 @@ class TestCliMain:
         assert cli.main(["run", "--config", str(path)]) == 0
         manifest_path = out / "checkpoint" / "checkpoint.json"
         manifest = json.loads(manifest_path.read_text())
-        entry = next(e for e in manifest["params"] if e["name"] == "encoder.weight")
+        entry = next(e for e in manifest["params"] if e["name"] == "encoder.steps")
         entry["name"] = "encoder.renamed"
         manifest_path.write_text(json.dumps(manifest))
         capsys.readouterr()
@@ -275,7 +275,25 @@ class TestCliMain:
         )
         assert code == 4
         err = capsys.readouterr().err
-        assert "encoder.renamed" in err and "encoder.weight" in err
+        assert "encoder.renamed" in err and "encoder.steps" in err
+
+    def test_dump_scores_refuses_a_format_1_checkpoint(self, tmp_path, capsys):
+        # format 1 stored nine per-gate arrays per temporal layer and one
+        # whole encoder weight; there is no converter
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_config(out))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        manifest_path = out / "checkpoint" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == 2
+        manifest["format"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = cli.main(
+            ["dump-scores", "--checkpoint", str(out / "checkpoint"), "--window", "0", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 4
+        assert "checkpoint.json has format 1; this version reads format 2" in capsys.readouterr().err
 
     def test_dump_scores_corrupt_manifest_exits_4(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -337,6 +355,29 @@ class TestCsvDatasetPath:
         path = write_config(tmp_path, cfg)
         assert cli.main(["mask-stats", "--config", str(path)]) == 4
         assert "line 32: field 'node1_ch0'" in capsys.readouterr().err
+
+    def test_observations_that_are_not_utf8_exit_4_naming_the_file_and_line(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        rows = "".join(f"{t},1.0,2.0\n" for t in range(30))
+        obs.write_bytes(("timestamp,node0_ch0,node1_ch0\n" + rows).encode() + b"30,1.0,2.\xff\n")
+        coords = tmp_path / "coords.csv"
+        coords.write_text("node,lat,lon\n0,50.0,1.0\n1,50.01,1.01\n")
+        cfg = {"dataset": {"kind": "csv", "observations": str(obs), "coords": str(coords), "window": 4, "horizon": 2}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["mask-stats", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {obs}: line 32: byte 0xff is not valid UTF-8" in err and "Traceback" not in err
+
+    def test_mixed_timestamp_forms_exit_4_naming_the_file_line_and_field(self, tmp_path, capsys):
+        cfg = self.time_encoded_config(tmp_path)
+        obs = tmp_path / "obs.csv"
+        lines = obs.read_text().splitlines()
+        lines[2] = "9999999999" + lines[2][lines[2].index(","):]
+        obs.write_text("\n".join(lines) + "\n")
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {obs}: line 3: field 'timestamp': '9999999999' mixes integer and ISO forms" in err
 
     @pytest.mark.parametrize(
         "obs_text, coords_text, bad",

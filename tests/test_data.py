@@ -272,6 +272,26 @@ class TestCsvPanel:
         with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'timestamp'"):
             dt.load_csv_panel(path)
 
+    @pytest.mark.parametrize("stamps", [("2024-01-01T00:00:00", "9999999999"), ("0", "2024-01-01T00:00:00")])
+    def test_mixed_integer_and_iso_timestamps_rejected(self, tmp_path, stamps):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0\n{stamps[0]},1.0\n{stamps[1]},2.0\n")
+        with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'timestamp': .* mixes integer and ISO"):
+            dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("name", ["obs.csv", "mask.csv", "coords.csv"])
+    def test_bytes_that_are_not_utf8_report_file_and_line(self, tmp_path, name):
+        files = {
+            "obs.csv": b"timestamp,node0_ch0\n0,1.0\n1,2.0\n",
+            "mask.csv": b"timestamp,node0_ch0\n0,1\n1,1\n",
+            "coords.csv": b"node,lat,lon\n0,50.0,1.0\n",
+        }
+        files[name] = files[name].replace(b"\n0,", b"\n0,\xff")
+        for file, text in files.items():
+            (tmp_path / file).write_bytes(text)
+        with pytest.raises(CsvParseError, match=rf"{name}: line 2: byte 0xff is not valid UTF-8"):
+            dt.load_csv_panel(tmp_path / "obs.csv", tmp_path / "mask.csv", tmp_path / "coords.csv")
+
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("timestamp,node0_ch0\n5,1.0\n4,2.0\n")

@@ -15,6 +15,7 @@ from downcast.model import (
     init_params,
     last_value_imputation,
 )
+from downcast.rng import stream_rng
 from helpers import encode_inputs_reference, permute_hierarchy, softmax_rows, spatial_stack_reference
 
 RNG = np.random.default_rng(17)
@@ -101,19 +102,18 @@ class TestEncoder:
         seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u).data
         pv = {k: v.value for k, v in model.params.items()}
         n, rows = model.config.n_nodes, x.shape[1]
-        n_feats = 2 * model.config.d_x + model.config.d_u
-        nodes = pv["embeddings"] @ pv["encoder.weight"][n_feats:] + pv["encoder.bias"]
+        nodes = pv["embeddings"] @ pv["encoder.nodes"] + pv["encoder.bias"]
         ximp = last_value_imputation(x, m)
         for t in range(model.config.window):
             feats = np.concatenate([ximp[t], u[t], m[t]], axis=1)
             for b in range(rows // n):
                 block = slice(b * n, (b + 1) * n)
-                want = feats[block] @ pv["encoder.weight"][:n_feats] + nodes
+                want = feats[block] @ pv["encoder.steps"] + nodes
                 np.testing.assert_array_equal(seq[t * rows + b * n : t * rows + (b + 1) * n], want)
         # the factored products drift from one concatenated product in the last ulps
         np.testing.assert_allclose(seq, encode_inputs_reference(model, x, m, u), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["embeddings", "encoder.weight", "encoder.bias"])
+    @pytest.mark.parametrize("name", ["embeddings", "encoder.steps", "encoder.nodes", "encoder.bias"])
     def test_gradient_matches_finite_differences(self, name):
         model = make_setup()
         rng = np.random.default_rng(5)
@@ -467,13 +467,46 @@ class TestModelConfig:
 class TestInitParams:
     def test_weight_bounds(self):
         model = make_setup(d_h=16)
+        cfg = model.config
         for name, p in model.params.items():
             if name == "embeddings":
                 assert np.max(np.abs(p.value)) <= 0.1
             elif name.endswith(".bias"):
                 assert np.all(p.value == 0.0)
             else:
-                assert np.max(np.abs(p.value)) <= 1.0 / np.sqrt(p.value.shape[0])
+                # the two encoder blocks are split from one draw over all encoder inputs
+                enc_in = 2 * cfg.d_x + cfg.d_u + cfg.embedding_size
+                fan_in = enc_in if name.startswith("encoder.") else p.value.shape[-2]
+                assert np.max(np.abs(p.value)) <= 1.0 / np.sqrt(fan_in)
+
+    def test_blocks_equal_the_per_gate_and_whole_encoder_draws(self):
+        # redraw the stream as one array per gate weight and one whole
+        # encoder weight, in init order: the stored blocks are those bits
+        model = make_setup(seed=3, layers=3)
+        cfg, pv = model.config, {k: v.value for k, v in model.params.items()}
+        rng = stream_rng(3, "init")
+
+        def draw(shape, bound):
+            return rng.uniform(-bound, bound, size=shape)
+
+        def assert_bits(got, want):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        assert_bits(pv["embeddings"], draw((cfg.n_nodes, cfg.embedding_size), 0.1))
+        n_feats = 2 * cfg.d_x + cfg.d_u
+        enc_in = n_feats + cfg.embedding_size
+        encoder = draw((enc_in, cfg.d_h), 1.0 / np.sqrt(enc_in))
+        assert_bits(pv["encoder.steps"], encoder[:n_feats])
+        assert_bits(pv["encoder.nodes"], encoder[n_feats:])
+        assert_bits(pv["encoder.bias"], np.zeros((1, cfg.d_h)))
+        for layer in range(cfg.temporal_layers):
+            prefix = f"temporal.l{layer}"
+            for gate in range(3):  # reset, update, candidate
+                assert_bits(pv[f"{prefix}.w_in"][gate], draw((cfg.d_h, cfg.d_h), 1.0 / np.sqrt(cfg.d_h)))
+                assert_bits(pv[f"{prefix}.w_hid"][gate], draw((cfg.d_h, cfg.d_h), 1.0 / np.sqrt(cfg.d_h)))
+            assert_bits(pv[f"{prefix}.bias"], np.zeros((3, 1, cfg.d_h)))
+        # the next weight continues the stream where the per-gate draws left it
+        assert_bits(pv["spatial.k1.hop1.fwd"], draw((cfg.d_h, cfg.d_h), 1.0 / np.sqrt(cfg.d_h)))
 
     def test_reverse_weights_only_for_directed(self):
         directed = make_setup(variant="isotropic", directed=True)
