@@ -287,14 +287,23 @@ def _finite_float(token: str) -> float:
 
 
 def _csv_rows(path):
-    """A csv reader over the file, which must be UTF-8; a bad byte raises CsvParseError naming its line."""
+    """Yield (line, record) for each csv record of the file, which must be UTF-8.
+
+    `line` is the physical line where the record starts, so it stays right
+    after a quoted cell that spans lines. A bad byte raises CsvParseError
+    naming its line.
+    """
     raw = Path(path).read_bytes()
     try:
         raw.decode("utf-8")  # whole, so a bad byte's offset is into the file
-        return csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     except UnicodeDecodeError as exc:
         line = 1 + raw.count(b"\n", 0, exc.start)
         raise CsvParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    start = 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
@@ -306,8 +315,8 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     the bad cell.
     Row lengths and timestamps are checked first, row by row.
     """
-    reader = _csv_rows(path)
-    header = next(reader, [])
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, []))
     if not header or header[0] != "timestamp":
         raise CsvParseError(f"{path}: first column must be 'timestamp'")
     if len(header) == 1:
@@ -322,8 +331,8 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
     d = 1 + max(s[1] for s in slots)
     if len(slots) != n * d or len(set(slots)) != len(slots):
         raise CsvParseError(f"{path}: columns do not form a dense node/channel grid")
-    stamps, cells = [], []
-    for lineno, row in enumerate(reader, start=2):
+    stamps, cells, lines = [], [], []
+    for lineno, row in rows:
         if len(row) != len(header):
             raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
         stamp = parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp)
@@ -331,6 +340,7 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
             raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} mixes integer and ISO forms")
         stamps.append(stamp)
         cells.append(row[1:])
+        lines.append(lineno)
     if not stamps:
         raise CsvParseError(f"{path}: no data rows after the header")
     tokens = np.strings.strip(np.array(cells))
@@ -343,7 +353,7 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
         values = np.array([
             [np.nan if skip else parse_csv_field(path, lineno, name, str(token), _finite_float)
              for name, token, skip in zip(header[1:], row, row_missing)]
-            for lineno, (row, row_missing) in enumerate(zip(tokens, missing), start=2)
+            for lineno, row, row_missing in zip(lines, tokens, missing)
         ])
     grid = np.empty((len(stamps), n, d))
     grid.reshape(len(stamps), n * d)[:, [j * d + c for j, c in slots]] = values
@@ -380,10 +390,11 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
 def read_coords_csv(path) -> np.ndarray:
     """(lat, lon) rows in node order; the node ids must be exactly 0..N-1."""
     coords, lines = {}, {}
-    reader = _csv_rows(path)
-    if next(reader, [])[:3] != ["node", "lat", "lon"]:
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, []))
+    if header[:3] != ["node", "lat", "lon"]:
         raise CsvParseError(f"{path}: expected header node,lat,lon")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if len(row) < 3:
             raise CsvParseError(f"{path}: line {lineno}: expected fields node,lat,lon, got {len(row)}")
         node = parse_csv_field(path, lineno, "node", row[0], int)

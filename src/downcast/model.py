@@ -152,25 +152,6 @@ def init_params(config: ModelConfig, hierarchy: CoarseningHierarchy, seed: int) 
     return params
 
 
-class _TapeParams:
-    """Wraps each parameter at most once per tape."""
-
-    def __init__(self, tape: Tape | None, params: dict[str, Parameter]):
-        self._tape = tape
-        self._params = params
-        self._cache: dict[str, Tensor] = {}
-
-    def __getitem__(self, name: str) -> Tensor:
-        t = self._cache.get(name)
-        if t is None:
-            if self._tape is None:
-                t = Tensor(self._params[name].value)  # constant: nothing recorded
-            else:
-                t = self._tape.parameter(self._params[name])
-            self._cache[name] = t
-        return t
-
-
 # -- compiled constants ------------------------------------------------------------
 
 
@@ -249,7 +230,7 @@ def last_value_imputation(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt: ModelRuntime) -> Tensor:
+def smp_messages(x: Tensor, level: int, p: dict[str, Tensor], config: ModelConfig, rt: ModelRuntime) -> Tensor:
     """One message-passing update on the graph below pooling level `level`.
 
     Both variants add messages to a self update, x @ W_self + b. Isotropic
@@ -271,7 +252,7 @@ def smp_messages(x: Tensor, level: int, p: _TapeParams, config: ModelConfig, rt:
     return out + ad.edge_messages(x, rt.edge_src[idx], rt.edge_recv[idx], rt.edge_weight[idx], *weights)
 
 
-def _mlp(x: Tensor, p: _TapeParams, config: ModelConfig) -> Tensor:
+def _mlp(x: Tensor, p: dict[str, Tensor], config: ModelConfig) -> Tensor:
     h = x
     for i in range(len(config.decoder_hidden)):
         h = ad.elu(h @ p[f"readout.h{i}.weight"] + p[f"readout.h{i}.bias"])
@@ -308,9 +289,15 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
+    def bind(self, tape: Tape | None) -> dict[str, Tensor]:
+        """Every parameter as a leaf of `tape`, or as a constant when there is no tape."""
+        if tape is None:
+            return {name: Tensor(p.value) for name, p in self.params.items()}
+        return {name: tape.parameter(p) for name, p in self.params.items()}
+
     # -- forward --------------------------------------------------------------
 
-    def encode_inputs(self, p: _TapeParams, xw, mw, uw) -> Tensor:
+    def encode_inputs(self, p: dict[str, Tensor], xw, mw, uw) -> Tensor:
         """Affine encoding of [imputed x, u, mask, node embedding] at every step.
 
         The B*N rows are B windows of N nodes. Returns the W steps stacked
@@ -330,7 +317,7 @@ class Model:
         nodes = p["embeddings"] @ p["encoder.nodes"] + p["encoder.bias"]
         return ad.add_blocks(steps, nodes)
 
-    def temporal_stack(self, p: _TapeParams, seq: Tensor) -> Tensor:
+    def temporal_stack(self, p: dict[str, Tensor], seq: Tensor) -> Tensor:
         """L per-layer summaries stacked layer-major, (L*B*N, d_h).
 
         Each layer is one `ad.gru_scan` over the kept steps of the layer
@@ -347,7 +334,7 @@ class Model:
             n_steps, steps = len(steps), chain[layer].kept_indices
         return ad.concat_rows(lasts)
 
-    def spatial_stack(self, p: _TapeParams, z: Tensor, rt: ModelRuntime) -> Tensor:
+    def spatial_stack(self, p: dict[str, Tensor], z: Tensor, rt: ModelRuntime) -> Tensor:
         """All (spatial level, temporal layer) encodings, lifted back to level 0.
 
         Every level runs once over the L stacked summaries: weights are shared
@@ -364,7 +351,7 @@ class Model:
             levels.append(lifted)
         return ad.concat_rows(levels) if len(levels) > 1 else z
 
-    def attention_fuse(self, p: _TapeParams, slots: Tensor) -> tuple[np.ndarray, Tensor]:
+    def attention_fuse(self, p: dict[str, Tensor], slots: Tensor) -> tuple[np.ndarray, Tensor]:
         """Softmax-weighted mixtures of the multiscale encodings, per node.
 
         Returns (weights, fused representations): the weights are
@@ -374,7 +361,7 @@ class Model:
         fused, alphas = ad.scale_attention(slots, self.config.n_scales, p["attention.weight"])
         return alphas, fused
 
-    def readout(self, p: _TapeParams, fused: Tensor) -> Tensor:
+    def readout(self, p: dict[str, Tensor], fused: Tensor) -> Tensor:
         """Map fused representations, stacked by score set, to predictions (scaled space).
 
         Returns the H per-step predictions stacked horizon-major, (H*B*N, d_x).
@@ -402,7 +389,7 @@ class Model:
         finite differences).
         """
         tape = Tape() if record_gradients else None
-        p = _TapeParams(tape, self.params)
+        p = self.bind(tape)
         seq = self.encode_inputs(p, xw, mw, uw)
         slots = self.spatial_stack(p, self.temporal_stack(p, seq), self._runtime)
         alphas, fused = self.attention_fuse(p, slots)

@@ -1,4 +1,4 @@
-"""Masked-loss training loop with adaptive moments and plateau scheduling.
+"""Masked-loss training loop with adaptive moments, plateau cuts and early stopping.
 
 The loss averages per-(step, node) mask-normalised absolute errors over the
 terms that have at least one valid channel, so its scale does not depend on
@@ -156,24 +156,43 @@ def masked_mae_loss(pred: Tensor, target, mask) -> Tensor:
 # -- optimiser --------------------------------------------------------------------
 
 
-class OptimState:
-    """First/second moment accumulators plus the live learning rate."""
+# AdamW's moment decays and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+class TrainState:
+    """Everything the loop carries across steps and epochs.
+
+    The AdamW moments and step, the live learning rate, the best validation
+    MAE with its parameter snapshot, and `stale`, the epochs since validation
+    last strictly improved. The plateau cut and early stopping both read it.
+    """
 
     def __init__(self, params: list[Parameter], learning_rate: float):
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
         self.step = 0
         self.lr = learning_rate
+        self.best_val = float("inf")
+        self.best = {p.name: p.value.copy() for p in params}
+        self.stale = 0
+
+    def end_epoch(self, params: list[Parameter], val_mae: float, patience: int, factor: float) -> None:
+        """Snapshot `params` on a strict improvement, else count a stale epoch.
+
+        Every `patience`-th stale epoch multiplies the rate by `factor`.
+        """
+        if val_mae < self.best_val:
+            self.best_val = val_mae
+            self.best = {p.name: p.value.copy() for p in params}
+            self.stale = 0
+        else:
+            self.stale += 1
+            if self.stale % patience == 0:
+                self.lr *= factor
 
 
-def adamw_step(
-    params: list[Parameter],
-    state: OptimState,
-    weight_decay: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adamw_step(params: list[Parameter], state: TrainState, weight_decay: float = 0.01) -> None:
     """Decoupled-weight-decay adaptive-moment update over accumulated gradients."""
     for p in params:
         if not np.all(np.isfinite(p.grad)):
@@ -183,13 +202,13 @@ def adamw_step(
     for p in params:
         m = state.m[p.name]
         v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * p.grad
-        v *= beta2
-        v += (1.0 - beta2) * p.grad * p.grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.value -= state.lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.value)
+        m *= BETA1
+        m += (1.0 - BETA1) * p.grad
+        v *= BETA2
+        v += (1.0 - BETA2) * p.grad * p.grad
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p.value -= state.lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * p.value)
 
 
 def clip_gradients(params: list[Parameter], max_norm: float) -> float:
@@ -199,27 +218,6 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
         for p in params:
             p.grad *= factor
     return total
-
-
-@dataclass
-class PlateauScheduler:
-    """Halve the rate when the metric stops strictly improving."""
-
-    patience: int
-    factor: float
-    best: float = float("inf")
-    stale: int = 0
-
-    def update(self, state: OptimState, metric: float) -> float:
-        if metric < self.best:
-            self.best = metric
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                state.lr *= self.factor
-                self.stale = 0
-        return state.lr
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -316,17 +314,14 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     Batches are drawn uniformly with replacement from the training windows,
     with inputs and targets both masked by the simulated pattern; a batch
     with no valid target is skipped (an epoch with none logs a NaN loss).
-    Validation after each epoch is masked-input / original-target. Training
-    stops early after `early_stop_patience` epochs without strict improvement.
+    Validation after each epoch is masked-input / original-target. Every
+    `plateau_patience`-th epoch without strict improvement multiplies the rate
+    by `plateau_factor`; the `early_stop_patience`-th stops training.
     """
     if not bundle.train or not bundle.val:
         raise ContractError("training and validation splits must be non-empty")
     params = model.parameters()
-    state = OptimState(params, cfg.learning_rate)
-    scheduler = PlateauScheduler(patience=cfg.plateau_patience, factor=cfg.plateau_factor)
-    best_snapshot = {p.name: p.value.copy() for p in params}
-    best_val = float("inf")
-    stale = 0
+    state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
 
     for epoch in range(cfg.max_epochs):
@@ -350,27 +345,21 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
             adamw_step(params, state, weight_decay=cfg.weight_decay)
             epoch_losses.append(float(loss.data))
         val = evaluate(model, bundle, "val", batch_size=cfg.eval_batch_size)
-        if val.mae < best_val:
-            best_val = val.mae
-            best_snapshot = {p.name: p.value.copy() for p in params}
-            stale = 0
-        else:
-            stale += 1
-        lr_now = scheduler.update(state, val.mae)
+        state.end_epoch(params, val.mae, cfg.plateau_patience, cfg.plateau_factor)
         history.append(
             {
                 "epoch": epoch,
                 "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
                 "val_mae": val.mae,
-                "lr": lr_now,
+                "lr": state.lr,
             }
         )
-        if stale >= cfg.early_stop_patience:
+        if state.stale >= cfg.early_stop_patience:
             break
 
     for p in params:
-        p.value[...] = best_snapshot[p.name]
-    return TrainResult(best_val_mae=best_val, history=history)
+        p.value[...] = state.best[p.name]
+    return TrainResult(best_val_mae=state.best_val, history=history)
 
 
 # -- checkpoints ----------------------------------------------------------------------

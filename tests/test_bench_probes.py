@@ -38,7 +38,8 @@ def test_runtime_exposes_the_counted_operators(variant):
 
 
 def test_benchmark_calls_bind_to_the_program_signatures():
-    # probes.Timeline calls evaluate as below, and bench/child.py calls the
-    # persistence baseline with a positional horizon
+    # probes.Timeline calls train and evaluate as below, and bench/child.py
+    # calls the persistence baseline with a positional horizon
+    inspect.signature(training.train).bind(None, None, None)
     inspect.signature(training.evaluate).bind(None, None, "val", batch_size=128)
     inspect.signature(training.persistence_metrics).bind(None, "test", 6)

@@ -203,6 +203,16 @@ class TestCoordsCsv:
         with pytest.raises(CsvParseError, match=r"line 4: field 'node': node 7 is outside 0\.\.2"):
             dt.read_coords_csv(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ('1,50.5,east\n', r"line 4: field 'lon': cannot read 'east'"),
+        ('0,50.5,2.0\n', r"line 4: field 'node': node 0 also on line 2"),
+        ('7,50.5,2.0\n', r"line 4: field 'node': node 7 is outside 0\.\.1"),
+    ])
+    def test_lines_are_physical_after_a_cell_that_spans_lines(self, tmp_path, body, message):
+        path = self.write(tmp_path, '0,50.0,"1.0\n"\n' + body)
+        with pytest.raises(CsvParseError, match=rf"coords\.csv: {message}"):
+            dt.read_coords_csv(path)
+
 
 class TestCsvPanel:
     def test_missing_cell_marked(self, tmp_path):
@@ -255,6 +265,18 @@ class TestCsvPanel:
         path = tmp_path / "obs.csv"
         path.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,fast\n")
         with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'node1_ch0': cannot read 'fast'"):
+            dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("last, message", [
+        ("2,3.0,fast", r"line 5: field 'node1_ch0': cannot read 'fast'"),
+        ("2,inf,4.0", r"line 5: field 'node0_ch0': cannot read 'inf'"),
+        ("2,3.0", r"line 5: expected 3 fields, got 2"),
+        ("noon,3.0,4.0", r"line 5: field 'timestamp'"),
+    ])
+    def test_lines_are_physical_after_a_cell_that_spans_lines(self, tmp_path, last, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(f'timestamp,node0_ch0,node1_ch0\n0,1.0,"2.0\n"\n1,1.5,2.5\n{last}\n')
+        with pytest.raises(CsvParseError, match=rf"obs\.csv: {message}"):
             dt.load_csv_panel(path)
 
     @pytest.mark.parametrize("cells, field, token", [

@@ -11,7 +11,6 @@ from downcast.model import (
     ModelConfig,
     ModelRuntime,
     smp_messages,
-    _TapeParams,
     init_params,
     last_value_imputation,
 )
@@ -90,7 +89,7 @@ class TestEncoder:
         model = make_setup()
         x, m, u = random_window(model, np.random.default_rng(0))
         tape = ad.Tape()
-        seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u)
+        seq = model.encode_inputs(model.bind(tape), x, m, u)
         # the W steps stacked time-major as one (W*N, d_h) tensor
         assert seq.data.shape == (model.config.window * model.config.n_nodes, model.config.d_h)
 
@@ -99,7 +98,7 @@ class TestEncoder:
         model = make_setup()
         rng = np.random.default_rng(1)
         x, m, u = (np.concatenate(parts, axis=1) for parts in zip(*(random_window(model, rng) for _ in range(3))))
-        seq = model.encode_inputs(_TapeParams(None, model.params), x, m, u).data
+        seq = model.encode_inputs(model.bind(None), x, m, u).data
         pv = {k: v.value for k, v in model.params.items()}
         n, rows = model.config.n_nodes, x.shape[1]
         nodes = pv["embeddings"] @ pv["encoder.nodes"] + pv["encoder.bias"]
@@ -121,7 +120,7 @@ class TestEncoder:
         weight = rng.normal(size=(model.config.window * x.shape[1], model.config.d_h))
 
         def loss(tape):
-            seq = model.encode_inputs(_TapeParams(tape, model.params), x, m, u)
+            seq = model.encode_inputs(model.bind(tape), x, m, u)
             return ad.reduce_sum(ad.mul(seq, ad.constant(weight)))
 
         tape = ad.Tape()
@@ -160,7 +159,7 @@ class TestTemporalStack:
                 param.value[...] = 0.0
         x, m, u = random_window(model, np.random.default_rng(2))
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         z = model.temporal_stack(p, model.encode_inputs(p, x, m, u))
         layers = z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
         assert len(layers) == model.config.temporal_layers
@@ -176,7 +175,7 @@ class TestTemporalStack:
         def run(xx, mm, uu, emb):
             model.params["embeddings"].value = emb
             tape = ad.Tape()
-            p = _TapeParams(tape, model.params)
+            p = model.bind(tape)
             z = model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu))
             return z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
 
@@ -204,7 +203,7 @@ class TestRecordCounts:
         u = np.zeros((24, 32 * 20, 0))
         y = rng.normal(size=(6 * 32 * 20, 1))
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         seq = model.encode_inputs(p, x, m, u)
         z = model.temporal_stack(p, seq)
         slots = model.spatial_stack(p, z, model.runtime(32))
@@ -228,7 +227,7 @@ class TestSmpMessages:
         model = Model(config, hierarchy, init_seed=1)
         x = RNG.normal(size=(4, 6))
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         out = smp_messages(ad.constant(x), 1, p, config, model.runtime(1))
         expected = x @ model.params["spatial.k1.self.weight"].value + model.params["spatial.k1.self.bias"].value
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -237,7 +236,7 @@ class TestSmpMessages:
         # self product, bias add, one fused edge-message record, the sum
         model = make_setup(n=10, levels=1, variant="anisotropic")
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         x = tape.leaf(RNG.normal(size=(2 * 10, model.config.d_h)))
         assert model.runtime(2).edge_src[0].nnz > 0
         smp_messages(x, 1, p, model.config, model.runtime(2))
@@ -253,7 +252,7 @@ class TestSmpMessages:
         model = Model(config, hierarchy, init_seed=2)
         x = RNG.normal(size=(2, 5))
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         out = smp_messages(ad.constant(x), 1, p, config, model.runtime(1))
         pv = {k: v.value for k, v in model.params.items()}
         base = x @ pv["spatial.k1.self.weight"] + pv["spatial.k1.self.bias"]
@@ -300,7 +299,7 @@ class TestSpatialStack:
         model = Model(config, hierarchy, init_seed=3)
         z = RNG.normal(size=(n, 6))
         tape = ad.Tape()
-        p = _TapeParams(tape, model.params)
+        p = model.bind(tape)
         slots = model.spatial_stack(p, ad.constant(z), model.runtime(1))
         pv = {k: v.value for k, v in model.params.items()}
         msg = z @ pv["spatial.k1.self.weight"] + pv["spatial.k1.self.bias"]
@@ -329,7 +328,7 @@ class TestStackedSpatialStack:
 
         def run(stacked):
             tape = ad.Tape()
-            p = _TapeParams(tape, model.params)
+            p = model.bind(tape)
             z = tape.leaf(z0)
             if stacked:
                 out = model.spatial_stack(p, z, rt)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import weakref
@@ -97,27 +98,27 @@ class TestAdamW:
 
     def test_zero_grad_zero_decay_is_noop(self):
         p = self.one_param([[1.0, -2.0]])
-        state = tr.OptimState([p], 0.01)
+        state = tr.TrainState([p], 0.01)
         tr.adamw_step([p], state, weight_decay=0.0)
         np.testing.assert_array_equal(p.value, [[1.0, -2.0]])
 
     def test_first_step_magnitude(self):
         p = self.one_param([[0.5]])
         p.grad[...] = 1.0
-        state = tr.OptimState([p], 0.01)
+        state = tr.TrainState([p], 0.01)
         tr.adamw_step([p], state, weight_decay=0.0)
         assert p.value[0, 0] == pytest.approx(0.5 - 0.01, abs=1e-9)
 
     def test_decoupled_decay_shrinks(self):
         p = self.one_param([[2.0]])
-        state = tr.OptimState([p], 0.1)
+        state = tr.TrainState([p], 0.1)
         tr.adamw_step([p], state, weight_decay=0.5)
         assert p.value[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5))
 
     def test_zero_lr_is_noop(self):
         p = self.one_param([[1.0]])
         p.grad[...] = 3.0
-        state = tr.OptimState([p], 0.0)
+        state = tr.TrainState([p], 0.0)
         tr.adamw_step([p], state, weight_decay=0.3)
         assert p.value[0, 0] == 1.0
 
@@ -125,16 +126,15 @@ class TestAdamW:
         p = ad.Parameter("enc.w", np.ones((2,)))
         p.grad[...] = np.nan
         with pytest.raises(ContractError, match="enc.w"):
-            tr.adamw_step([p], tr.OptimState([p], 0.01))
+            tr.adamw_step([p], tr.TrainState([p], 0.01))
 
 
-class TestPlateauScheduler:
+class TestTrainStateEndEpoch:
     def run(self, metrics, patience=10):
         p = ad.Parameter("p", np.zeros(1))
-        state = tr.OptimState([p], 0.001)
-        sched = tr.PlateauScheduler(patience=patience, factor=0.5)
+        state = tr.TrainState([p], 0.001)
         for m in metrics:
-            sched.update(state, m)
+            state.end_epoch([p], m, patience, 0.5)
         return state.lr
 
     def test_improving_metric_keeps_lr(self):
@@ -146,6 +146,14 @@ class TestPlateauScheduler:
     def test_two_plateaus_quarter(self):
         metrics = [1.0] + [1.0] * 10 + [0.5] + [0.5] * 10
         assert self.run(metrics) == pytest.approx(0.00025)
+
+    def test_snapshot_taken_only_on_strict_improvement(self):
+        p = ad.Parameter("p", np.zeros(1))
+        state = tr.TrainState([p], 0.001)
+        for value, metric in ((1.0, 0.5), (2.0, 0.5), (3.0, 0.7), (4.0, 0.4), (5.0, 0.4)):
+            p.value[...] = value
+            state.end_epoch([p], metric, 10, 0.5)
+        assert state.best_val == 0.4 and state.best["p"][0] == 4.0 and state.stale == 1
 
 
 class TestTrainLoop:
@@ -183,6 +191,34 @@ class TestTrainLoop:
         assert r1.history == r2.history
         for k in model1.params:
             np.testing.assert_array_equal(model1.params[k].value, model2.params[k].value)
+
+    def test_early_stop_cuts_the_rate_and_restores_the_best_snapshot(self):
+        # a high rate overshoots, so validation stalls now and then; every stale
+        # epoch halves the rate, and the fourth since the best epoch ends the run
+        cfg = tr.TrainConfig(
+            learning_rate=0.05, max_epochs=40, batches_per_epoch=2, batch_size=4, seed=5,
+            plateau_patience=1, early_stop_patience=4,
+        )
+        model, bundle = make_bundle()
+        result = tr.train(model, bundle, cfg)
+        history = result.history
+        vals = [h["val_mae"] for h in history]
+        best_epoch = vals.index(min(vals))
+        assert len(history) == best_epoch + 5 < cfg.max_epochs
+        lr, best = cfg.learning_rate, float("inf")
+        for h in history:
+            if h["val_mae"] < best:
+                best = h["val_mae"]
+            else:
+                lr *= 0.5
+            assert h["lr"] == lr
+        assert result.best_val_mae == vals[best_epoch] == tr.evaluate(model, bundle, "val").mae
+        # the batches of each epoch are keyed by (seed, epoch): stopping at the best
+        # epoch retrains to the same parameters
+        again, bundle2 = make_bundle()
+        tr.train(again, bundle2, dataclasses.replace(cfg, max_epochs=best_epoch + 1))
+        for k in model.params:
+            np.testing.assert_array_equal(model.params[k].value, again.params[k].value)
 
     def test_best_snapshot_is_minimum(self):
         model, bundle = make_bundle()
