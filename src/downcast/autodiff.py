@@ -297,11 +297,11 @@ def matmul(a, b) -> Tensor:
 
 
 def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
-    """Apply a constant sparse operator (optionally transposed) to each block of a matrix.
+    """Apply a constant sparse operator (optionally transposed) to a node-major stack.
 
-    `x` stacks B blocks of the operator's input size along its rows; each
-    block gets the dense product of the materialised operator with it. The
-    adjoint flows blockwise through the transposed operator back to `x`.
+    `x` holds B consecutive rows per input node, (n_in * B, d); the result
+    holds B rows per output node. The adjoint flows through the transposed
+    operator back to `x`.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2:
@@ -310,26 +310,27 @@ def sparse_matmul(op: CsrMatrix, x, transpose: bool = False) -> Tensor:
     return _emit((x,), data, lambda g: (op.apply(g, transpose=not transpose),))
 
 
-def _concat(parts: list, axis: int) -> Tensor:
-    """Concatenate matrices along `axis`; each operand's adjoint is its slice of the output's."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concatenation requires at least one operand")
-    if any(p.data.ndim != 2 or p.data.shape[1 - axis] != parts[0].data.shape[1 - axis] for p in parts):
-        raise DimensionError(f"operands joined along axis {axis} must be matrices of equal extent across it")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    ends = np.cumsum([p.data.shape[axis] for p in parts]).tolist()
-    spans = [(slice(None),) * axis + (slice(lo, hi),) for lo, hi in zip([0, *ends], ends)]
-    return _emit(parts, data, lambda g: [g[span] for span in spans])
+def concat_rows(parts: list, groups: int = 1) -> Tensor:
+    """Interleave matrices with equal column counts row group by row group.
 
-
-def concat_rows(parts: list) -> Tensor:
-    """Concatenate matrices with equal column counts along rows.
-
-    The same tensor may appear several times (row tiling); its adjoint then
-    accumulates one slice per occurrence.
+    Each part splits into `groups` equal groups of consecutive rows; the
+    output holds group 0 of every part in order, then group 1, and so on.
+    With one group this is concatenation along rows. The same tensor may
+    appear several times (row tiling); its adjoint then accumulates one
+    slice per occurrence.
     """
-    return _concat(parts, 0)
+    parts = [_as_tensor(p) for p in parts]
+    if not parts or groups < 1:
+        raise ContractError("concatenation requires at least one operand and one row group")
+    w = parts[0].data.shape[-1] if parts[0].data.ndim else 0
+    if any(p.data.ndim != 2 or p.data.shape[1] != w or p.data.shape[0] % groups for p in parts):
+        raise DimensionError(f"operands must be matrices of equal column count whose rows split into {groups} groups")
+    # a part's groups are the rows of its (groups, -1) view, so the
+    # interleave is one concatenation of those views along columns
+    data = np.concatenate([p.data.reshape(groups, -1) for p in parts], axis=1).reshape(-1, w)
+    ends = np.cumsum([p.data.size // groups for p in parts]).tolist()
+    spans = list(zip(parts, [0, *ends], ends))
+    return _emit(parts, data, lambda g: [g.reshape(groups, -1)[:, lo:hi].reshape(p.data.shape) for p, lo, hi in spans])
 
 
 def slice_rows(x, lo: int, hi: int) -> Tensor:
@@ -347,35 +348,32 @@ def slice_rows(x, lo: int, hi: int) -> Tensor:
     return _emit((x,), x.data[lo:hi], vjp)
 
 
-def add_blocks(x, y) -> Tensor:
-    """Add `y` (rows, w) to every block of `rows` rows of `x` (blocks * rows, w).
+def add_blocks(x, y, repeat: int) -> Tensor:
+    """Add row i of `y` (n, w) to rows i * repeat .. (i + 1) * repeat - 1 of every block of `x`.
 
-    The broadcast is a view, so `y` is never tiled; its adjoint is the sum of
-    the output adjoint over the blocks.
+    `x` stacks blocks of n * repeat rows, (blocks * n * repeat, w). The
+    broadcast is a view, so `y` is never tiled; its adjoint is the sum of
+    the output adjoint over the blocks and the repeats.
     """
     x, y = _as_tensor(x), _as_tensor(y)
-    rows = y.data.shape[0] if y.data.ndim == 2 else 0
+    rows = y.data.shape[0] * repeat if y.data.ndim == 2 else 0
     if x.data.ndim != 2 or rows == 0 or x.data.shape[1] != y.data.shape[1] or x.data.shape[0] % rows:
-        raise DimensionError(f"a matrix of shape {x.data.shape} is not row blocks of shape {y.data.shape}")
-    shape = (-1, *y.data.shape)
-    data = (x.data.reshape(shape) + y.data).reshape(x.data.shape)
-    return _emit((x, y), data, lambda g: (g, g.reshape(shape).sum(axis=0) if y.tape is not None else None))
+        raise DimensionError(
+            f"a matrix of shape {x.data.shape} is not row blocks of {repeat} repeats of shape {y.data.shape}"
+        )
+    shape = (-1, y.data.shape[0], repeat, y.data.shape[1])
+    data = (x.data.reshape(shape) + y.data[:, None]).reshape(x.data.shape)
+    return _emit((x, y), data, lambda g: (g, g.reshape(shape).sum(axis=(0, 2)) if y.tape is not None else None))
 
 
-def blocks_to_rows(x, n_blocks: int) -> Tensor:
-    """Regroup (rows, n_blocks * w) into (n_blocks * rows, w): column block j becomes row block j."""
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in another shape, in row-major order; the adjoint is reshaped back."""
     x = _as_tensor(x)
-    if x.data.ndim != 2 or n_blocks < 1 or x.data.shape[1] % n_blocks:
-        raise DimensionError(f"a matrix of shape {x.data.shape} is not {n_blocks} column blocks")
-    m, w = x.data.shape[0], x.data.shape[1] // n_blocks
-    data = x.data.reshape(m, n_blocks, w).transpose(1, 0, 2).reshape(n_blocks * m, w)
-
-    def vjp(g):
-        # contiguous, so reductions over its rows sum in the same order as
-        # over an adjoint assembled column block by column block
-        return (np.ascontiguousarray(g.reshape(n_blocks, m, w).transpose(1, 0, 2).reshape(m, n_blocks * w)),)
-
-    return _emit((x,), data, vjp)
+    try:
+        data = x.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"cannot reshape {x.data.shape} to {shape}") from None
+    return _emit((x,), data, lambda g: (g.reshape(x.data.shape),))
 
 
 # -- fused primitives ------------------------------------------------------------
@@ -486,24 +484,24 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
 
 
 def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2, w3) -> Tensor:
-    """Gated edge messages summed at their receivers, in each block of node rows.
+    """Gated edge messages summed at their receivers, in each block of a node-major stack.
 
-    `x` stacks blocks of n node rows, (blocks * n, d). `src` and `recv` are
-    the (E, n) edge incidence operators, each row a single 1.0 at the edge's
-    sender or receiver, and `weight` holds the E edge weights, (E, 1). `w1`
-    (2d + 1, d) splits by rows into receiver, sender and weight parts. Per
-    edge e and block:
+    `x` holds `blocks` consecutive rows per node, (n * blocks, d). `src` and
+    `recv` are the (E, n) edge incidence operators, each row a single 1.0 at
+    the edge's sender or receiver, and `weight` holds the E edge weights,
+    (E, 1). `w1` (2d + 1, d) splits by rows into receiver, sender and weight
+    parts. Per edge e and block:
 
         h = elu(x[recv_e] @ w1_recv + x[src_e] @ w1_src + weight_e * w1_weight)
         m = h @ w2
         message_e = sigmoid(m @ w3) * m
 
     Returns the messages summed at each receiver in ascending edge order,
-    (blocks * n, d). The node rows are projected before the gathers, so the
+    (n * blocks, d). The node rows are projected before the gathers, so the
     first product runs on n rows per block, not E. Edge arrays are
-    edge-major, (E, blocks, d): a gather copies whole rows of a node-major
-    array, and the receiver sum and the adjoint's scatters are each one
-    product with a transposed incidence. Only the elu output, m and the gate
+    edge-major, (E, blocks, d): a gather copies a node's consecutive rows,
+    and the receiver sum and the adjoint's scatters are each one product
+    with a transposed incidence. Only the elu output, m and the gate
     are kept for the adjoint, and only when the result is recorded;
     otherwise the edge arrays are overwritten in place.
     """
@@ -519,10 +517,8 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
     blocks = n_rows // n
     recv_idx, src_idx = recv.csr.indices, src.csr.indices
     w1_recv, w1_src, w1_weight = w1.data[:d], w1.data[d : 2 * d], w1.data[2 * d :]
-    # node-major, (n * blocks, d): one copy on node rows
-    xn = x.data.reshape(blocks, n, d).transpose(1, 0, 2).reshape(n * blocks, d)
-    h = (xn @ w1_recv).reshape(n, blocks, d)[recv_idx]
-    h += (xn @ w1_src).reshape(n, blocks, d)[src_idx]
+    h = (x.data @ w1_recv).reshape(n, blocks, d)[recv_idx]
+    h += (x.data @ w1_src).reshape(n, blocks, d)[src_idx]
     h += weight[:, :, None] * w1_weight
     tmp = np.minimum(h, 0.0)
     np.maximum(h, np.expm1(tmp, out=tmp), out=h)  # elu, as `elu`
@@ -532,12 +528,10 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
     recorded = _merge_tape(x, w1, w2, w3) is not None
     gate = _sigmoid(a, out=np.empty_like(a) if recorded else h)  # unrecorded: h is spent
     gated = np.multiply(gate, m, out=a)
-    summed = recv.csr.T @ gated.reshape(n_edges, blocks * d)
-    data = summed.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
+    data = (recv.csr.T @ gated.reshape(n_edges, blocks * d)).reshape(n_rows, d)
 
     def vjp(g):
-        gn = g.reshape(blocks, n, d).transpose(1, 0, 2).reshape(n, blocks, d)
-        d_gated = gn[recv_idx].reshape(n_edges * blocks, d)
+        d_gated = g.reshape(n, blocks, d)[recv_idx].reshape(n_edges * blocks, d)
         # through gate * m, then the sigmoid, in the op-by-op order
         d_a = np.multiply(d_gated, m)
         np.multiply(d_a, gate, out=d_a)
@@ -553,11 +547,10 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
             at_recv = (recv.csr.T @ d_pre).reshape(n * blocks, d)
             at_src = (src.csr.T @ d_pre).reshape(n * blocks, d)
             if x.tape is not None:
-                dxn = at_recv @ w1_recv.T + at_src @ w1_src.T
-                grads[0] = dxn.reshape(n, blocks, d).transpose(1, 0, 2).reshape(blocks * n, d)
+                grads[0] = at_recv @ w1_recv.T + at_src @ w1_src.T
             if w1.tape is not None:
                 d_weight = (weight.T @ d_pre).reshape(blocks, d).sum(axis=0, keepdims=True)
-                grads[1] = np.concatenate([xn.T @ at_recv, xn.T @ at_src, d_weight])
+                grads[1] = np.concatenate([x.data.T @ at_recv, x.data.T @ at_src, d_weight])
         return grads
 
     return _emit((x, w1, w2, w3), data, vjp)
@@ -566,13 +559,13 @@ def edge_messages(x, src: CsrMatrix, recv: CsrMatrix, weight: np.ndarray, w1, w2
 def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted mixtures of S equally shaped encodings, per row.
 
-    `stacked` holds the S encodings as S blocks of rows, (S * rows, d).
-    The encodings are copied once node-major, (rows, S, d). Scores are that
-    copy times `theta` (d, n_sets), one product; each score set gets a row
+    `stacked` holds each row's S encodings consecutively, (rows * S, d),
+    which is (rows, S, d) without a copy. Scores are `stacked` times `theta`
+    (d, n_sets), one product, (rows, S, n_sets); each score set gets a
     softmax over the S encodings, and every row mixes its S encodings with
     one batched product, (rows, n_sets, S) @ (rows, S, d). Returns the
-    mixtures stacked by score set, (n_sets * rows, d), and the weights,
-    (n_sets, rows, S).
+    mixtures with the sets innermost, (rows * n_sets, d), and the weights,
+    (rows, n_sets, S).
     """
     x, theta = _as_tensor(stacked), _as_tensor(theta)
     n_rows, d = x.data.shape if x.data.ndim == 2 else (0, 0)
@@ -581,24 +574,22 @@ def scale_attention(stacked, n_scales: int, theta) -> tuple[Tensor, np.ndarray]:
     if theta.data.ndim != 2 or theta.data.shape[0] != d:
         raise DimensionError(f"score weights of shape {theta.data.shape} do not fit encodings of width {d}")
     n_s, m, n_sets = n_scales, n_rows // n_scales, theta.data.shape[1]
-    z = np.ascontiguousarray(x.data.reshape(n_s, m, d).transpose(1, 0, 2))  # (rows, S, d)
-    scores = (z.reshape(m * n_s, d) @ theta.data).reshape(m, n_s, n_sets)
-    scores = np.ascontiguousarray(scores.transpose(0, 2, 1))  # (rows, n_sets, S)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    alphas = e / e.sum(axis=2, keepdims=True)  # (rows, n_sets, S)
-    data = (alphas @ z).transpose(1, 0, 2).reshape(n_sets * m, d)
-    alphas_out = np.ascontiguousarray(alphas.transpose(1, 0, 2))
+    z = x.data.reshape(m, n_s, d)
+    scores = (x.data @ theta.data).reshape(m, n_s, n_sets)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)  # (rows, S, n_sets)
+    alphas = weights.transpose(0, 2, 1)
+    data = (alphas @ z).reshape(m * n_sets, d)
 
     def vjp(g):
-        g = g.reshape(n_sets, m, d).transpose(1, 0, 2)  # (rows, n_sets, d)
-        d_alpha = g @ z.transpose(0, 2, 1)
-        d_scores = alphas * (d_alpha - (d_alpha * alphas).sum(axis=2, keepdims=True))
-        d_scores = d_scores.transpose(0, 2, 1).reshape(m * n_s, n_sets)  # node-major, like z
+        g = g.reshape(m, n_sets, d)
+        d_weights = z @ g.transpose(0, 2, 1)  # (rows, S, n_sets)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=1, keepdims=True))
+        d_scores = d_scores.reshape(n_rows, n_sets)
         dz = None
         if x.tape is not None:
-            dz = alphas.transpose(0, 2, 1) @ g
-            dz += (d_scores @ theta.data.T).reshape(m, n_s, d)
-            dz = dz.transpose(1, 0, 2).reshape(n_rows, d)
-        return dz, (z.reshape(m * n_s, d).T @ d_scores if theta.tape is not None else None)
+            dz = (weights @ g).reshape(n_rows, d)
+            dz += d_scores @ theta.data.T
+        return dz, (x.data.T @ d_scores if theta.tape is not None else None)
 
-    return _emit((x, theta), data, vjp), alphas_out
+    return _emit((x, theta), data, vjp), alphas

@@ -220,11 +220,11 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
         writer = csv.writer(fh)
         writer.writerow(["node", "horizon_step", "k", "l", "alpha"])
         for h in range(cfg.horizon):
-            scores = alphas[h if cfg.per_step_attention else 0]
+            score_set = h if cfg.per_step_attention else 0
             for node in range(cfg.n_nodes):
                 for slot in range(cfg.n_scales):  # spatial-major: slot k*L + (l-1)
                     k, l_idx = divmod(slot, cfg.temporal_layers)
-                    writer.writerow([node, h, k, l_idx + 1, repr(float(scores[node, slot]))])
+                    writer.writerow([node, h, k, l_idx + 1, repr(float(alphas[node, score_set, slot]))])
     os.replace(tmp, path)
 
 

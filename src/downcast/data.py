@@ -287,11 +287,11 @@ def _finite_float(token: str) -> float:
 
 
 def _csv_rows(path):
-    """Yield (line, record) for each csv record of the file, which must be UTF-8.
+    """Yield (line, record) for each nonempty csv record of the file, which must be UTF-8.
 
     `line` is the physical line where the record starts, so it stays right
-    after a quoted cell that spans lines. A bad byte raises CsvParseError
-    naming its line.
+    after a quoted cell that spans lines or a blank line, which is skipped.
+    A bad byte raises CsvParseError naming its line.
     """
     raw = Path(path).read_bytes()
     try:
@@ -302,7 +302,8 @@ def _csv_rows(path):
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     start = 1
     for row in reader:
-        yield start, row
+        if row:
+            yield start, row
         start = reader.line_num + 1
 
 

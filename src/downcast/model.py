@@ -9,10 +9,14 @@ encodings captures one (temporal scale, spatial scale) pair; a per-node
 softmax over learned scores mixes them into the representation the decoder
 maps to the forecasts.
 
-Each stage passes one tensor on, stacked by row blocks of B*N rows: the L
-temporal summaries, the S = L*(K+1) encodings (the slots) and the H
-per-step predictions. Slots are spatial-major: row block k*L + (l-1) holds
-temporal layer l at spatial level k.
+A batch of B windows has one row per (node, window), node-major: row
+i*B + b is node i of window b. Each stage hands on one tensor with its
+stack innermost: each row's L temporal summaries, S = L*(K+1) encodings
+(the slots), score sets or H per-step predictions are consecutive rows.
+Every graph operator then acts on a whole stack as (N, rest) without a
+copy. Slots are spatial-major: slot k*L + (l-1) holds temporal layer l at
+spatial level k. The W input steps stay time-major, one block of N*B rows
+each, for the recurrent scan.
 """
 from __future__ import annotations
 
@@ -79,9 +83,9 @@ class ForwardTrace:
 @dataclass
 class BatchForward:
     tape: Tape | None  # None when the pass was run without gradient recording
-    preds: Tensor  # (H*B*N, d_x), horizon-major
-    slots: Tensor  # (S*B*N, d_h), slot-major
-    alphas: np.ndarray  # (n_score_sets, B*N, S)
+    preds: Tensor  # (N*B*H, d_x), steps innermost
+    slots: Tensor  # (N*B*S, d_h), slots innermost
+    alphas: np.ndarray  # (N*B, n_score_sets, S)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -159,9 +163,9 @@ class ModelRuntime:
     """Sparse graph operators derived from the hierarchy, one set per model.
 
     Each operator acts on one window's nodes (N x N, or E x N for edge
-    incidence). A batch of B windows stacks its activations as B blocks of
-    rows, and `ad.sparse_matmul` and `ad.edge_messages` apply an operator to
-    every block, so the operators do not depend on the batch size.
+    incidence). A batch holds each node's rows consecutively, and
+    `ad.sparse_matmul` and `ad.edge_messages` apply an operator to all of a
+    node's rows at once, so the operators do not depend on the batch size.
     Per-window results equal running windows one by one up to last-ulp
     rounding: BLAS picks its kernels by row count.
     """
@@ -300,25 +304,25 @@ class Model:
     def encode_inputs(self, p: dict[str, Tensor], xw, mw, uw) -> Tensor:
         """Affine encoding of [imputed x, u, mask, node embedding] at every step.
 
-        The B*N rows are B windows of N nodes. Returns the W steps stacked
-        time-major, (W*B*N, d_h). The step features take one product with
-        `encoder.steps`; the embeddings take one on N rows with
-        `encoder.nodes`, which is added to every block of N rows.
+        The N*B rows are N nodes of B windows each. Returns the W steps
+        stacked time-major, (W*N*B, d_h). The step features take one product
+        with `encoder.steps`; the embeddings take one on N rows with
+        `encoder.nodes`, and node i's row is added to its B window rows.
         """
         cfg = self.config
         m_rows = xw.shape[1]
         if xw.shape != (cfg.window, m_rows, cfg.d_x) or mw.shape != xw.shape:
-            raise DimensionError("window arrays must be (W, B*N, d_x)")
+            raise DimensionError("window arrays must be (W, N*B, d_x)")
         if m_rows < 1 or m_rows % cfg.n_nodes:
             raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
         steps = ad.constant(feats) @ p["encoder.steps"]
         nodes = p["embeddings"] @ p["encoder.nodes"] + p["encoder.bias"]
-        return ad.add_blocks(steps, nodes)
+        return ad.add_blocks(steps, nodes, m_rows // cfg.n_nodes)
 
     def temporal_stack(self, p: dict[str, Tensor], seq: Tensor) -> Tensor:
-        """L per-layer summaries stacked layer-major, (L*B*N, d_h).
+        """L per-layer summaries, each row's L consecutive, (N*B*L, d_h).
 
         Each layer is one `ad.gru_scan` over the kept steps of the layer
         below; its summary is its last state.
@@ -326,20 +330,20 @@ class Model:
         cfg = self.config
         chain = temporal_chain(cfg.window, cfg.temporal_factor, cfg.temporal_layers)
         n_steps, steps = cfg.window, range(cfg.window)
+        rows = seq.data.shape[0] // cfg.window
         lasts = []
         for layer in range(cfg.temporal_layers):
             seq = ad.gru_scan(seq, n_steps, steps, *(p[f"temporal.l{layer}.{w}"] for w in ("w_in", "w_hid", "bias")))
-            rows = seq.data.shape[0] // len(steps)
             lasts.append(ad.slice_rows(seq, rows * (len(steps) - 1), rows * len(steps)))
             n_steps, steps = len(steps), chain[layer].kept_indices
-        return ad.concat_rows(lasts)
+        return ad.concat_rows(lasts, groups=rows)
 
     def spatial_stack(self, p: dict[str, Tensor], z: Tensor, rt: ModelRuntime) -> Tensor:
         """All (spatial level, temporal layer) encodings, lifted back to level 0.
 
         Every level runs once over the L stacked summaries: weights are shared
-        across layers and each operator acts on every block of N rows alone.
-        Returns the S slots stacked slot-major, (S*B*N, d_h).
+        across layers, and each operator acts on a node's B*L rows at once.
+        Returns each row's S slots consecutively, (N*B*S, d_h).
         """
         levels, r = [z], z
         for k in range(1, self.config.spatial_levels + 1):
@@ -349,27 +353,27 @@ class Model:
                 lifted = ad.sparse_matmul(rt.lift_ops[j - 1], lifted)
                 lifted = ad.sparse_matmul(rt.ascent_ops[j - 1], lifted, transpose=True)
             levels.append(lifted)
-        return ad.concat_rows(levels) if len(levels) > 1 else z
+        rows = z.data.shape[0] // self.config.temporal_layers
+        return ad.concat_rows(levels, groups=rows) if len(levels) > 1 else z
 
     def attention_fuse(self, p: dict[str, Tensor], slots: Tensor) -> tuple[np.ndarray, Tensor]:
         """Softmax-weighted mixtures of the multiscale encodings, per node.
 
         Returns (weights, fused representations): the weights are
-        (n_sets, B*N, S), one set per horizon step in per-step mode and a
-        single shared set otherwise, and the mixtures are stacked by set.
+        (N*B, n_sets, S), one set per horizon step in per-step mode and a
+        single shared set otherwise, and each row's mixtures are consecutive.
         """
         fused, alphas = ad.scale_attention(slots, self.config.n_scales, p["attention.weight"])
         return alphas, fused
 
     def readout(self, p: dict[str, Tensor], fused: Tensor) -> Tensor:
-        """Map fused representations, stacked by score set, to predictions (scaled space).
+        """Map fused representations, a row's score sets consecutive, to predictions (scaled space).
 
-        Returns the H per-step predictions stacked horizon-major, (H*B*N, d_x).
+        Returns each row's H per-step predictions consecutively, (N*B*H, d_x).
         """
         cfg = self.config
-        if not cfg.per_step_attention:
-            return ad.blocks_to_rows(_mlp(fused, p, cfg), cfg.horizon)
-        return _mlp(fused, p, cfg)
+        out = _mlp(fused, p, cfg)
+        return out if cfg.per_step_attention else ad.reshape(out, (-1, cfg.d_x))
 
     def forward_batch(
         self,
@@ -378,9 +382,9 @@ class Model:
         uw: np.ndarray,
         record_gradients: bool = True,
     ) -> BatchForward:
-        """Run B windows stacked along the node axis as B blocks of N rows.
+        """Run B windows with one row per (node, window), node-major.
 
-        Every graph operator is applied to each block on its own (see
+        Every graph operator acts on each window on its own (see
         ModelRuntime), so each window's results equal a batch of one up to
         last-ulp rounding.
 
@@ -401,7 +405,7 @@ class Model:
         cfg = self.config
         bf = self.forward_batch(x, m, u, record_gradients=False)
         return ForwardTrace(
-            encodings=bf.slots.data.reshape(cfg.n_scales, cfg.n_nodes, cfg.d_h),
-            alphas=bf.alphas,
-            predictions=bf.preds.data.reshape(cfg.horizon, cfg.n_nodes, cfg.d_x),
+            encodings=bf.slots.data.reshape(cfg.n_nodes, cfg.n_scales, cfg.d_h).transpose(1, 0, 2),
+            alphas=bf.alphas.transpose(1, 0, 2),
+            predictions=bf.preds.data.reshape(cfg.n_nodes, cfg.horizon, cfg.d_x).transpose(1, 0, 2),
         )

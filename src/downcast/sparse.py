@@ -1,4 +1,4 @@
-"""Constant sparse operators applied blockwise to stacked dense operands.
+"""Constant sparse operators applied to node-major stacks of dense operands.
 
 Operators carry node selections, graph diffusion and edge incidence. They are
 never differentiated through; gradients only flow through the dense operands
@@ -38,24 +38,17 @@ class CsrMatrix:
         return int(self.csr.nnz)
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Apply the operator to each of the B stacked blocks of a (B*n_cols, d) matrix.
+        """Apply the operator to a node-major stack, (n_cols * B, d) -> (n_rows * B, d).
 
-        The blocks are regrouped node-major as (n_cols, B*d) for one sparse
-        product and the (n_rows, B*d) result is regrouped back to
-        (B*n_rows, d). Every output entry is the same sum, in the same order,
-        as the product with the B-fold block-diagonal operator.
-
-        The model applies only node-row operators here (selections, lifting,
-        ascent and diffusion), so both regroupings copy node rows, never edge
-        rows.
+        Node i's B rows are consecutive, so the stack is (n_cols, B*d) and
+        the result (n_rows, B*d) without a copy. Every output entry is the
+        same sum, in the same order, as the product with the operator
+        Kronecker-multiplied by the B x B identity.
         """
         op = self.csr.T if transpose else self.csr
-        n_out, n_in = op.shape
+        n_in = op.shape[1]
         if x.ndim != 2 or n_in == 0 or x.shape[0] == 0 or x.shape[0] % n_in:
             raise DimensionError(
                 f"operator has {n_in} columns; an operand of shape {x.shape} is not a stack of blocks"
             )
-        blocks, width = x.shape[0] // n_in, x.shape[1]
-        stacked = x.reshape(blocks, n_in, width).transpose(1, 0, 2).reshape(n_in, blocks * width)
-        out = op @ stacked
-        return out.reshape(n_out, blocks, width).transpose(1, 0, 2).reshape(blocks * n_out, width)
+        return (op @ x.reshape(n_in, -1)).reshape(-1, x.shape[1])

@@ -94,38 +94,43 @@ class DataBundle:
 
 @dataclass
 class AssembledBatch:
-    x: np.ndarray  # (W, B*N, d_x), scaled
+    x: np.ndarray  # (W, N*B, d_x), node-major rows, scaled
     m: np.ndarray  # simulated-and-original input validity
     u: np.ndarray
-    targets: np.ndarray  # (H*B*N, d_x), horizon-major like the predictions, scaled
+    targets: np.ndarray  # (N*B*H, d_x), steps innermost like the predictions, scaled
     target_masks: np.ndarray
     raw_targets: np.ndarray  # targets in original units
 
 
 def assemble_batch(bundle: DataBundle, starts, mask_targets: bool) -> AssembledBatch:
-    """Gather the windows at `starts` as B blocks of N rows; combine the mask policies.
+    """Gather the windows at `starts` with node-major rows; combine the mask policies.
 
     One time-major index, start + t for each of the W+H steps t of each
-    window, reads every array at once. The gathered (W+H, B, N, C) blocks are
-    (W+H, B*N, C) without a copy; the exogenous rows, one per step, are
-    gathered as (W, B, d_u) and repeated for the N nodes. Inputs are always
-    masked by the simulated pattern; targets are only masked during training
+    window, reads every array as (W, B, N, C) inputs and (B, H, N, C)
+    targets; one transposed copy each makes them (W, N*B, C) and, the steps
+    innermost, (N*B*H, C). The exogenous rows, one per step, are gathered
+    as (W, B, d_u) and repeated for the N nodes. Inputs are always masked by
+    the simulated pattern; targets are only masked during training
     (evaluation scores against originally-valid data).
     """
-    panel, w = bundle.panel, bundle.window
-    steps = np.asarray(starts)[None, :] + np.arange(w + bundle.horizon)[:, None]  # (W+H, B)
-    shape = (w + bundle.horizon, steps.shape[1] * panel.n_nodes, panel.n_channels)
-    x = panel.x[steps].reshape(shape)
-    m = panel.mask[steps].reshape(shape)
-    sim = bundle.sim_mask[steps].reshape(shape)
-    u = panel.u[steps[:w], None]  # (W, B, 1, d_u)
+    panel, w, h = bundle.panel, bundle.window, bundle.horizon
+    steps = np.asarray(starts)[None, :] + np.arange(w + h)[:, None]  # (W+H, B)
+    n, b = panel.n_nodes, steps.shape[1]
+
+    def gather(a):
+        inputs = a[steps[:w]].transpose(0, 2, 1, 3).reshape(w, n * b, -1)
+        targets = a[steps[w:].T].transpose(2, 0, 1, 3).reshape(n * b * h, -1)
+        return inputs, targets
+
+    (x, y), (m, mt), (sim, sim_t) = gather(panel.x), gather(panel.mask), gather(bundle.sim_mask)
+    u = panel.u[steps[:w]][:, None]  # (W, 1, B, d_u)
     return AssembledBatch(
-        x=bundle.scaler.apply(x[:w]),
-        m=m[:w] * sim[:w],
-        u=np.broadcast_to(u, (w, steps.shape[1], panel.n_nodes, u.shape[3])).reshape(w, shape[1], u.shape[3]),
-        targets=bundle.scaler.apply(x[w:]).reshape(-1, shape[2]),
-        target_masks=(m[w:] * sim[w:] if mask_targets else m[w:]).reshape(-1, shape[2]),
-        raw_targets=x[w:].reshape(-1, shape[2]),
+        x=bundle.scaler.apply(x),
+        m=m * sim,
+        u=np.broadcast_to(u, (w, n, b, u.shape[3])).reshape(w, n * b, u.shape[3]),
+        targets=bundle.scaler.apply(y),
+        target_masks=mt * sim_t if mask_targets else mt,
+        raw_targets=y,
     )
 
 
@@ -243,14 +248,15 @@ def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
 
     Each chunk of consecutive windows, at most `batch_size` and at most
     `_EVAL_ROWS` rows unless one window has more, is gathered and run forward
-    once, unrecorded. `alphas` is its (n_score_sets, rows, S) attention.
+    once, unrecorded. The predictions are (rows, H, d_x), the rows node-major,
+    and `alphas` is the (rows, n_score_sets, S) attention.
     Windows do not interact, so a chunk's predictions equal one pass's over
     all windows up to last-ulp rounding (BLAS picks its kernels by row count).
     """
     cfg = model.config
     for chunk, batch in _batches(bundle, starts, max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))):
         bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
-        yield chunk, bundle.scaler.invert(bf.preds.data.reshape(cfg.horizon, -1, cfg.d_x)), batch, bf.alphas
+        yield chunk, bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x)), batch, bf.alphas
 
 
 class _MaskedErrorSums:
@@ -262,12 +268,12 @@ class _MaskedErrorSums:
         self.counts = np.zeros(horizon, dtype=np.int64)
 
     def add(self, pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> None:
-        """Accumulate (H, rows, d_x) predictions against horizon-major targets under a mask."""
+        """Accumulate (rows, H, d_x) predictions against targets with the steps innermost under a mask."""
         diff = pred - target.reshape(pred.shape)
         mask = mask.reshape(pred.shape)
-        self.abs_sum += (np.abs(diff) * mask).sum(axis=(1, 2))
-        self.sq_sum += (diff**2 * mask).sum(axis=(1, 2))
-        self.counts += mask.sum(axis=(1, 2)).astype(np.int64)
+        self.abs_sum += (np.abs(diff) * mask).sum(axis=(0, 2))
+        self.sq_sum += (diff**2 * mask).sum(axis=(0, 2))
+        self.counts += mask.sum(axis=(0, 2)).astype(np.int64)
 
     def report(self) -> MetricsReport:
         n = int(self.counts.sum())
@@ -300,7 +306,7 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
     # reads their exogenous channels (11 with time encodings)
     for _, batch in _batches(bundle, bundle.split(split), 32):
         last = last_value_imputation(batch.x, batch.m)[-1]
-        pred = bundle.scaler.invert(np.repeat(last[None], horizon, axis=0))
+        pred = bundle.scaler.invert(np.repeat(last[:, None], horizon, axis=1))
         sums.add(pred, batch.raw_targets, batch.target_masks)
     return sums.report()
 

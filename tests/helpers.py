@@ -94,13 +94,14 @@ def spatial_stack_reference(model, p, z_list, rt):
 def encode_inputs_reference(model, x, m, u):
     """Concatenated encoder: the reference for `Model.encode_inputs`.
 
-    Every (step, node) row holds [imputed x, u, mask, embedding], the
-    embedding tiled over the windows and steps, and takes one product with
-    `encoder.steps` stacked on `encoder.nodes`. Returns the (W*B*N, d_h) array.
+    Every (step, node, window) row holds [imputed x, u, mask, embedding],
+    the embedding repeated over the windows and tiled over the steps, and
+    takes one product with `encoder.steps` stacked on `encoder.nodes`.
+    Returns the (W*N*B, d_h) array.
     """
     pv = {k: v.value for k, v in model.params.items()}
     w, rows = x.shape[0], x.shape[1]
-    emb = np.tile(pv["embeddings"], (w * rows // model.config.n_nodes, 1))
+    emb = np.tile(np.repeat(pv["embeddings"], rows // model.config.n_nodes, axis=0), (w, 1))
     feats = np.concatenate([last_value_imputation(x, m), u, m], axis=2).reshape(w * rows, -1)
     weight = np.concatenate([pv["encoder.steps"], pv["encoder.nodes"]])
     return np.concatenate([feats, emb], axis=1) @ weight + pv["encoder.bias"]
@@ -115,8 +116,8 @@ def edge_messages_reference(x, src, recv, weight, w1, w2, w3):
     """
     x_recv = ad.sparse_matmul(recv, x)
     x_src = ad.sparse_matmul(src, x)
-    tiled = np.tile(weight, (x.data.shape[0] // src.shape[1], 1))
-    feats = concat_cols([x_recv, x_src, ad.constant(tiled)])
+    repeated = np.repeat(weight, x.data.shape[0] // src.shape[1], axis=0)  # edge-major, like x_recv
+    feats = concat_cols([x_recv, x_src, ad.constant(repeated)])
     m = ad.elu(feats @ w1) @ w2
     gated = ad.mul(ad.sigmoid(m @ w3), m)
     return ad.sparse_matmul(recv, gated, transpose=True)
@@ -172,8 +173,13 @@ def softmax_rows(x):
 
 
 def concat_cols(parts):
-    """Concatenate matrices with equal row counts along columns."""
-    return ad._concat(parts, 1)
+    """Concatenate matrices with equal row counts along columns; each adjoint is its column slice."""
+    parts = [ad._as_tensor(p) for p in parts]
+    if any(p.data.ndim != 2 or p.data.shape[0] != parts[0].data.shape[0] for p in parts):
+        raise DimensionError("operands joined along columns must be matrices of equal row count")
+    ends = np.cumsum([p.data.shape[1] for p in parts]).tolist()
+    spans = list(zip([0, *ends], ends))
+    return ad._emit(parts, np.concatenate([p.data for p in parts], axis=1), lambda g: [g[:, lo:hi] for lo, hi in spans])
 
 
 def slice_cols(x, lo, hi):
@@ -393,8 +399,9 @@ def write_mask_csv(mask: np.ndarray, path) -> None:
 
 def assemble_batch_reference(bundle, starts, mask_targets):
     """Window-by-window batch assembly: slice each window by its start, then
-    concatenate the windows along the node axis. The exogenous rows are
-    stored per step and repeated for every node."""
+    stack the windows inside the node axis, so row i*B + b is node i of
+    window b, and put each row's H target steps consecutively. The exogenous
+    rows are stored per step and repeated for every node."""
     panel, w, h = bundle.panel, bundle.window, bundle.horizon
     xs, ms, us, ys, mts, raws = [], [], [], [], [], []
     for s in starts:
@@ -406,5 +413,7 @@ def assemble_batch_reference(bundle, starts, mask_targets):
         m_target = panel.mask[targets]
         mts.append(m_target * bundle.sim_mask[targets] if mask_targets else m_target)
         raws.append(panel.x[targets])
-    x, m, u, y, mt, raw = (np.concatenate(parts, axis=1) for parts in (xs, ms, us, ys, mts, raws))
-    return tr.AssembledBatch(x, m, u, *(a.reshape(-1, a.shape[2]) for a in (y, mt, raw)))
+    n, b = panel.n_nodes, len(xs)
+    x, m, u = (np.stack(parts, axis=2).reshape(w, n * b, parts[0].shape[2]) for parts in (xs, ms, us))
+    y, mt, raw = (np.stack(parts, axis=2).transpose(1, 2, 0, 3).reshape(n * b * h, -1) for parts in (ys, mts, raws))
+    return tr.AssembledBatch(x, m, u, y, mt, raw)

@@ -257,12 +257,14 @@ class TestSparseMatmul:
 
     @pytest.mark.parametrize("blocks", [1, 3, 32])
     @pytest.mark.parametrize("shape", [(7, 7), (11, 5)])
-    def test_blockwise_apply_equals_block_diagonal_product(self, blocks, shape):
+    def test_blockwise_apply_equals_kronecker_product(self, blocks, shape):
+        # a node-major stack holds each node's `blocks` rows consecutively, so
+        # the operator acts on it as op (x) I_blocks
         op = self.random_op(*shape)
         for transpose in (False, True):
             mat = op.csr.T if transpose else op.csr
-            x = RNG.uniform(-2, 2, (blocks * mat.shape[1], 4))
-            expected = sp.block_diag([mat] * blocks, format="csr") @ x
+            x = RNG.uniform(-2, 2, (mat.shape[1] * blocks, 4))
+            expected = sp.kron(mat, sp.identity(blocks), format="csr") @ x
             assert np.array_equal(op.apply(x, transpose=transpose), expected)
 
     def test_blockwise_gradient(self):
@@ -299,11 +301,32 @@ class TestConcatSlice:
         )
 
     def test_concat_rows_tiling_accumulates(self):
-        tape = ad.Tape()
-        x = tape.leaf(RNG.uniform(-1, 1, (2, 3)))
-        tiled = ad.concat_rows([x, x, x])
-        adj = tape.backward(ad.reduce_sum(tiled))
-        np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 3.0))
+        for groups in (1, 2):
+            tape = ad.Tape()
+            x = tape.leaf(RNG.uniform(-1, 1, (2, 3)))
+            tiled = ad.concat_rows([x, x, x], groups=groups)
+            adj = tape.backward(ad.reduce_sum(tiled))
+            np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 3.0))
+
+    def test_concat_rows_interleaves_groups(self):
+        parts = [RNG.uniform(-1, 1, (6, 2)) for _ in range(3)]
+        out = ad.concat_rows([ad.constant(p) for p in parts], groups=3).data
+        # group g of part j is rows 2g, 2g+1; it lands at row block 3g + j
+        expected = np.concatenate([parts[j][2 * g : 2 * g + 2] for g in range(3) for j in range(3)])
+        np.testing.assert_array_equal(out, expected)
+        w = RNG.uniform(-1, 1, (18, 2))
+        check_grad(
+            lambda a: ad.reduce_sum(ad.mul(ad.concat_rows([ad.constant(parts[0]), a, a], groups=3), ad.constant(w))),
+            parts[1],
+        )
+        # parts may differ in group size, as they may differ in row count with one group
+        uneven = ad.concat_rows([ad.constant(parts[0]), ad.constant(parts[1][:3])], groups=3).data
+        np.testing.assert_array_equal(uneven[3 * 0 : 3 * 1], np.concatenate([parts[0][0:2], parts[1][0:1]]))
+        for bad in ([np.ones((5, 2))] * 2, [np.ones((6, 2)), np.ones((6, 3))]):
+            with pytest.raises(DimensionError):
+                ad.concat_rows([ad.constant(b) for b in bad], groups=3)
+        with pytest.raises(ContractError):
+            ad.concat_rows([ad.constant(parts[0])], groups=0)
 
     def test_slice_cols_gradient(self):
         w = RNG.uniform(-1, 1, (3, 2))
@@ -413,36 +436,36 @@ class TestRecordedOpFiniteDifferences:
 
     def test_add_blocks(self):
         rng = np.random.default_rng(24)
-        x0, y0 = rng.normal(size=(3 * 4, 2)), rng.normal(size=(4, 2))  # three 4-row blocks
-        weight = ad.constant(rng.normal(size=(3 * 4, 2)))
+        for repeat in (1, 3):
+            rows = 2 * 4 * repeat  # two blocks of 4 nodes, `repeat` rows per node
+            x0, y0 = rng.normal(size=(rows, 2)), rng.normal(size=(4, 2))
+            weight = ad.constant(rng.normal(size=(rows, 2)))
 
-        def build(x, y):
-            return ad.reduce_sum(ad.mul(ad.add_blocks(x, y), weight))
+            def build(x, y, repeat=repeat, weight=weight):
+                return ad.reduce_sum(ad.mul(ad.add_blocks(x, y, repeat), weight))
 
-        check_grad(lambda v: build(v, ad.constant(y0)), x0)
-        check_grad(lambda v: build(ad.constant(x0), v), y0)
-        np.testing.assert_array_equal(ad.add_blocks(ad.constant(x0), y0).data, x0 + np.tile(y0, (3, 1)))
-        for bad in (np.ones((5, 2)), np.ones((4, 3)), np.ones((0, 2))):
-            with pytest.raises(DimensionError):
-                ad.add_blocks(ad.constant(x0), bad)
+            check_grad(lambda v: build(v, ad.constant(y0)), x0)
+            check_grad(lambda v: build(ad.constant(x0), v), y0)
+            expected = x0 + np.tile(np.repeat(y0, repeat, axis=0), (2, 1))
+            np.testing.assert_array_equal(ad.add_blocks(ad.constant(x0), y0, repeat).data, expected)
+            for bad in (np.ones((5, 2)), np.ones((4, 3)), np.ones((0, 2))):
+                with pytest.raises(DimensionError):
+                    ad.add_blocks(ad.constant(x0), bad, repeat)
 
-    def test_blocks_to_rows(self):
+    def test_reshape(self):
         rng = np.random.default_rng(23)
-        x0 = rng.normal(size=(4, 3 * 2))  # three 2-column blocks of 4 rows
-        weight = ad.constant(rng.normal(size=(3 * 4, 2)))
-        check_grad(lambda v: ad.reduce_sum(ad.mul(ad.blocks_to_rows(v, 3), weight)), x0)
-        # round trip: row block j is column block j, and the pull regroups back
-        out = ad.blocks_to_rows(ad.constant(x0), 3).data
-        for j in range(3):
-            np.testing.assert_array_equal(out[4 * j : 4 * j + 4], x0[:, 2 * j : 2 * j + 2])
+        x0 = rng.normal(size=(4, 3 * 2))  # four rows of three 2-wide steps
+        weight = ad.constant(rng.normal(size=(4 * 3, 2)))
+        check_grad(lambda v: ad.reduce_sum(ad.mul(ad.reshape(v, (-1, 2)), weight)), x0)
+        # row-major: row r's step j becomes row 3r + j, and the pull reshapes back
+        out = ad.reshape(ad.constant(x0), (-1, 2)).data
+        np.testing.assert_array_equal(out[3 * 1 + 2], x0[1, 4:6])
         tape = ad.Tape()
         x = tape.leaf(x0)
-        rows = ad.blocks_to_rows(x, 3)
-        adj = tape.backward(ad.reduce_sum(ad.mul(rows, ad.constant(out))))
+        adj = tape.backward(ad.reduce_sum(ad.mul(ad.reshape(x, (12, 2)), ad.constant(out))))
         np.testing.assert_array_equal(adj[x.node], x0)
-        assert adj[x.node].flags.c_contiguous
         with pytest.raises(DimensionError):
-            ad.blocks_to_rows(ad.constant(x0), 4)
+            ad.reshape(ad.constant(x0), (5, -1))
 
     def test_edge_messages(self):
         # every input in turn: the node rows, then the three message weights
@@ -490,7 +513,7 @@ def _scans():
 
 
 def _multi_input_ops():
-    """(name, op on tensors, input arrays) for every op that takes more than one tensor."""
+    """(name, op on tensors, input arrays) for every op that takes more than one tensor, and `reshape`."""
     rng = np.random.default_rng(50)
     src, recv, weight = _edge_operators(rng, n=4, p_edge=0.6)
     gru_arrays = list(_gru_inputs(rng, rows=3, d_in=3, d_h=4, n_steps=6))
@@ -504,13 +527,16 @@ def _multi_input_ops():
         ("mul", ad.mul, [rng.normal(size=(3, 4)), rng.normal(size=(3, 1))]),
         ("matmul", ad.matmul, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
         ("concat_rows", lambda *parts: ad.concat_rows(parts), [rng.normal(size=(k, 3)) for k in (2, 1, 4)]),
-        ("add_blocks", ad.add_blocks, [rng.normal(size=(3 * 4, 2)), rng.normal(size=(4, 2))]),
+        ("add_blocks", lambda x, y: ad.add_blocks(x, y, 1), [rng.normal(size=(3 * 4, 2)), rng.normal(size=(4, 2))]),
         ("gru_scan", gru(range(6)), gru_arrays),
         ("gru_scan_some_steps", gru((1, 3, 5)), gru_arrays),
         ("edge_messages", lambda x, *w: ad.edge_messages(x, src, recv, weight, *w),
          [rng.normal(size=(2 * 4, 3)), *_message_weights(rng, 3)]),
         ("scale_attention", lambda z, theta: ad.scale_attention(z, 3, theta)[0],
          [rng.normal(size=(3 * 4, 5)), rng.normal(size=(5, 2))]),
+        ("concat_rows_groups", lambda *parts: ad.concat_rows(parts, groups=2), [rng.normal(size=(4, 3)) for _ in range(3)]),
+        ("add_blocks_repeat", lambda x, y: ad.add_blocks(x, y, 3), [rng.normal(size=(2 * 4 * 3, 2)), rng.normal(size=(4, 2))]),
+        ("reshape", lambda x: ad.reshape(x, (-1, 2)), [rng.normal(size=(3, 4))]),
     ]
 
 
@@ -621,20 +647,21 @@ class TestScaleAttention:
         rng = np.random.default_rng(30 + n_sets)
         slots0 = [rng.normal(size=(7, 4)) for _ in range(5)]
         theta0 = rng.normal(size=(4, n_sets))
-        weight = rng.normal(size=(n_sets * 7, 4))
+        weight = rng.normal(size=(7 * n_sets, 4))
 
         def run(fused):
             tape = ad.Tape()
             theta = tape.leaf(theta0)
             if fused:
-                stacked = tape.leaf(np.concatenate(slots0))
+                # each row's five encodings consecutive, and its mixtures too
+                stacked = tape.leaf(np.stack(slots0, axis=1).reshape(7 * 5, 4))
                 out, alphas = ad.scale_attention(stacked, 5, theta)
                 d_slots = lambda adj: adj[stacked.node]
             else:
                 slots = [tape.leaf(z) for z in slots0]
                 mixes, als = scale_attention_reference(slots, theta)
-                out, alphas = ad.concat_rows(mixes), np.stack([a.data for a in als])
-                d_slots = lambda adj: np.concatenate([adj[t.node] for t in slots])
+                out, alphas = ad.concat_rows(mixes, groups=7), np.stack([a.data for a in als], axis=1)
+                d_slots = lambda adj: np.stack([adj[t.node] for t in slots], axis=1).reshape(7 * 5, 4)
             adj = tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(weight))))
             return out.data, alphas, [d_slots(adj), adj[theta.node]]
 
@@ -664,8 +691,8 @@ class TestEdgeMessages:
         n, d = 7, 5
         src, recv, weight = _edge_operators(rng, n, p_edge=0.4)
         assert recv.csr.T[[0]].nnz == 0 and src.csr.T[[0]].nnz > 0  # node 0 only sends
-        x0, weights0 = rng.normal(size=(blocks * n, d)), _message_weights(rng, d)
-        cot = ad.constant(rng.normal(size=(blocks * n, d)))
+        x0, weights0 = rng.normal(size=(n * blocks, d)), _message_weights(rng, d)
+        cot = ad.constant(rng.normal(size=(n * blocks, d)))
 
         def run(fused):
             tape = ad.Tape()
@@ -678,7 +705,7 @@ class TestEdgeMessages:
         out, adj = run(True)
         ref_out, ref_adj = run(False)
         np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(out.reshape(blocks, n, d)[:, 0], 0.0)  # no incoming edges
+        np.testing.assert_array_equal(out.reshape(n, blocks, d)[0], 0.0)  # no incoming edges
         assert len(adj) == 4
         for got, want in zip(adj, ref_adj):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

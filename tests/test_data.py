@@ -213,6 +213,15 @@ class TestCoordsCsv:
         with pytest.raises(CsvParseError, match=rf"coords\.csv: {message}"):
             dt.read_coords_csv(path)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n\n1,50.5,2.0\n\n")
+        np.testing.assert_array_equal(dt.read_coords_csv(path), [[50.0, 1.0], [50.5, 2.0]])
+
+    def test_lines_are_physical_after_a_blank_line(self, tmp_path):
+        path = self.write(tmp_path, "0,50.0,1.0\n\n1,50.5,east\n")
+        with pytest.raises(CsvParseError, match=r"coords\.csv: line 4: field 'lon': cannot read 'east'"):
+            dt.read_coords_csv(path)
+
 
 class TestCsvPanel:
     def test_missing_cell_marked(self, tmp_path):
@@ -276,6 +285,24 @@ class TestCsvPanel:
     def test_lines_are_physical_after_a_cell_that_spans_lines(self, tmp_path, last, message):
         path = tmp_path / "obs.csv"
         path.write_text(f'timestamp,node0_ch0,node1_ch0\n0,1.0,"2.0\n"\n1,1.5,2.5\n{last}\n')
+        with pytest.raises(CsvParseError, match=rf"obs\.csv: {message}"):
+            dt.load_csv_panel(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.5,2.5\n\n1,,3.5\n\n")
+        mask.write_text("timestamp,node0_ch0,node1_ch0\n\n0,1,1\n1,0,1\n\n")
+        panel, _ = dt.load_csv_panel(obs, mask_path=mask)
+        np.testing.assert_array_equal(panel.x[:, :, 0], [[1.5, 2.5], [0.0, 3.5]])
+        np.testing.assert_array_equal(panel.mask[:, :, 0], [[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("last, message", [
+        ("2,3.0,fast", r"line 5: field 'node1_ch0': cannot read 'fast'"),
+        ("2,3.0", r"line 5: expected 3 fields, got 2"),
+    ])
+    def test_lines_are_physical_after_a_blank_line(self, tmp_path, last, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,1.5,2.5\n\n{last}\n")
         with pytest.raises(CsvParseError, match=rf"obs\.csv: {message}"):
             dt.load_csv_panel(path)
 

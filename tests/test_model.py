@@ -67,6 +67,13 @@ def random_window(model, rng, missing=0.2):
     return x, m, u
 
 
+def stack_windows(windows):
+    """(x, m, u) of several windows with node-major rows: row i*B + b is node i of window b."""
+    return tuple(
+        np.stack(parts, axis=2).reshape(parts[0].shape[0], -1, parts[0].shape[2]) for parts in zip(*windows)
+    )
+
+
 class TestImputation:
     def test_carry_last_valid(self):
         x = np.array([5.0, 7.0, 8.0, 9.0]).reshape(4, 1, 1)
@@ -94,10 +101,10 @@ class TestEncoder:
         assert seq.data.shape == (model.config.window * model.config.n_nodes, model.config.d_h)
 
     def test_stacked_steps_equal_per_step_encoding(self):
-        # three windows, so the embedding term is added to every block of N rows
+        # three windows, so the embedding term is added to each node's three rows
         model = make_setup()
         rng = np.random.default_rng(1)
-        x, m, u = (np.concatenate(parts, axis=1) for parts in zip(*(random_window(model, rng) for _ in range(3))))
+        x, m, u = stack_windows([random_window(model, rng) for _ in range(3)])
         seq = model.encode_inputs(model.bind(None), x, m, u).data
         pv = {k: v.value for k, v in model.params.items()}
         n, rows = model.config.n_nodes, x.shape[1]
@@ -106,9 +113,9 @@ class TestEncoder:
         for t in range(model.config.window):
             feats = np.concatenate([ximp[t], u[t], m[t]], axis=1)
             for b in range(rows // n):
-                block = slice(b * n, (b + 1) * n)
-                want = feats[block] @ pv["encoder.steps"] + nodes
-                np.testing.assert_array_equal(seq[t * rows + b * n : t * rows + (b + 1) * n], want)
+                window = slice(b, rows, rows // n)  # window b's row of every node
+                want = feats[window] @ pv["encoder.steps"] + nodes
+                np.testing.assert_array_equal(seq[t * rows : (t + 1) * rows][window], want)
         # the factored products drift from one concatenated product in the last ulps
         np.testing.assert_allclose(seq, encode_inputs_reference(model, x, m, u), rtol=0, atol=1e-12)
 
@@ -116,7 +123,7 @@ class TestEncoder:
     def test_gradient_matches_finite_differences(self, name):
         model = make_setup()
         rng = np.random.default_rng(5)
-        x, m, u = (np.concatenate(parts, axis=1) for parts in zip(*(random_window(model, rng) for _ in range(3))))
+        x, m, u = stack_windows([random_window(model, rng) for _ in range(3)])
         weight = rng.normal(size=(model.config.window * x.shape[1], model.config.d_h))
 
         def loss(tape):
@@ -161,7 +168,7 @@ class TestTemporalStack:
         tape = ad.Tape()
         p = model.bind(tape)
         z = model.temporal_stack(p, model.encode_inputs(p, x, m, u))
-        layers = z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
+        layers = z.data.reshape(model.config.n_nodes, model.config.temporal_layers, -1).transpose(1, 0, 2)
         assert len(layers) == model.config.temporal_layers
         for z_l in layers:
             assert np.allclose(z_l, z_l[0])
@@ -177,7 +184,7 @@ class TestTemporalStack:
             tape = ad.Tape()
             p = model.bind(tape)
             z = model.temporal_stack(p, model.encode_inputs(p, xx, mm, uu))
-            return z.data.reshape(model.config.temporal_layers, model.config.n_nodes, -1)
+            return z.data.reshape(model.config.n_nodes, model.config.temporal_layers, -1).transpose(1, 0, 2)
 
         emb0 = model.params["embeddings"].value.copy()
         base = run(x, m, u, emb0)
@@ -309,7 +316,7 @@ class TestSpatialStack:
         pooled = msg.sum(axis=0, keepdims=True)
         lifted = np.repeat(pooled / n, n, axis=0)
         expected = und.T @ lifted
-        np.testing.assert_allclose(slots.data[n:], expected, atol=1e-10)
+        np.testing.assert_allclose(slots.data.reshape(n, 2, 6)[:, 1], expected, atol=1e-10)  # each node's slot 1
 
 
 class TestStackedSpatialStack:
@@ -322,23 +329,24 @@ class TestStackedSpatialStack:
         model = make_setup(n=10, layers=3, levels=levels, variant=variant)
         cfg, batch = model.config, 4
         rng = np.random.default_rng(20 + levels)
-        z0 = rng.normal(size=(cfg.temporal_layers * batch * cfg.n_nodes, cfg.d_h))
-        weight = ad.constant(rng.normal(size=(cfg.n_scales * batch * cfg.n_nodes, cfg.d_h)))
+        rows = batch * cfg.n_nodes
+        z0 = rng.normal(size=(cfg.temporal_layers, rows, cfg.d_h))
+        weight = ad.constant(rng.normal(size=(rows * cfg.n_scales, cfg.d_h)))
         rt = model.runtime(batch)
 
         def run(stacked):
             tape = ad.Tape()
             p = model.bind(tape)
-            z = tape.leaf(z0)
+            layers = [tape.leaf(z) for z in z0]
             if stacked:
-                out = model.spatial_stack(p, z, rt)
+                # each row followed by its L summaries, as the temporal stack hands them on
+                out = model.spatial_stack(p, ad.concat_rows(layers, groups=rows), rt)
             else:
-                rows = z0.shape[0] // cfg.temporal_layers
-                layers = [ad.slice_rows(z, l * rows, (l + 1) * rows) for l in range(cfg.temporal_layers)]
-                out = ad.concat_rows(spatial_stack_reference(model, p, layers, rt))
+                out = ad.concat_rows(spatial_stack_reference(model, p, layers, rt), groups=rows)
             model.zero_grads()
             adj = tape.backward(ad.reduce_sum(ad.mul(out, weight)))
-            return out.data, adj[z.node], {name: q.grad.copy() for name, q in model.params.items()}
+            d_z = np.stack([adj[z.node] for z in layers])
+            return out.data, d_z, {name: q.grad.copy() for name, q in model.params.items()}
 
         out, d_z, grads = run(True)
         ref_out, ref_d_z, ref_grads = run(False)
@@ -355,7 +363,7 @@ class TestAttentionFuse:
         model = make_setup(layers=1, levels=0)
         x, m, u = random_window(model, np.random.default_rng(7))
         bf = model.forward_batch(x, m, u)
-        np.testing.assert_allclose(bf.alphas[0], np.ones((model.config.n_nodes, 1)), atol=1e-15)
+        np.testing.assert_allclose(bf.alphas[:, 0], np.ones((model.config.n_nodes, 1)), atol=1e-15)
 
     def test_zero_attention_weight_gives_uniform_mixture(self):
         model = make_setup(layers=2, levels=1)
@@ -363,7 +371,7 @@ class TestAttentionFuse:
         x, m, u = random_window(model, np.random.default_rng(8))
         bf = model.forward_batch(x, m, u)
         s = model.config.n_scales
-        np.testing.assert_allclose(bf.alphas[0], np.full((model.config.n_nodes, s), 1.0 / s), atol=1e-12)
+        np.testing.assert_allclose(bf.alphas[:, 0], np.full((model.config.n_nodes, s), 1.0 / s), atol=1e-12)
 
     def test_constant_score_shift_leaves_alpha_unchanged(self):
         x = RNG.uniform(-1, 1, (5, 4))
@@ -436,16 +444,14 @@ class TestForward:
         model = make_setup(variant="anisotropic", levels=1, layers=2)
         rng = np.random.default_rng(16)
         w1, w2 = random_window(model, rng), random_window(model, rng)
-        xs = np.concatenate([w1[0], w2[0]], axis=1)
-        ms = np.concatenate([w1[1], w2[1]], axis=1)
-        us = np.concatenate([w1[2], w2[2]], axis=1)
-        bf = model.forward_batch(xs, ms, us)
+        bf = model.forward_batch(*stack_windows([w1, w2]))
         n = model.config.n_nodes
         solo1 = model.forward_window(*w1).predictions
         solo2 = model.forward_window(*w2).predictions
-        batch_preds = bf.preds.data.reshape(model.config.horizon, 2 * n, model.config.d_x)
-        np.testing.assert_allclose(batch_preds[:, :n], solo1, atol=1e-12)
-        np.testing.assert_allclose(batch_preds[:, n:], solo2, atol=1e-12)
+        # (node, window, step) rows, as (step, node) per window
+        batch_preds = bf.preds.data.reshape(n, 2, model.config.horizon, model.config.d_x).transpose(1, 2, 0, 3)
+        np.testing.assert_allclose(batch_preds[0], solo1, atol=1e-12)
+        np.testing.assert_allclose(batch_preds[1], solo2, atol=1e-12)
         assert model.runtime(1) is model.runtime(32)  # one operator set serves every batch size
 
     def test_masked_entries_do_not_affect_forward(self):

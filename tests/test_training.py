@@ -267,10 +267,10 @@ class TestAssembleBatch:
         panel, w = bundle.panel, bundle.window
         assert panel.u.shape == (panel.n_steps, 11)
         for chunk in (bundle.train[:5], bundle.test[:4]):
-            u = tr.assemble_batch(bundle, chunk, False).u.reshape(w, len(chunk), panel.n_nodes, 11)
+            u = tr.assemble_batch(bundle, chunk, False).u.reshape(w, panel.n_nodes, len(chunk), 11)
             for b, s in enumerate(chunk):
                 for node in range(panel.n_nodes):
-                    np.testing.assert_array_equal(u[:, b, node], panel.u[s : s + w])
+                    np.testing.assert_array_equal(u[:, node, b], panel.u[s : s + w])
 
 
 class TestEvaluate:
@@ -280,7 +280,9 @@ class TestEvaluate:
         # feed the model's own predictions back as the target panel slice
         w, h = bundle.window, bundle.horizon
         for chunk, preds, _, _ in tr.predict_windows(model, bundle, bundle.test, 16):
-            mask = np.concatenate([bundle.panel.mask[s + w : s + w + h] for s in chunk], axis=1)
+            # (step, node, window) masks as the predictions' (node, window) rows of H steps
+            mask = np.stack([bundle.panel.mask[s + w : s + w + h] for s in chunk], axis=2)
+            mask = mask.transpose(1, 2, 0, 3).reshape(preds.shape)
             mae, mse, n = masked_metrics(preds, preds, mask)
             assert mae == 0.0 and mse == 0.0
         assert report.n_valid > 0
@@ -335,9 +337,9 @@ class TestEvaluate:
         for s in bundle.test:
             batch = assemble_batch_reference(bundle, [s], mask_targets=False)
             last = bundle.scaler.invert(last_value_imputation(batch.x, batch.m)[-1])
-            target = batch.raw_targets.reshape(bundle.horizon, *last.shape)
+            target = batch.raw_targets.reshape(last.shape[0], bundle.horizon, last.shape[1])
             mask = batch.target_masks.reshape(target.shape)
-            abs_sum += (np.abs(last[None] - target) * mask).sum()
+            abs_sum += (np.abs(last[:, None] - target) * mask).sum()
             count += mask.sum()
         assert report.mae == pytest.approx(abs_sum / count, rel=1e-12)
 
@@ -358,16 +360,16 @@ class TestGroupedEvaluation:
         starts = bundle.test[:19]  # six groups of 3 windows and a tail of 1
         for chunk, preds, batch, alphas in tr.predict_windows(model, bundle, starts, 8):
             rows = len(chunk) * cfg.n_nodes
-            assert preds.shape == (cfg.horizon, rows, cfg.d_x) and batch.x.shape[1] == rows
-            assert alphas.shape == (cfg.horizon, rows, cfg.n_scales)
+            assert preds.shape == (rows, cfg.horizon, cfg.d_x) and batch.x.shape[1] == rows
+            assert alphas.shape == (rows, cfg.horizon, cfg.n_scales)
             for j, s in enumerate(chunk):
                 one = tr.assemble_batch(bundle, [s], mask_targets=False)
                 bf = model.forward_batch(one.x, one.m, one.u, record_gradients=False)
-                want = bundle.scaler.invert(bf.preds.data.reshape(cfg.horizon, cfg.n_nodes, cfg.d_x))
-                node_rows = slice(j * cfg.n_nodes, (j + 1) * cfg.n_nodes)
-                np.testing.assert_allclose(preds[:, node_rows], want, rtol=0,
+                want = bundle.scaler.invert(bf.preds.data.reshape(cfg.n_nodes, cfg.horizon, cfg.d_x))
+                node_rows = slice(j, rows, len(chunk))  # window j's row of every node
+                np.testing.assert_allclose(preds[node_rows], want, rtol=0,
                                            atol=1e-12 * max(1.0, np.abs(want).max()))
-                np.testing.assert_allclose(alphas[:, node_rows], bf.alphas, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(alphas[node_rows], bf.alphas, rtol=0, atol=1e-12)
 
     def test_evaluate_repeats_bit_for_bit(self, monkeypatch):
         model, bundle = self.grouped(monkeypatch)
