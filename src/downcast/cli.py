@@ -7,8 +7,8 @@ seed and an output directory. Each block is the JSON form of one dataclass
 `training.TrainConfig`), less the fields the run supplies: their fields are
 the keys, their type hints the types, their defaults the defaults, and their
 `__post_init__` checks the bounds. Every default that applies is materialised
-into resolved-config.json, which re-runs the experiment bit-identically. All
-artifacts are written atomically (temp file + rename).
+into resolved-config.json, which re-runs the experiment bit-identically. Every
+artifact is written through `data.atomic_write`, and metrics.json last.
 """
 from __future__ import annotations
 
@@ -16,13 +16,10 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
-
-import numpy as np
 
 from . import data as dt
 from . import graphs as gr
@@ -160,12 +157,7 @@ def prepare_experiment(resolved: dict) -> tuple[Model, tr.DataBundle]:
         raise ConfigError("dataset.splits: the train split is empty at this size")
     if not val_w or not test_w:
         raise ConfigError("dataset.splits: validation and test splits are empty at this size")
-    visible = dt.Panel(
-        x=np.where(panel.mask * sim.mask == 1.0, panel.x, 0.0),
-        mask=panel.mask * sim.mask,
-        u=panel.u,
-        timestamps=panel.timestamps,
-    )
+    visible = dt.Panel(x=panel.x, mask=panel.mask * sim.mask, u=panel.u)
     scaler = dt.fit_scaler(visible, (0, train_w[-1] + ds.window), ds.scaling)
 
     model_cfg = _build(
@@ -188,24 +180,17 @@ def train_config_from(resolved: dict) -> tr.TrainConfig:
 # -- artifact writers ----------------------------------------------------------------------
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with dt.atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with dt.atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_mae", "lr"])
         for row in history:
             writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_mae"]), repr(row["lr"])])
-    os.replace(tmp, path)
 
 
 def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_index: int) -> None:
@@ -215,8 +200,7 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
         raise ContractError(f"window index {window_index} out of range (0..{len(starts) - 1})")
     ((_, _, _, alphas),) = tr.predict_windows(model, bundle, starts[window_index : window_index + 1], 1)
     cfg = model.config
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with dt.atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "horizon_step", "k", "l", "alpha"])
         for h in range(cfg.horizon):
@@ -225,7 +209,6 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
                 for slot in range(cfg.n_scales):  # spatial-major: slot k*L + (l-1)
                     k, l_idx = divmod(slot, cfg.temporal_layers)
                     writer.writerow([node, h, k, l_idx + 1, repr(float(alphas[node, score_set, slot]))])
-    os.replace(tmp, path)
 
 
 def run_experiment(config_path, seed: int | None = None, out: str | None = None) -> dict:
@@ -251,7 +234,6 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         "missing_fraction": bundle.combined_missing_fraction,
         "epochs_run": len(result.history),
     }
-    _write_json(out_dir / "metrics.json", metrics)
     _write_history(out_dir / "history.csv", result.history)
     tr.save_checkpoint(
         out_dir / "checkpoint",
@@ -264,6 +246,7 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         },
     )
     write_attention_csv(out_dir / "attention.csv", model, bundle, window_index=0)
+    _write_json(out_dir / "metrics.json", metrics)  # last, so its presence marks a finished run
     return metrics
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -266,7 +268,24 @@ def make_windows(
     return range(n_train), range(n_train, n_train + n_val), range(n_train + n_val, total)
 
 
-# -- delimited panel import ---------------------------------------------------------
+# -- files: atomic writes, delimited panel import ------------------------------------
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", newline: str | None = None):
+    """A handle on a temp file beside `path`, renamed over `path` when the block ends.
+
+    Readers see the old file or the whole new one, never a part. If the block
+    raises, the temp file is deleted and the error re-raised.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _COLUMN_RE = re.compile(r"^node(\d+)_ch(\d+)$")
@@ -307,14 +326,16 @@ def _csv_rows(path):
         start = reader.line_num + 1
 
 
-def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
+def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray, np.ndarray]:
     """Returns (timestamps, values (T,N,C), validity (T,N,C)).
 
     Cells are stripped; missing tokens and NaN are invalid and read as 0.
     All cells are converted at once, and cell by cell only when that fails or
     yields an infinity, so a CsvParseError names the file, line and field of
     the bad cell.
-    Row lengths and timestamps are checked first, row by row.
+    Row lengths and timestamps are checked first, row by row. With
+    `mask_for`, the timestamps of the panel it masks, the file is a validity
+    mask: row i carries the i-th timestamp, and each cell is 0, 1 or missing.
     """
     rows = _csv_rows(path)
     _, header = next(rows, (1, []))
@@ -339,6 +360,8 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
         stamp = parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp)
         if stamps and isinstance(stamp, int) != isinstance(stamps[0], int):
             raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} mixes integer and ISO forms")
+        if mask_for is not None and len(stamps) < len(mask_for) and stamp != mask_for[len(stamps)]:
+            raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} differs from the observations")
         stamps.append(stamp)
         cells.append(row[1:])
         lines.append(lineno)
@@ -356,6 +379,11 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
              for name, token, skip in zip(header[1:], row, row_missing)]
             for lineno, row, row_missing in zip(lines, tokens, missing)
         ])
+    if mask_for is not None:
+        bad = np.argwhere((values != 0.0) & (values != 1.0) & ~np.isnan(values))
+        if bad.size:
+            r, f = bad[0]
+            raise CsvParseError(f"{path}: line {lines[r]}: field {header[1 + f]!r}: {cells[r][f]!r} is not 0 or 1")
     grid = np.empty((len(stamps), n, d))
     grid.reshape(len(stamps), n * d)[:, [j * d + c for j, c in slots]] = values
     invalid = np.isnan(grid)
@@ -365,18 +393,19 @@ def _read_wide_csv(path) -> tuple[list, np.ndarray, np.ndarray]:
 def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, np.ndarray | None]:
     """Read a wide-format panel; empty/NaN cells become invalid entries.
 
-    A mask file, when given, overrides the sentinel-derived validity. Returns
-    the panel together with node coordinates when a coordinates file is given.
+    A mask file, when given, overrides the sentinel-derived validity; a
+    missing mask cell is invalid. Returns the panel together with node
+    coordinates when a coordinates file is given.
     """
     stamps, values, valid = _read_wide_csv(obs_path)
     keys = [s.timestamp() if isinstance(s, datetime) else s for s in stamps]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise ContractError(f"{obs_path}: timestamps must be strictly increasing")
     if mask_path is not None:
-        _, mvals, _ = _read_wide_csv(mask_path)
+        _, mvals, _ = _read_wide_csv(mask_path, mask_for=stamps)
         if mvals.shape != values.shape:
-            raise DimensionError("mask file shape differs from observations")
-        valid = (mvals != 0.0).astype(np.float64)
+            raise DimensionError(f"mask {mask_path} has shape {mvals.shape}, {obs_path} has {values.shape}")
+        valid = (mvals == 1.0).astype(np.float64)
         values = np.where(valid == 1.0, values, 0.0)
     timestamps = stamps if isinstance(stamps[0], datetime) else None
     panel = Panel(x=values, mask=valid, u=np.zeros((values.shape[0], 0)), timestamps=timestamps)
@@ -384,7 +413,7 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
     if coords_path is not None:
         coords = read_coords_csv(coords_path)
         if coords.shape[0] != panel.n_nodes:
-            raise DimensionError("coordinate count differs from node count")
+            raise DimensionError(f"{coords_path}: {len(coords)} coordinates for {panel.n_nodes} nodes in {obs_path}")
     return panel, coords
 
 

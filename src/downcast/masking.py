@@ -9,12 +9,11 @@ everywhere (also inside fault intervals; invalidity is idempotent).
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import ContractError, require, require_one_of
 from .graphs import WeightedDigraph, hop_distances
 from .rng import stream_rng
@@ -129,19 +128,5 @@ def mask_statistics(mask: np.ndarray) -> dict:
 
 def write_fault_log(sim: SimulatedMask, path) -> None:
     """One JSON object per fault interval, in generation order."""
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w") as fh:
-        for f in sim.faults:
-            fh.write(
-                json.dumps(
-                    {
-                        "node": f.node,
-                        "channel": f.channel,
-                        "start": f.start,
-                        "length": f.length,
-                        "origin": f.origin,
-                    }
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.writelines(json.dumps(asdict(f)) + "\n" for f in sim.faults)

@@ -8,7 +8,6 @@ valid scalar entries in original units.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import Panel, Scaler
+from .data import Panel, Scaler, atomic_write
 from .errors import ContractError, require
 from .model import Model, ModelConfig, last_value_imputation
 from .rng import stream_rng
@@ -385,12 +384,10 @@ def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:
         "metadata": metadata,
     }
     blob = b"".join(p.value.astype("<f8").tobytes() for p in model.parameters())
-    tmp_json = out / "checkpoint.json.tmp"
-    tmp_json.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp_json, out / "checkpoint.json")
-    tmp_blob = out / "checkpoint.bin.tmp"
-    tmp_blob.write_bytes(blob)
-    os.replace(tmp_blob, out / "checkpoint.bin")
+    with atomic_write(out / "checkpoint.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out / "checkpoint.bin", "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:

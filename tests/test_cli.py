@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -173,6 +174,26 @@ class TestRunExperiment:
         cli.run_experiment(path)
         leftovers = list(out.rglob("*.tmp"))
         assert leftovers == []
+
+    @pytest.mark.parametrize("learning_rate, code", [(0.001, 0), (1e100, 3)])
+    def test_every_artifact_is_committed_once_and_metrics_last(self, tmp_path, monkeypatch, learning_rate, code):
+        """A run's files are exactly the renames of `data.atomic_write`, and
+        metrics.json, the last of them, is there only if the run finished."""
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_config(out, train={"learning_rate": learning_rate}))
+        committed, replace = [], os.replace
+
+        def record(src, dst):
+            replace(src, dst)
+            committed.append(Path(dst))
+
+        monkeypatch.setattr(os, "replace", record)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging run overflows
+            assert cli.main(["run", "--config", str(path)]) == code
+        on_disk = sorted(p for p in out.rglob("*") if p.is_file())
+        assert sorted(committed) == on_disk
+        assert (committed[-1].name == "metrics.json") == (code == 0)
+        assert (out / "metrics.json").exists() == (code == 0)
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")

@@ -239,6 +239,43 @@ class TestCsvPanel:
         panel, _ = dt.load_csv_panel(obs, mask_path=mask)
         np.testing.assert_array_equal(panel.mask, np.ones((2, 1, 1)))
 
+    def test_mask_timestamps_must_be_the_observations(self, tmp_path):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0\n0,1.0\n1,2.0\n2,3.0\n")
+        mask.write_text("timestamp,node0_ch0\n10,1\n11,1\n12,1\n")
+        with pytest.raises(CsvParseError, match=r"mask\.csv: line 2: field 'timestamp': '10' differs"):
+            dt.load_csv_panel(obs, mask_path=mask)
+
+    @pytest.mark.parametrize("cell", ["0.5", "7"])
+    def test_mask_cell_that_is_not_0_or_1_reports_file_line_and_field(self, tmp_path, cell):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,4.0\n")
+        mask.write_text(f"timestamp,node0_ch0,node1_ch0\n0,1,0\n1,1,{cell}\n")
+        with pytest.raises(CsvParseError, match=rf"mask\.csv: line 3: field 'node1_ch0': '{cell}' is not 0 or 1"):
+            dt.load_csv_panel(obs, mask_path=mask)
+
+    def test_missing_mask_cells_are_invalid(self, tmp_path):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,4.0\n")
+        mask.write_text("timestamp,node0_ch0,node1_ch0\n0,,1\n1,NA,1.0\n")
+        panel, _ = dt.load_csv_panel(obs, mask_path=mask)
+        np.testing.assert_array_equal(panel.mask[:, :, 0], [[0.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(panel.x[:, :, 0], [[0.0, 2.0], [0.0, 4.0]])
+
+    def test_mask_shape_error_names_both_files_and_shapes(self, tmp_path):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0\n0,1.0\n1,2.0\n2,3.0\n")
+        mask.write_text("timestamp,node0_ch0\n0,1\n1,1\n")
+        with pytest.raises(DimensionError, match=r"mask\.csv has shape \(2, 1, 1\), \S*obs\.csv has \(3, 1, 1\)"):
+            dt.load_csv_panel(obs, mask_path=mask)
+
+    def test_coordinate_count_error_names_the_file_and_both_counts(self, tmp_path):
+        obs, coords = tmp_path / "obs.csv", tmp_path / "coords.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n")
+        coords.write_text("node,lat,lon\n0,50.0,1.0\n1,50.5,2.0\n2,51.0,3.0\n")
+        with pytest.raises(DimensionError, match=r"coords\.csv: 3 coordinates for 2 nodes in \S*obs\.csv"):
+            dt.load_csv_panel(obs, coords_path=coords)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(12, 3, 2))
@@ -346,3 +383,23 @@ class TestCsvPanel:
         path.write_text("timestamp,node0_ch0\n5,1.0\n4,2.0\n")
         with pytest.raises(ContractError):
             dt.load_csv_panel(path)
+
+
+class TestAtomicWrite:
+    def test_block_commits_on_exit(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with dt.atomic_write(path) as fh:
+            fh.write("new")
+            assert not path.exists()
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_error_keeps_the_old_file_and_deletes_the_temp_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="half way"):
+            with dt.atomic_write(path, "wb") as fh:
+                fh.write(b"new")
+                raise RuntimeError("half way")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -506,6 +506,12 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match=f"checkpoint.bin: parameter '{name}' holds non-finite values"):
             tr.load_checkpoint(tmp_path / "ckpt")
 
+    def test_metadata_json_rejects_leaves_no_file(self, tmp_path):
+        model, _ = make_bundle()
+        with pytest.raises(TypeError):
+            tr.save_checkpoint(tmp_path / "ckpt", model, {"x": object()})
+        assert list((tmp_path / "ckpt").iterdir()) == []  # no checkpoint.json, .bin or temp file
+
     def test_roundtrip(self, tmp_path):
         model, bundle = make_bundle()
         tr.save_checkpoint(tmp_path / "ckpt", model, {"seed": 3, "note": "test"})
