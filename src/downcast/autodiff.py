@@ -396,8 +396,8 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
     the result is recorded, the input projections of all steps and gates are
     one product, the per-step factors are kept, and the adjoint runs
     backpropagation through time with one product per weight gradient. The
-    step loops write into preallocated arrays, because a fresh temporary the
-    size of a batch's gates is mapped and page-faulted anew on every step.
+    step loops write into preallocated arrays rather than allocate a
+    temporary per operation.
     """
     x, weights = _as_tensor(seq), [_as_tensor(w) for w in (w_in, w_hid, bias)]
     w_in, w_hid, bias = (w.data for w in weights)

@@ -226,6 +226,9 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         _write_history(out_dir / "history.csv", exc.history)
         raise
     test = tr.evaluate(model, bundle, "test", batch_size=resolved["train"]["eval_batch_size"])
+    _write_history(out_dir / "history.csv", result.history)
+    if not (math.isfinite(test.mae) and math.isfinite(test.mse)):
+        raise tr.TrainingDiverged(f"non-finite test metrics: mae {test.mae!r}, mse {test.mse!r}", result.history)
     metrics = {
         "test_mae": test.mae,
         "test_mse": test.mse,
@@ -234,7 +237,6 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         "missing_fraction": bundle.combined_missing_fraction,
         "epochs_run": len(result.history),
     }
-    _write_history(out_dir / "history.csv", result.history)
     tr.save_checkpoint(
         out_dir / "checkpoint",
         model,

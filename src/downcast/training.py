@@ -7,7 +7,10 @@ valid scalar entries in original units.
 """
 from __future__ import annotations
 
+import ctypes
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from .rng import stream_rng
 
 
 class TrainingDiverged(ContractError):
-    """Non-finite loss; carries the epoch history accumulated so far."""
+    """Non-finite loss or metric; carries the epoch history accumulated so far."""
 
     def __init__(self, message: str, history: list[dict]):
         super().__init__(message)
@@ -286,10 +289,15 @@ class _MaskedErrorSums:
 
 
 def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64) -> MetricsReport:
-    """Masked metrics on originally-valid targets, inputs masked by simulation."""
+    """Masked metrics on originally-valid targets, inputs masked by simulation.
+
+    A split with no originally-valid target has no metrics: ContractError.
+    """
     sums = _MaskedErrorSums(model.config.horizon)
     for _, preds, batch, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
         sums.add(preds, batch.raw_targets, batch.target_masks)
+    if not sums.counts.any():
+        raise ContractError(f"the {split} split has no valid target")
     return sums.report()
 
 
@@ -313,6 +321,38 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
 # -- loop ---------------------------------------------------------------------------
 
 
+# glibc's `mallopt` options and the values `train` sets: the free space at the
+# top of the heap kept before trimming it, and the size from which a block is
+# mapped on its own (and unmapped when freed), the largest glibc accepts on
+# 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory a training step frees mapped for the next step (glibc only).
+
+    A recorded step's tape is freed at once by `backward`. With glibc's
+    defaults, the heap above a dynamic threshold is returned to the system
+    and every array past the mmap threshold is unmapped, so the next step
+    page-faults the same memory back in: a median of about 4,000 minor
+    faults per desk-iso step and 17,000 per metro-aniso step, a fifth of
+    their step time. With both options raised, steps after the first fault
+    almost no pages in. The options hold for the rest of the process, so
+    its resident size does not fall after training. A C library without
+    `mallopt` is left as it is.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     """Mini-batch training; leaves the model at the snapshot with minimal validation MAE.
 
@@ -321,10 +361,14 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     with no valid target is skipped (an epoch with none logs a NaN loss).
     Validation after each epoch is masked-input / original-target. Every
     `plateau_patience`-th epoch without strict improvement multiplies the rate
-    by `plateau_factor`; the `early_stop_patience`-th stops training.
+    by `plateau_factor`; the `early_stop_patience`-th stops training. A
+    non-finite training loss or validation MAE raises TrainingDiverged, and a
+    validation split with no valid target raises ContractError.
+    Freed memory stays mapped from here on (`_keep_freed_memory`).
     """
     if not bundle.train or not bundle.val:
         raise ContractError("training and validation splits must be non-empty")
+    _keep_freed_memory()
     params = model.parameters()
     state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
@@ -350,6 +394,8 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
             adamw_step(params, state, weight_decay=cfg.weight_decay)
             epoch_losses.append(float(loss.data))
         val = evaluate(model, bundle, "val", batch_size=cfg.eval_batch_size)
+        if not math.isfinite(val.mae):
+            raise TrainingDiverged(f"non-finite validation MAE {val.mae!r} at epoch {epoch}", history)
         state.end_epoch(params, val.mae, cfg.plateau_patience, cfg.plateau_factor)
         history.append(
             {

@@ -175,12 +175,18 @@ class TestRunExperiment:
         leftovers = list(out.rglob("*.tmp"))
         assert leftovers == []
 
-    @pytest.mark.parametrize("learning_rate, code", [(0.001, 0), (1e100, 3)])
-    def test_every_artifact_is_committed_once_and_metrics_last(self, tmp_path, monkeypatch, learning_rate, code):
+    @pytest.mark.parametrize("train, code", [
+        pytest.param({"learning_rate": 0.001}, 0, id="0.001-0"),
+        # a later step's loss is not finite
+        pytest.param({"learning_rate": 1e100}, 3, id="1e+100-3"),
+        # the one step overflows the test metrics
+        pytest.param({"learning_rate": 1e100, "batches_per_epoch": 1}, 3, id="1e+100-one-batch-3"),
+    ])
+    def test_every_artifact_is_committed_once_and_metrics_last(self, tmp_path, monkeypatch, train, code):
         """A run's files are exactly the renames of `data.atomic_write`, and
         metrics.json, the last of them, is there only if the run finished."""
         out = tmp_path / "run"
-        path = write_config(tmp_path, tiny_config(out, train={"learning_rate": learning_rate}))
+        path = write_config(tmp_path, tiny_config(out, train=train))
         committed, replace = [], os.replace
 
         def record(src, dst):
@@ -188,12 +194,32 @@ class TestRunExperiment:
             committed.append(Path(dst))
 
         monkeypatch.setattr(os, "replace", record)
-        with np.errstate(over="ignore", invalid="ignore"):  # a diverging run overflows
+        # a diverging run overflows, and may then compute with the infinities
+        warns = pytest.warns(RuntimeWarning, match="overflow|invalid value") if code else contextlib.nullcontext([])
+        with warns as caught:
             assert cli.main(["run", "--config", str(path)]) == code
+        assert any("overflow" in str(w.message) for w in caught) == (code != 0)
         on_disk = sorted(p for p in out.rglob("*") if p.is_file())
         assert sorted(committed) == on_disk
         assert (committed[-1].name == "metrics.json") == (code == 0)
         assert (out / "metrics.json").exists() == (code == 0)
+        assert (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_split_without_valid_target_exits_4_without_metrics(self, tmp_path, monkeypatch, capsys, split):
+        prepare = cli.prepare_experiment
+
+        def drop_split_targets(resolved):
+            model, bundle = prepare(resolved)
+            starts, w = bundle.split(split), bundle.window
+            bundle.panel.mask[starts[0] + w : starts[-1] + w + bundle.horizon] = 0
+            return model, bundle
+
+        monkeypatch.setattr(cli, "prepare_experiment", drop_split_targets)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, tiny_config(out)))]) == 4
+        assert f"the {split} split has no valid target" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")

@@ -1,6 +1,11 @@
+import ctypes
 import dataclasses
 import gc
 import json
+import platform
+import resource
+import sys
+import types
 import weakref
 from datetime import datetime, timedelta
 
@@ -225,6 +230,20 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(max_epochs=3, batches_per_epoch=8, batch_size=4, seed=2)
         result = tr.train(model, bundle, cfg)
         assert result.best_val_mae == pytest.approx(min(h["val_mae"] for h in result.history))
+
+    def test_non_finite_validation_mae_raises_with_the_finished_epochs(self, monkeypatch):
+        evaluate, calls = tr.evaluate, []
+
+        def overflow_on_second_epoch(*args, **kwargs):
+            report = evaluate(*args, **kwargs)
+            calls.append(report.mae)
+            return dataclasses.replace(report, mae=float("inf")) if len(calls) == 2 else report
+
+        monkeypatch.setattr(tr, "evaluate", overflow_on_second_epoch)
+        model, bundle = make_bundle()
+        with pytest.raises(tr.TrainingDiverged, match="validation MAE inf at epoch 1") as err:
+            tr.train(model, bundle, tr.TrainConfig(max_epochs=3, batches_per_epoch=2, batch_size=4))
+        assert [h["val_mae"] for h in err.value.history] == calls[:1]
 
 
 def csv_bundle(tmp_path):
@@ -465,6 +484,37 @@ class TestTapeLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestFreedMemory:
+    """`train` keeps freed memory mapped, so later steps reuse the same pages."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="`train` sets glibc's allocator options only on Linux")
+    def test_steps_after_train_take_almost_no_page_faults(self):
+        # desk-iso's step shape: 20 nodes x 32 windows = 640 rows, d_h 16
+        model, bundle = make_bundle(n=20, t=300, window=24, horizon=6, layers=3, levels=2, d_h=16)
+        tr.train(model, bundle, tr.TrainConfig(max_epochs=1, batches_per_epoch=1, batch_size=32))
+        faults = []
+        for i in range(8):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            batch = tr.assemble_batch(bundle, bundle.train.start + i + np.arange(32), mask_targets=True)
+            bf = model.forward_batch(batch.x, batch.m, batch.u)
+            loss = tr.masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
+            model.zero_grads()
+            bf.tape.backward(loss)
+            del bf, loss
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        # under glibc's default options each such step faults about 11,000 pages back in
+        assert np.median(faults[1:]) < 200, faults
+
+    def test_train_runs_without_mallopt(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or types.SimpleNamespace())
+        model, bundle = make_bundle()
+        result = tr.train(model, bundle, tr.TrainConfig(max_epochs=2, batches_per_epoch=3, batch_size=4))
+        assert opened == ([None] if sys.platform.startswith("linux") else [])
+        assert len(result.history) == 2
 
 
 class TestCheckpoint:
