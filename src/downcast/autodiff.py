@@ -425,6 +425,9 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
     c_all, rh_all = np.empty((n_kept, m, d_h)), np.empty((n_kept, m, d_h))
     states = np.empty((n_t, m, d_h))
     a_ru, a_c, tmp = np.empty((2, m, d_h)), np.empty((m, d_h)), np.empty((m, d_h))
+    # the biases broadcast once: a per-step add with a broadcast operand is
+    # about three times slower than one of equal shapes
+    b_ru, b_c = np.broadcast_to(bias[:2], (2, m, d_h)).copy(), np.broadcast_to(bias[2], (m, d_h)).copy()
     h = np.zeros((m, d_h))
     for t in range(n_t):
         k = t if recorded else 0
@@ -433,11 +436,11 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
         # buffer: the all-steps product would be a large fresh temporary
         p = proj[:, t] if recorded else np.matmul(x3[steps[t]], w_in, out=proj_t)
         np.add(p[:2], np.matmul(h, w_hid[:2], out=a_ru), out=a_ru)
-        _sigmoid(np.add(a_ru, bias[:2], out=a_ru), out=ru)
+        _sigmoid(np.add(a_ru, b_ru, out=a_ru), out=ru)
         r, u = ru
         np.multiply(r, h, out=rh)
         np.add(p[2], np.matmul(rh, w_hid[2], out=a_c), out=a_c)
-        np.tanh(np.add(a_c, bias[2], out=a_c), out=c)
+        np.tanh(np.add(a_c, b_c, out=a_c), out=c)
         np.multiply(u, h, out=tmp)
         np.multiply(np.subtract(1.0, u, out=a_c), c, out=a_c)
         h = np.add(tmp, a_c, out=states[t])
@@ -450,6 +453,9 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
         dh, zero = np.zeros((m, d_h)), np.zeros((m, d_h))
         d_rh, t1, t2, one_u = (np.empty((m, d_h)) for _ in range(4))
         d_hid, d_in3 = np.empty((2, m, d_h)), np.empty((3, m, d_in))
+        # contiguous transposed weights: a product with a transposed view is
+        # about twice as slow at these shapes
+        w_hid_t, w_in_t = (np.ascontiguousarray(w.transpose(0, 2, 1)) for w in (w_hid, w_in))
         for t in range(n_t - 1, -1, -1):
             np.add(dh, g[t], out=dh)
             h_prev = states[t - 1] if t else zero
@@ -458,7 +464,7 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
             # candidate: dc = dh * (1 - u), through tanh
             np.multiply(dh, one_u, out=t1)
             np.multiply(t1, np.subtract(1.0, np.multiply(c, c, out=t2), out=t2), out=da[2, t])
-            np.matmul(da[2, t], w_hid[2].T, out=d_rh)
+            np.matmul(da[2, t], w_hid_t[2], out=d_rh)
             # reset: dr = d(r * h) * h, through sigmoid
             np.multiply(np.multiply(d_rh, h_prev, out=t1), r, out=t1)
             np.multiply(t1, np.subtract(1.0, r, out=t2), out=da[0, t])
@@ -467,10 +473,10 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
             np.multiply(np.multiply(t1, u, out=t1), one_u, out=da[1, t])
             # previous state: through u * h, r * h and the reset and update products
             np.add(np.multiply(dh, u, out=dh), np.multiply(d_rh, r, out=t1), out=dh)
-            np.matmul(da[:2, t], w_hid[:2].transpose(0, 2, 1), out=d_hid)
+            np.matmul(da[:2, t], w_hid_t[:2], out=d_hid)
             np.add(np.add(dh, d_hid[0], out=dh), d_hid[1], out=dh)
             if dx is not None:
-                np.matmul(da[:, t], w_in.transpose(0, 2, 1), out=d_in3)
+                np.matmul(da[:, t], w_in_t, out=d_in3)
                 np.add(np.add(d_in3[0], d_in3[1], out=dx[steps[t]]), d_in3[2], out=dx[steps[t]])
         da = da.reshape(3, n_t * m, d_h)
         d_w_hid = np.empty((3, d_h, d_h))

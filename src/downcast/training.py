@@ -7,10 +7,14 @@ valid scalar entries in original units.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import json
 import math
+import os
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -230,19 +234,17 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 # -- evaluation ---------------------------------------------------------------------
 
 
-def _batches(bundle: DataBundle, starts, batch_size: int):
-    """Yield (chunk of starts, its evaluation batch) chunk by chunk."""
-    for i in range(0, len(starts), batch_size):
-        chunk = starts[i : i + batch_size]
-        yield chunk, assemble_batch(bundle, chunk, mask_targets=False)
-
-
 # Rows (windows x nodes) per unrecorded forward pass. Past the per-core L2
 # cache a pass slows per row: on a 2-core VM (2 MB L2 per core, one BLAS
 # thread, medians of 7) one 32-window metro-aniso evaluation batch of 4,800
 # rows took 288-294 ms in one pass and 178-211 ms in groups of 6 windows
 # (900 rows); a 128-window desk-iso batch of 2,560 rows, 67 and 57 ms.
 _EVAL_ROWS = 1024
+
+# Window groups in flight at once, one per pool thread. numpy's ufuncs,
+# OpenBLAS and scipy's sparse products release the GIL, so two groups'
+# forwards overlap on two cores; splitting one scan's rows instead was slower.
+_EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
@@ -254,11 +256,33 @@ def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
     and `alphas` is the (rows, n_score_sets, S) attention.
     Windows do not interact, so a chunk's predictions equal one pass's over
     all windows up to last-ulp rounding (BLAS picks its kernels by row count).
+
+    Up to `_EVAL_WORKERS` chunks run at once on a pool created for this call,
+    each in a copy of the caller's context, so its `np.errstate` holds there.
+    Chunks are yielded in order and each chunk's pass is the same, so the
+    results do not depend on the worker count. The first error a chunk
+    raises reaches the caller unchanged and no later chunk is submitted.
+    Closing the generator early waits for the chunks still running, so none
+    reads the parameters after it returns.
     """
     cfg = model.config
-    for chunk, batch in _batches(bundle, starts, max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))):
+    size = max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))
+
+    def run(chunk):
+        batch = assemble_batch(bundle, chunk, mask_targets=False)
         bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
-        yield chunk, bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x)), batch, bf.alphas
+        return chunk, bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x)), batch, bf.alphas
+
+    pool, pending = ThreadPoolExecutor(_EVAL_WORKERS), deque()
+    try:
+        for i in range(0, len(starts), size):
+            pending.append(pool.submit(contextvars.copy_context().run, run, starts[i : i + size]))
+            if len(pending) == _EVAL_WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class _MaskedErrorSums:
@@ -311,7 +335,9 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
     sums = _MaskedErrorSums(horizon)
     # 32 windows per chunk keep the gathered arrays small; the baseline never
     # reads their exogenous channels (11 with time encodings)
-    for _, batch in _batches(bundle, bundle.split(split), 32):
+    starts = bundle.split(split)
+    for i in range(0, len(starts), 32):
+        batch = assemble_batch(bundle, starts[i : i + 32], mask_targets=False)
         last = last_value_imputation(batch.x, batch.m)[-1]
         pred = bundle.scaler.invert(np.repeat(last[:, None], horizon, axis=1))
         sums.add(pred, batch.raw_targets, batch.target_masks)
@@ -322,11 +348,11 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
 
 
 # glibc's `mallopt` options and the values `train` sets: the free space at the
-# top of the heap kept before trimming it, and the size from which a block is
+# top of the heap kept before trimming it, the size from which a block is
 # mapped on its own (and unmapped when freed), the largest glibc accepts on
-# 64-bit.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20
+# 64-bit, and the number of heaps (arenas) threads allocate from.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_TRIM_THRESHOLD, _MMAP_THRESHOLD, _ARENA_MAX = 1 << 30, 32 << 20, 1
 
 
 def _keep_freed_memory() -> None:
@@ -338,9 +364,12 @@ def _keep_freed_memory() -> None:
     page-faults the same memory back in: a median of about 4,000 minor
     faults per desk-iso step and 17,000 per metro-aniso step, a fifth of
     their step time. With both options raised, steps after the first fault
-    almost no pages in. The options hold for the rest of the process, so
-    its resident size does not fall after training. A C library without
-    `mallopt` is left as it is.
+    almost no pages in. The arena cap of one makes the evaluation threads
+    (`predict_windows`) allocate from that same heap: with arenas of their
+    own, peak resident size rose from 110 to 132 MB on desk-iso and from
+    177 to 217 MB on metro-aniso.
+    The options hold for the rest of the process, so its resident size does
+    not fall after training. A C library without `mallopt` is left as it is.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -351,6 +380,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:

@@ -5,6 +5,7 @@ import json
 import platform
 import resource
 import sys
+import threading
 import types
 import weakref
 from datetime import datetime, timedelta
@@ -367,9 +368,9 @@ class TestGroupedEvaluation:
     """Evaluation gathers and runs forward groups of whole windows, one pass per group, under a row budget."""
 
     @staticmethod
-    def grouped(monkeypatch, windows_per_group=3):
-        # anisotropic per-step model under a budget of `windows_per_group` windows' rows
-        model, bundle = make_bundle(variant="anisotropic", per_step=True)
+    def grouped(monkeypatch, windows_per_group=3, variant="anisotropic", per_step=True):
+        # by default an anisotropic per-step model, under a budget of `windows_per_group` windows' rows
+        model, bundle = make_bundle(variant=variant, per_step=per_step)
         monkeypatch.setattr(tr, "_EVAL_ROWS", windows_per_group * model.config.n_nodes + 1)
         return model, bundle
 
@@ -419,8 +420,85 @@ class TestGroupedEvaluation:
         tr.evaluate(model, bundle, "test", batch_size=batch_size)
         full, tail = divmod(len(bundle.test), group)
         assert tail or group == 1  # 42 test windows: groups of 4 and 5 end in a ragged tail
-        assert rows == gathered
-        assert rows == [group * n] * full + ([tail * n] if tail else [])
+        # groups run on two threads at once, so their passes may be counted out of order
+        assert sorted(rows) == sorted(gathered)
+        assert sorted(rows) == sorted([group * n] * full + ([tail * n] if tail else []))
+
+
+class TestConcurrentEvaluation:
+    """Window groups run on a per-call pool; results, errors and errstate are those of one thread."""
+
+    grouped = staticmethod(TestGroupedEvaluation.grouped)
+
+    @pytest.mark.parametrize("variant, per_step", [("anisotropic", True), ("isotropic", False)])
+    def test_one_and_two_workers_give_the_same_bits(self, monkeypatch, variant, per_step):
+        model, bundle = self.grouped(monkeypatch, variant=variant, per_step=per_step)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(tr, "_EVAL_WORKERS", workers)
+            for split in ("val", "test"):
+                outputs = list(tr.predict_windows(model, bundle, bundle.split(split), 8))
+                assert len(outputs) >= 5
+                runs[workers, split] = (
+                    repr(tr.evaluate(model, bundle, split, batch_size=8)),
+                    [list(chunk) for chunk, _, _, _ in outputs],
+                    [preds.tobytes() for _, preds, _, _ in outputs],
+                    [alphas.tobytes() for _, _, _, alphas in outputs],
+                )
+        for split in ("val", "test"):
+            assert runs[1, split] == runs[2, split], split
+
+    def test_caller_errstate_reaches_the_workers(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        # every hidden readout unit is elu(1) = 1, so each output is 1e308 before
+        # its bias, and adding the bias of 1e308 overflows on every row
+        width = model.config.decoder_hidden[0]
+        for name, value in (("h0.weight", 0.0), ("h0.bias", 1.0), ("out.weight", 1e308 / width), ("out.bias", 1e308)):
+            model.params[f"readout.{name}"].value[...] = value
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            tr.evaluate(model, bundle, "test", batch_size=8)
+
+    def test_closing_early_waits_for_the_groups_in_flight(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        forward, running = Model.forward_batch, []
+
+        def tracked_forward(self, *args, **kwargs):
+            running.append(1)
+            try:
+                return forward(self, *args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(Model, "forward_batch", tracked_forward)
+        threads = threading.active_count()
+        predictions = tr.predict_windows(model, bundle, bundle.test, 8)
+        next(predictions)
+        predictions.close()
+        assert running == []
+        assert threading.active_count() == threads
+        next(iter(tr.predict_windows(model, bundle, bundle.test, 8)))  # dropped at once, as callers do
+        assert running == []
+        assert threading.active_count() == threads
+
+    def test_a_group_error_reaches_the_caller_unchanged_and_stops_submitting(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        assert len(bundle.test) >= 8 * 3  # at least eight groups of three windows
+        second = tr.assemble_batch(bundle, bundle.test[3:6], mask_targets=False).x
+        forward, calls = Model.forward_batch, []
+
+        def failing_forward(self, xw, mw, uw, record_gradients=True):
+            calls.append(1)
+            if xw.shape == second.shape and np.array_equal(xw, second):
+                raise ValueError("group 1 failed")
+            return forward(self, xw, mw, uw, record_gradients)
+
+        monkeypatch.setattr(Model, "forward_batch", failing_forward)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^group 1 failed$"):
+            tr.evaluate(model, bundle, "test", batch_size=8)
+        # groups 0 and 1 were in flight, and group 2 was submitted when group 0 was read
+        assert len(calls) <= 3
+        assert threading.active_count() == threads
 
 
 class TestGradientEndToEnd:
