@@ -253,27 +253,13 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
 
 
 def dump_scores(checkpoint_dir, window_index: int, out_path) -> None:
-    """Recreate the checkpoint's dataset and export one window's attention."""
-    config, values, meta = tr.load_checkpoint(checkpoint_dir)
+    """Rebuild the checkpoint's model from its resolved config, load it and export one window's attention."""
+    meta = tr.read_manifest(checkpoint_dir)["metadata"]
     resolved = meta.get("resolved_config") if isinstance(meta, dict) else None
     if resolved is None:
         raise ContractError(f"{checkpoint_dir}: checkpoint metadata has no 'resolved_config'")
     model, bundle = prepare_experiment(resolve_config(resolved))
-    if model.config != config:
-        raise ContractError("checkpoint configuration does not match its dataset config")
-    unknown = sorted(set(values) - set(model.params))
-    missing = sorted(set(model.params) - set(values))
-    if unknown or missing:
-        raise ContractError(
-            f"checkpoint parameters do not match the model: unknown {unknown}, missing {missing}"
-        )
-    for name, value in values.items():
-        expected = model.params[name].value.shape
-        if value.shape != expected:
-            raise ContractError(
-                f"checkpoint parameter {name!r} has shape {value.shape}, the model expects {expected}"
-            )
-        model.params[name].value[...] = value
+    tr.load_checkpoint(checkpoint_dir, model)
     write_attention_csv(Path(out_path), model, bundle, window_index)
 
 

@@ -315,6 +315,8 @@ class Model:
             raise DimensionError("window arrays must be (W, N*B, d_x)")
         if m_rows < 1 or m_rows % cfg.n_nodes:
             raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
+        if uw.shape != (cfg.window, m_rows, cfg.d_u):
+            raise DimensionError(f"uw has shape {uw.shape}, expected (W, N*B, d_u) = {(cfg.window, m_rows, cfg.d_u)}")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
         steps = ad.constant(feats) @ p["encoder.steps"]
@@ -403,6 +405,8 @@ class Model:
     def forward_window(self, x: np.ndarray, m: np.ndarray, u: np.ndarray) -> ForwardTrace:
         """Single-window forward returning the interpretability trace."""
         cfg = self.config
+        if x.shape[1:2] != (cfg.n_nodes,):
+            raise DimensionError(f"forward_window takes one window's {cfg.n_nodes} node rows, got x of shape {x.shape}")
         bf = self.forward_batch(x, m, u, record_gradients=False)
         return ForwardTrace(
             encodings=bf.slots.data.reshape(cfg.n_nodes, cfg.n_scales, cfg.d_h).transpose(1, 0, 2),

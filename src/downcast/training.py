@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import Panel, Scaler, atomic_write
 from .errors import ContractError, require
-from .model import Model, ModelConfig, last_value_imputation
+from .model import Model, last_value_imputation
 from .rng import stream_rng
 
 
@@ -466,15 +466,9 @@ def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:
         fh.write(blob)
 
 
-def load_checkpoint(ckpt_dir) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by `save_checkpoint`.
-
-    A manifest that is not JSON, has another format or lacks a key, a blob
-    that does not match the manifest, and a non-finite parameter value each
-    raise ContractError naming the file and the key or parameter.
-    """
-    root = Path(ckpt_dir)
-    manifest_path, blob_path = root / "checkpoint.json", root / "checkpoint.bin"
+def read_manifest(ckpt_dir) -> dict:
+    """A checkpoint's manifest; ContractError names the file and key if it is not one `save_checkpoint` writes."""
+    manifest_path = Path(ckpt_dir) / "checkpoint.json"
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
@@ -488,28 +482,40 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelConfig, dict[str, np.ndarray], dict]
         raise ContractError(
             f"{manifest_path} has format {manifest['format']!r}; this version reads format {CHECKPOINT_FORMAT}"
         )
+    return manifest
+
+
+def load_checkpoint(ckpt_dir, model: Model) -> dict:
+    """Fill `model`'s parameters from a checkpoint written by `save_checkpoint`; return its metadata.
+
+    The manifest must hold the model's config and its parameters' names and
+    shapes in order, and the blob exactly their values, all finite. Anything
+    else raises ContractError naming the file and the key or parameter, and
+    leaves `model` as it was.
+    """
+    manifest = read_manifest(ckpt_dir)
+    manifest_path, blob_path = Path(ckpt_dir) / "checkpoint.json", Path(ckpt_dir) / "checkpoint.bin"
+    if manifest["model_config"] != json.loads(json.dumps(asdict(model.config))):
+        raise ContractError(f"{manifest_path}: model_config does not match the model's config")
+    stored = manifest["params"] + [None]
+    layout = [{"name": p.name, "shape": list(p.value.shape)} for p in model.parameters()] + [None]
+    if stored != layout:  # the None ends name a missing or extra entry
+        i = next(i for i, (a, b) in enumerate(zip(stored, layout)) if a != b)
+        raise ContractError(
+            f"{manifest_path}: params[{i}] is {json.dumps(stored[i])}; the model has {json.dumps(layout[i])}"
+        )
     raw = blob_path.read_bytes()
-    values: dict[str, np.ndarray] = {}
-    offset = 0
-    for i, entry in enumerate(manifest["params"]):
-        try:
-            name, shape = str(entry["name"]), tuple(int(e) for e in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractError(f"{manifest_path}: params[{i}] needs a name and an integer shape") from exc
-        size = int(np.prod(shape)) * 8
-        if min(shape, default=0) < 0 or offset + size > len(raw):
-            raise ContractError(f"{blob_path} does not hold parameter {name!r} of shape {shape}")
-        value = np.frombuffer(raw[offset : offset + size], dtype="<f8").reshape(shape).copy()
+    values, offset = [], 0
+    for p in model.parameters():
+        if offset + 8 * p.value.size > len(raw):
+            raise ContractError(f"{blob_path} does not hold parameter {p.name!r} of shape {p.value.shape}")
+        value = np.frombuffer(raw, "<f8", p.value.size, offset).reshape(p.value.shape)
         if not np.all(np.isfinite(value)):
-            raise ContractError(f"{blob_path}: parameter {name!r} holds non-finite values")
-        values[name] = value
-        offset += size
+            raise ContractError(f"{blob_path}: parameter {p.name!r} holds non-finite values")
+        values.append(value)
+        offset += 8 * p.value.size
     if offset != len(raw):
-        raise ContractError(f"{blob_path} length does not match the manifest")
-    try:
-        cfg_dict = dict(manifest["model_config"])
-        cfg_dict["decoder_hidden"] = tuple(cfg_dict["decoder_hidden"])
-        config = ModelConfig(**cfg_dict)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"{manifest_path}: model_config does not describe a model: {exc}") from exc
-    return config, values, manifest["metadata"]
+        raise ContractError(f"{blob_path} holds {len(raw) - offset} bytes past the last parameter {p.name!r}")
+    for p, value in zip(model.parameters(), values):
+        p.value[...] = value
+    return manifest["metadata"]

@@ -298,6 +298,19 @@ class TestCliMain:
             assert len(group) == 9
             assert sum(group) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["mso", "csv-anisotropic-per-step"])
+    def test_dump_scores_reproduces_attention_csv(self, tmp_path, kind):
+        if kind == "mso":
+            cfg = tiny_config(tmp_path / "out")
+        else:  # time encodings, so d_u > 0
+            cfg = TestCsvDatasetPath.time_encoded_config(tmp_path)
+            cfg["model"] |= {"smp_variant": "anisotropic", "per_step_attention": True, "temporal_layers": 2}
+        assert cli.main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        out, dump = tmp_path / "out", tmp_path / "dump.csv"
+        code = cli.main(["dump-scores", "--checkpoint", str(out / "checkpoint"), "--window", "0", "--out", str(dump)])
+        assert code == 0
+        assert dump.read_bytes() == (out / "attention.csv").read_bytes()
+
     def test_dump_scores_bad_window_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "run"
         path = write_config(tmp_path, tiny_config(out))
@@ -323,6 +336,22 @@ class TestCliMain:
         assert code == 4
         err = capsys.readouterr().err
         assert "encoder.renamed" in err and "encoder.steps" in err
+
+    def test_dump_scores_refuses_a_model_config_its_dataset_config_does_not_build(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_config(out))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        manifest_path = out / "checkpoint" / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model_config"]["temporal_factor"] = 3  # every parameter keeps its shape
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = cli.main(
+            ["dump-scores", "--checkpoint", str(out / "checkpoint"), "--window", "0", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 4
+        assert "checkpoint.json: model_config does not match" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_dump_scores_refuses_a_format_1_checkpoint(self, tmp_path, capsys):
         # format 1 stored nine per-gate arrays per temporal layer and one

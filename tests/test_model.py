@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,14 @@ class TestEncoder:
         u = np.zeros((model.config.window, rows, model.config.d_u))
         with pytest.raises(DimensionError, match=f"{rows} window rows"):
             model.forward_batch(x, np.ones_like(x), u, record_gradients=False)
+
+    @pytest.mark.parametrize("shape", [(9, 12, 2), (8, 13, 2), (8, 12, 1), (8, 12)])
+    def test_exogenous_window_of_another_shape_rejected(self, shape):
+        model = make_setup()  # 6 nodes, W = 8, d_u = 2; two windows are 12 rows
+        x = np.zeros((model.config.window, 12, model.config.d_x))
+        want = re.escape(f"uw has shape {shape}, expected (W, N*B, d_u) = (8, 12, 2)")
+        with pytest.raises(DimensionError, match=want):
+            model.forward_batch(x, np.ones_like(x), np.zeros(shape), record_gradients=False)
 
 class TestTemporalStack:
     def test_scale_lengths_72_3_4(self):
@@ -453,6 +463,13 @@ class TestForward:
         np.testing.assert_allclose(batch_preds[0], solo1, atol=1e-12)
         np.testing.assert_allclose(batch_preds[1], solo2, atol=1e-12)
         assert model.runtime(1) is model.runtime(32)  # one operator set serves every batch size
+
+    def test_forward_window_takes_one_window(self):
+        model = make_setup()
+        rng = np.random.default_rng(20)
+        x, m, u = stack_windows([random_window(model, rng) for _ in range(2)])
+        with pytest.raises(DimensionError, match=re.escape("one window's 6 node rows, got x of shape (8, 12, 1)")):
+            model.forward_window(x, m, u)
 
     def test_masked_entries_do_not_affect_forward(self):
         model = make_setup()

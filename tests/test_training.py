@@ -595,6 +595,17 @@ class TestFreedMemory:
         assert len(result.history) == 2
 
 
+def _edit_manifest(edit):
+    def apply(manifest, values):
+        edit(manifest)
+        return values
+    return apply
+
+
+def _swap_params(manifest):
+    manifest["params"][1], manifest["params"][2] = manifest["params"][2], manifest["params"][1]
+
+
 class TestCheckpoint:
     @staticmethod
     def _saved(tmp_path):
@@ -602,27 +613,39 @@ class TestCheckpoint:
         tr.save_checkpoint(tmp_path / "ckpt", model, {"seed": 3})
         return model, tmp_path / "ckpt" / "checkpoint.json", tmp_path / "ckpt" / "checkpoint.bin"
 
+    @staticmethod
+    def _fresh(model):
+        """A model of the same config whose parameter values all differ from `model`'s."""
+        fresh = Model(model.config, model.hierarchy, init_seed=99)
+        for p in fresh.parameters():
+            p.value += 1.0  # biases start at zero under every seed
+        return fresh
+
+    @staticmethod
+    def _assert_refused(tmp_path, model, match):
+        before = {name: p.value.tobytes() for name, p in model.params.items()}
+        with pytest.raises(ContractError, match=match):
+            tr.load_checkpoint(tmp_path / "ckpt", model)
+        assert {name: p.value.tobytes() for name, p in model.params.items()} == before
+
     def test_corrupt_manifest_rejected(self, tmp_path):
-        _, manifest, _ = self._saved(tmp_path)
+        model, manifest, _ = self._saved(tmp_path)
         manifest.write_text("{bad")
-        with pytest.raises(ContractError, match="checkpoint.json is not valid JSON"):
-            tr.load_checkpoint(tmp_path / "ckpt")
+        self._assert_refused(tmp_path, self._fresh(model), "checkpoint.json is not valid JSON")
 
     def test_unknown_format_rejected(self, tmp_path):
-        _, manifest, _ = self._saved(tmp_path)
+        model, manifest, _ = self._saved(tmp_path)
         doc = json.loads(manifest.read_text())
         doc["format"] = 99
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ContractError, match="checkpoint.json has format 99"):
-            tr.load_checkpoint(tmp_path / "ckpt")
+        self._assert_refused(tmp_path, self._fresh(model), "checkpoint.json has format 99")
 
     def test_missing_key_rejected(self, tmp_path):
-        _, manifest, _ = self._saved(tmp_path)
+        model, manifest, _ = self._saved(tmp_path)
         doc = json.loads(manifest.read_text())
         del doc["params"]
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(ContractError, match="checkpoint.json has no 'params' key"):
-            tr.load_checkpoint(tmp_path / "ckpt")
+        self._assert_refused(tmp_path, self._fresh(model), "checkpoint.json has no 'params' key")
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         model, _, blob = self._saved(tmp_path)
@@ -631,8 +654,38 @@ class TestCheckpoint:
         values[offset] = np.nan
         blob.write_bytes(values.astype("<f8").tobytes())
         name = model.parameters()[1].name
-        with pytest.raises(ContractError, match=f"checkpoint.bin: parameter '{name}' holds non-finite values"):
-            tr.load_checkpoint(tmp_path / "ckpt")
+        match = f"checkpoint.bin: parameter '{name}' holds non-finite values"
+        self._assert_refused(tmp_path, self._fresh(model), match)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # a field that changes no parameter's shape
+            (_edit_manifest(lambda m: m["model_config"].update(temporal_factor=3)), "checkpoint.json: model_config"),
+            (_edit_manifest(_swap_params), r"checkpoint.json: params\[1\] is .*; the model has"),
+            (_edit_manifest(lambda m: m["params"].pop()), r"checkpoint.json: params\[\d+\] is null"),
+            (lambda m, values: values[:-1], r"checkpoint.bin does not hold parameter 'readout.out.bias'"),
+            (lambda m, values: np.append(values, 0.0), r"checkpoint.bin holds 8 bytes past the last parameter"),
+            # a late non-finite value: no earlier parameter may be written either
+            (lambda m, values: np.append(values[:-1], np.inf), "checkpoint.bin: parameter 'readout.out.bias'"),
+        ],
+        ids=["config-field", "swapped-params", "params-entry-missing", "blob-one-short", "blob-one-long",
+             "last-value-infinite"],
+    )
+    def test_mismatch_refused_and_model_untouched(self, tmp_path, edit, match):
+        model, manifest, blob = self._saved(tmp_path)
+        doc = json.loads(manifest.read_text())
+        values = edit(doc, np.frombuffer(blob.read_bytes(), dtype="<f8").copy())
+        manifest.write_text(json.dumps(doc))
+        blob.write_bytes(values.astype("<f8").tobytes())
+        self._assert_refused(tmp_path, self._fresh(model), match)
+
+    def test_params_that_is_not_a_list_is_a_contract_error(self, tmp_path):
+        model, manifest, _ = self._saved(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["params"] = 3
+        manifest.write_text(json.dumps(doc))
+        self._assert_refused(tmp_path, self._fresh(model), "checkpoint.json: 'params' is not a list")
 
     def test_metadata_json_rejects_leaves_no_file(self, tmp_path):
         model, _ = make_bundle()
@@ -643,8 +696,9 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model, bundle = make_bundle()
         tr.save_checkpoint(tmp_path / "ckpt", model, {"seed": 3, "note": "test"})
-        config, values, meta = tr.load_checkpoint(tmp_path / "ckpt")
-        assert config == model.config
-        assert meta == {"seed": 3, "note": "test"}
+        fresh = self._fresh(model)
+        assert all(not np.array_equal(fresh.params[name].value, p.value) for name, p in model.params.items())
+        assert tr.load_checkpoint(tmp_path / "ckpt", fresh) == {"seed": 3, "note": "test"}
+        assert tr.read_manifest(tmp_path / "ckpt")["metadata"] == {"seed": 3, "note": "test"}
         for name, p in model.params.items():
-            np.testing.assert_array_equal(values[name], p.value)
+            assert fresh.params[name].value.tobytes() == p.value.tobytes()
