@@ -42,7 +42,9 @@ class Tape:
     untracked input's node id is None, and its contribution, which the vjp
     may leave None, is skipped. Node ids are assigned in execution order, so
     the record is topologically sorted by construction. A tape is confined to
-    a single thread.
+    a single thread: a training step cut into window shards records one tape
+    per shard, each on its own thread, and each tape's `backward` adds into a
+    gradient sink of its own.
 
     A tape is differentiated once: `backward` consumes the record, breaking
     the cycle from the vjp closures through their tensors back to the tape,
@@ -71,11 +73,13 @@ class Tape:
         """Enter a non-parameter array whose adjoint is still wanted."""
         return Tensor(data, tape=self, node=self._new_node())
 
-    def backward(self, loss: "Tensor") -> dict[int, np.ndarray]:
+    def backward(self, loss: "Tensor", into: dict | None = None) -> dict[int, np.ndarray]:
         """Accumulate d loss / d parameter into every registered Parameter.
 
         Parameters registered on this tape but not on the path to `loss`
-        receive an exact-zero contribution. Returns the full adjoint map
+        receive an exact-zero contribution. With `into`, a gradient sink,
+        each parameter's adjoint is added to `into[p]` (set when absent)
+        instead, and no `p.grad` is touched. Returns the full adjoint map
         keyed by node id (useful for checking non-parameter leaves). The
         record is consumed, so a second call raises ContractError.
         """
@@ -100,8 +104,12 @@ class Tape:
                     adjoints[in_node] = contrib if acc is None else acc + contrib
         for p, node in param_nodes:
             g = adjoints.get(node)
-            if g is not None:
+            if g is None:
+                continue
+            if into is None:
                 p.grad += g
+            else:
+                into[p] = g if p not in into else into[p] + g
         return adjoints
 
 

@@ -59,14 +59,6 @@ class SimulatedMask:
         return float(1.0 - self.mask.mean())
 
 
-def simulate_point(shape: tuple[int, int, int], eta: float, rng: np.random.Generator) -> SimulatedMask:
-    """Each cell is independently invalid with probability eta."""
-    if not (0.0 <= eta <= 1.0):
-        raise ContractError("eta must be a probability")
-    mask = (rng.random(shape) >= eta).astype(np.float64)
-    return SimulatedMask(mask=mask, faults=[])
-
-
 def simulate_block(
     shape: tuple[int, int, int],
     cfg: MaskConfig,
@@ -78,7 +70,8 @@ def simulate_block(
     neighbour of its node independently with probability p_g[k-1]; for
     directed graphs, hops follow edge direction. Channels are independent.
     The same seed reproduces the mask bit for bit, and with p_f = 0 and no
-    propagation the result equals `simulate_point` under the same seed policy.
+    propagation each cell is invalid with probability eta, drawn from the
+    seed's "mask" stream in cell order.
     """
     if cfg.p_g and graph is None:
         raise ContractError("propagation probabilities given but no graph supplied")

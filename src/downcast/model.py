@@ -311,12 +311,12 @@ class Model:
         """
         cfg = self.config
         m_rows = xw.shape[1]
-        if xw.shape != (cfg.window, m_rows, cfg.d_x) or mw.shape != xw.shape:
-            raise DimensionError("window arrays must be (W, N*B, d_x)")
+        for name, a, width in (("xw", xw, "d_x"), ("mw", mw, "d_x"), ("uw", uw, "d_u")):
+            want = (cfg.window, m_rows, getattr(cfg, width))
+            if a.shape != want:
+                raise DimensionError(f"{name} has shape {a.shape}, expected (W, N*B, {width}) = {want}")
         if m_rows < 1 or m_rows % cfg.n_nodes:
             raise DimensionError(f"{m_rows} window rows are not a positive multiple of {cfg.n_nodes} nodes")
-        if uw.shape != (cfg.window, m_rows, cfg.d_u):
-            raise DimensionError(f"uw has shape {uw.shape}, expected (W, N*B, d_u) = {(cfg.window, m_rows, cfg.d_u)}")
         ximp = last_value_imputation(xw, mw)
         feats = np.concatenate([ximp, uw, mw], axis=2).reshape(cfg.window * m_rows, -1)
         steps = ad.constant(feats) @ p["encoder.steps"]

@@ -143,14 +143,16 @@ def assemble_batch(bundle: DataBundle, starts, mask_targets: bool) -> AssembledB
 # -- loss and metrics -------------------------------------------------------------
 
 
-def masked_mae_loss(pred: Tensor, target, mask) -> Tensor:
+def masked_mae_loss(pred: Tensor, target, mask, n_rows: int | None = None) -> Tensor:
     """Differentiable masked absolute-error loss.
 
     `target` and `mask` are arrays shaped like `pred`, whose rows are the
     (step, node) terms. Each row contributes the mean absolute error over
     its valid channels; rows with no valid channel are skipped, and the loss
-    is the mean over contributing rows. Gradients are exactly zero at masked
-    entries.
+    is the sum over contributing rows divided by `n_rows`, by default their
+    count. A window shard of a batch passes the whole batch's count, so the
+    shards' losses add up to the batch's. Gradients are exactly zero at
+    masked entries.
     """
     target = np.asarray(target, dtype=np.float64).reshape(pred.data.shape)
     mask = np.asarray(mask, dtype=np.float64).reshape(pred.data.shape)
@@ -158,10 +160,12 @@ def masked_mae_loss(pred: Tensor, target, mask) -> Tensor:
     contributing = int(np.count_nonzero(row_valid))
     if contributing == 0:
         raise ContractError("mask selects no valid target entries")
+    if n_rows is not None and n_rows < contributing:
+        raise ContractError(f"n_rows {n_rows} is below the mask's {contributing} contributing rows")
     weights = np.divide(1.0, row_valid, out=np.zeros_like(row_valid), where=row_valid > 0)
     err = ad.mul(ad.absolute(ad.sub(pred, ad.constant(target))), ad.constant(mask))
     total = ad.reduce_sum(ad.mul(ad.reduce_sum(err, axis=pred.data.ndim - 1), ad.constant(weights)))
-    return ad.mul(total, 1.0 / contributing)
+    return ad.mul(total, 1.0 / (contributing if n_rows is None else n_rows))
 
 
 # -- optimiser --------------------------------------------------------------------
@@ -239,11 +243,15 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 # thread, medians of 7) one 32-window metro-aniso evaluation batch of 4,800
 # rows took 288-294 ms in one pass and 178-211 ms in groups of 6 windows
 # (900 rows); a 128-window desk-iso batch of 2,560 rows, 67 and 57 ms.
+# A training batch above it runs as two window shards (`_window_shards`).
 _EVAL_ROWS = 1024
 
-# Window groups in flight at once, one per pool thread. numpy's ufuncs,
-# OpenBLAS and scipy's sparse products release the GIL, so two groups'
-# forwards overlap on two cores; splitting one scan's rows instead was slower.
+# Window groups (or training shards) in flight at once, one per pool thread.
+# numpy's ufuncs, OpenBLAS and scipy's sparse products release the GIL, so
+# two groups' passes overlap on two cores; splitting one scan's rows instead
+# was slower. On the same VM, a 1,200-row metro-aniso training step took a
+# median of 50 ms on two shards against 71 ms whole; a 640-row desk-iso step,
+# which holds the GIL longer, lost on two threads, so it stays whole.
 _EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
@@ -383,6 +391,69 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
+def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray, ...]]:
+    """A training batch's (x, m, u, targets, target_masks), whole or as two window shards.
+
+    A batch of more than `_EVAL_ROWS` rows and at least two windows is cut
+    by window: the inputs (W, N*B, C) view as (W, N, B, C), the targets
+    (N*B*H, C) as (N, B, H, C), and a slice of the B axis copies one
+    shard's windows, the first half rounded up. The rule reads shapes only,
+    so a config's bits do not depend on the machine.
+    """
+    arrays = (batch.x, batch.m, batch.u, batch.targets, batch.target_masks)
+    w, rows, _ = batch.x.shape
+    b, h = rows // n_nodes, batch.targets.shape[0] // rows
+    if rows <= _EVAL_ROWS or b < 2:
+        return [arrays]
+
+    def cut(a, lo, hi):
+        if a.ndim == 3:
+            return a.reshape(w, n_nodes, b, a.shape[2])[:, :, lo:hi].reshape(w, n_nodes * (hi - lo), a.shape[2])
+        return a.reshape(n_nodes, b, h, a.shape[1])[:, lo:hi].reshape(n_nodes * (hi - lo) * h, a.shape[1])
+
+    half = (b + 1) // 2
+    return [tuple(cut(a, lo, hi) for a in arrays) for lo, hi in ((0, half), (half, b))]
+
+
+def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -> tuple[float, dict]:
+    """One shard's recorded forward, its loss over the batch's `n_rows` rows and its gradient sink.
+
+    A non-finite loss is returned with an empty sink and no backward.
+    """
+    x, m, u, targets, target_masks = shard
+    bf = model.forward_batch(x, m, u)
+    loss = masked_mae_loss(bf.preds, targets, target_masks, n_rows)
+    grads: dict[Parameter, np.ndarray] = {}
+    if np.isfinite(loss.data):
+        bf.tape.backward(loss, into=grads)
+    return float(loss.data), grads
+
+
+def _batch_gradients(model: Model, batch: AssembledBatch, pool: ThreadPoolExecutor) -> tuple[float, list[dict]]:
+    """A training batch's loss and its window shards' gradient sinks, in shard order.
+
+    A shard with no valid target is skipped, so a batch with none has no
+    sink. A lone shard runs on the calling thread; two run on `pool`, one
+    tape each, each in a copy of the caller's context so its `np.errstate`
+    holds there. Each shard's pass is the same whatever the worker count,
+    so the bits are too. The first error a shard raises reaches the caller
+    unchanged.
+    """
+    n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
+    shards = [s for s in _window_shards(batch, model.config.n_nodes) if s[4].any()]  # s[4]: target mask
+    # two shards are copies: unless the caller keeps the batch, its arrays
+    # are freed before the tapes grow (about 2 MB of metro-aniso's 180 MB peak)
+    del batch
+    if not shards:
+        return float("nan"), []
+    if len(shards) == 1:
+        results = [_shard_gradients(model, shards[0], n_rows)]
+    else:
+        futures = [pool.submit(contextvars.copy_context().run, _shard_gradients, model, s, n_rows) for s in shards]
+        results = [f.result() for f in futures]
+    return sum(loss for loss, _ in results), [grads for _, grads in results]
+
+
 def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     """Mini-batch training; leaves the model at the snapshot with minimal validation MAE.
 
@@ -394,6 +465,10 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     by `plateau_factor`; the `early_stop_patience`-th stops training. A
     non-finite training loss or validation MAE raises TrainingDiverged, and a
     validation split with no valid target raises ContractError.
+    A batch of more than `_EVAL_ROWS` rows runs as two window shards on a
+    pool of `_EVAL_WORKERS` threads (`_batch_gradients`); their gradients
+    are summed in shard order before clipping and the update. The pool
+    lives for this call.
     Freed memory stays mapped from here on (`_keep_freed_memory`).
     """
     if not bundle.train or not bundle.val:
@@ -403,40 +478,43 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
 
-    for epoch in range(cfg.max_epochs):
-        rng = stream_rng(cfg.seed, f"batches-{epoch}")
-        epoch_losses = []
-        for batch_idx in range(cfg.batches_per_epoch):
-            picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
-            batch = assemble_batch(bundle, bundle.train.start + picks, mask_targets=True)
-            if not batch.target_masks.any():
-                continue
-            bf = model.forward_batch(batch.x, batch.m, batch.u)
-            loss = masked_mae_loss(bf.preds, batch.targets, batch.target_masks)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {batch_idx}", history
+    with ThreadPoolExecutor(_EVAL_WORKERS) as pool:
+        for epoch in range(cfg.max_epochs):
+            rng = stream_rng(cfg.seed, f"batches-{epoch}")
+            epoch_losses = []
+            for batch_idx in range(cfg.batches_per_epoch):
+                picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
+                loss, sinks = _batch_gradients(
+                    model, assemble_batch(bundle, bundle.train.start + picks, mask_targets=True), pool
                 )
-            model.zero_grads()
-            bf.tape.backward(loss)
-            if cfg.grad_clip_norm is not None:
-                clip_gradients(params, cfg.grad_clip_norm)
-            adamw_step(params, state, weight_decay=cfg.weight_decay)
-            epoch_losses.append(float(loss.data))
-        val = evaluate(model, bundle, "val", batch_size=cfg.eval_batch_size)
-        if not math.isfinite(val.mae):
-            raise TrainingDiverged(f"non-finite validation MAE {val.mae!r} at epoch {epoch}", history)
-        state.end_epoch(params, val.mae, cfg.plateau_patience, cfg.plateau_factor)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                "val_mae": val.mae,
-                "lr": state.lr,
-            }
-        )
-        if state.stale >= cfg.early_stop_patience:
-            break
+                if not sinks:
+                    continue
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {batch_idx}", history
+                    )
+                model.zero_grads()
+                for grads in sinks:
+                    for p, g in grads.items():
+                        p.grad += g
+                if cfg.grad_clip_norm is not None:
+                    clip_gradients(params, cfg.grad_clip_norm)
+                adamw_step(params, state, weight_decay=cfg.weight_decay)
+                epoch_losses.append(loss)
+            val = evaluate(model, bundle, "val", batch_size=cfg.eval_batch_size)
+            if not math.isfinite(val.mae):
+                raise TrainingDiverged(f"non-finite validation MAE {val.mae!r} at epoch {epoch}", history)
+            state.end_epoch(params, val.mae, cfg.plateau_patience, cfg.plateau_factor)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
+                    "val_mae": val.mae,
+                    "lr": state.lr,
+                }
+            )
+            if state.stale >= cfg.early_stop_patience:
+                break
 
     for p in params:
         p.value[...] = state.best[p.name]

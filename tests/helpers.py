@@ -8,9 +8,14 @@ from downcast import autodiff as ad
 from downcast import graphs as gr
 from downcast import training as tr
 from downcast.errors import DimensionError
-from downcast.masking import FaultInterval
+from downcast.masking import FaultInterval, SimulatedMask
 from downcast.model import last_value_imputation, smp_messages
 from downcast.rng import stream_rng
+
+
+def simulate_point(shape, eta, rng):
+    """Point noise alone: each cell is independently invalid with probability eta."""
+    return SimulatedMask(mask=(rng.random(shape) >= eta).astype(np.float64), faults=[])
 
 
 def random_graph(n, p, rng, directed=False, zero_frac=0.0):

@@ -14,10 +14,10 @@ from downcast import cli
 from downcast import data as dt
 from downcast import graphs as gr
 from downcast import training as tr
-from downcast.masking import MaskConfig, simulate_block, simulate_point
+from downcast.masking import MaskConfig, simulate_block
 from downcast.model import Model, ModelConfig
 from downcast.rng import stream_rng
-from helpers import hop_rings, lift_features, neighbor_lists, reduce_features
+from helpers import hop_rings, lift_features, neighbor_lists, reduce_features, simulate_point
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -7,20 +7,27 @@ from downcast import masking as mk
 from downcast.errors import ContractError
 from downcast.graphs import WeightedDigraph
 from downcast.rng import stream_rng
-from helpers import fault_list_reference, neighbor_lists, random_graph, streak_histogram_reference, write_mask_csv
+from helpers import (
+    fault_list_reference,
+    neighbor_lists,
+    random_graph,
+    simulate_point,
+    streak_histogram_reference,
+    write_mask_csv,
+)
 
 
 class TestSimulatePoint:
     def test_eta_zero_all_valid(self):
-        sim = mk.simulate_point((10, 4, 1), 0.0, stream_rng(0, "mask"))
+        sim = simulate_point((10, 4, 1), 0.0, stream_rng(0, "mask"))
         assert sim.mask.all() and not sim.faults
 
     def test_eta_one_all_missing(self):
-        sim = mk.simulate_point((10, 4, 1), 1.0, stream_rng(0, "mask"))
+        sim = simulate_point((10, 4, 1), 1.0, stream_rng(0, "mask"))
         assert not sim.mask.any()
 
     def test_binomial_concentration(self):
-        sim = mk.simulate_point((10000, 100, 1), 0.05, stream_rng(1, "mask"))
+        sim = simulate_point((10000, 100, 1), 0.05, stream_rng(1, "mask"))
         assert sim.missing_fraction == pytest.approx(0.05, abs=0.005)
 
 
@@ -32,7 +39,7 @@ class TestSimulateBlock:
     def test_pf_zero_reduces_to_point(self):
         cfg = mk.MaskConfig(eta=0.07, p_f=0.0, s_min=2, s_max=5, seed=13)
         blk = mk.simulate_block((60, 5, 2), cfg)
-        pt = mk.simulate_point((60, 5, 2), 0.07, stream_rng(13, "mask"))
+        pt = simulate_point((60, 5, 2), 0.07, stream_rng(13, "mask"))
         assert np.array_equal(blk.mask, pt.mask)
 
     def test_same_seed_bit_identical(self):

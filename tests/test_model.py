@@ -163,6 +163,18 @@ class TestEncoder:
         with pytest.raises(DimensionError, match=want):
             model.forward_batch(x, np.ones_like(x), np.zeros(shape), record_gradients=False)
 
+    @pytest.mark.parametrize("name, shape", [("xw", (7, 12, 1)), ("xw", (8, 12, 2)), ("mw", (8, 13, 1)),
+                                             ("mw", (8, 12))])
+    def test_window_array_of_another_shape_names_itself(self, name, shape):
+        model = make_setup()  # 6 nodes, W = 8, d_x = 1, d_u = 2; x fixes the rows
+        arrays = {"xw": np.zeros((8, 12, 1)), "mw": np.ones((8, 12, 1))}
+        arrays[name] = np.zeros(shape)
+        rows = arrays["xw"].shape[1]
+        want = re.escape(f"{name} has shape {shape}, expected (W, N*B, d_x) = (8, {rows}, 1)")
+        with pytest.raises(DimensionError, match=want):
+            model.forward_batch(arrays["xw"], arrays["mw"], np.zeros((8, rows, 2)), record_gradients=False)
+
+
 class TestTemporalStack:
     def test_scale_lengths_72_3_4(self):
         chain = gr.temporal_chain(72, 3, 4)

@@ -8,6 +8,7 @@ import sys
 import threading
 import types
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -499,6 +500,109 @@ class TestConcurrentEvaluation:
         # groups 0 and 1 were in flight, and group 2 was submitted when group 0 was read
         assert len(calls) <= 3
         assert threading.active_count() == threads
+
+
+class TestShardedTraining:
+    """A batch above `_EVAL_ROWS` rows trains as two window shards, one tape per thread."""
+
+    CFG = tr.TrainConfig(max_epochs=2, batches_per_epoch=3, batch_size=6, eval_batch_size=8, seed=4)
+
+    @staticmethod
+    def sharded(monkeypatch):
+        # an anisotropic per-step model; a 6-window batch (48 rows) splits into two of 3
+        model, bundle = make_bundle(variant="anisotropic", per_step=True)
+        monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * model.config.n_nodes)
+        return model, bundle
+
+    @staticmethod
+    def summed(sinks, model):
+        return {name: sum((grads[p] for grads in sinks if p in grads), np.zeros_like(p.value))
+                for name, p in model.params.items()}
+
+    def test_one_and_two_workers_give_the_same_bits(self, monkeypatch):
+        recorded, forward = [], Model.forward_batch
+
+        def counting_forward(self, xw, mw, uw, record_gradients=True):
+            if record_gradients:
+                recorded.append(xw.shape[1])
+            return forward(self, xw, mw, uw, record_gradients)
+
+        monkeypatch.setattr(Model, "forward_batch", counting_forward)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(tr, "_EVAL_WORKERS", workers)
+            model, bundle = self.sharded(monkeypatch)
+            result = tr.train(model, bundle, self.CFG)
+            runs[workers] = (repr(result.history), repr(result.best_val_mae),
+                             [p.value.tobytes() for p in model.parameters()])
+        assert runs[1] == runs[2]
+        assert recorded and set(recorded) == {3 * model.config.n_nodes}  # every step ran as two shards
+
+    def test_split_step_matches_one_tape(self, monkeypatch):
+        model, bundle = make_bundle(variant="anisotropic", per_step=True)
+        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        with ThreadPoolExecutor(2) as pool:
+            whole_loss, whole = tr._batch_gradients(model, batch, pool)
+            monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * model.config.n_nodes)
+            split_loss, split = tr._batch_gradients(model, batch, pool)
+        assert len(whole) == 1 and len(split) == 2
+        assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
+        want, got = self.summed(whole, model), self.summed(split, model)
+        for name, g in want.items():
+            assert np.any(g != 0.0), name
+            np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
+        assert all(np.all(p.grad == 0.0) for p in model.parameters())  # sinks only
+
+    def test_a_shard_without_valid_target_is_skipped(self, monkeypatch):
+        model, bundle = make_bundle(variant="anisotropic", per_step=True)
+        cfg, n = model.config, model.config.n_nodes
+        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        batch.target_masks.reshape(n, 6, cfg.horizon, cfg.d_x)[:, 3:] = 0.0  # the second shard's windows
+        assert batch.target_masks.any()
+        recorded, forward = [], Model.forward_batch
+
+        def counting_forward(self, xw, mw, uw, record_gradients=True):
+            recorded.append(xw.shape[1])
+            return forward(self, xw, mw, uw, record_gradients)
+
+        with ThreadPoolExecutor(2) as pool:
+            whole_loss, whole = tr._batch_gradients(model, batch, pool)
+            monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * n)
+            monkeypatch.setattr(Model, "forward_batch", counting_forward)
+            split_loss, split = tr._batch_gradients(model, batch, pool)
+        assert recorded == [3 * n] and len(split) == 1
+        assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
+        want, got = self.summed(whole, model), self.summed(split, model)
+        for name, g in want.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+    @staticmethod
+    def overflowing(model):
+        # as in TestConcurrentEvaluation: every output is 1e308 before its bias of 1e308
+        width = model.config.decoder_hidden[0]
+        for name, value in (("h0.weight", 0.0), ("h0.bias", 1.0), ("out.weight", 1e308 / width), ("out.bias", 1e308)):
+            model.params[f"readout.{name}"].value[...] = value
+
+    def test_caller_errstate_reaches_the_shard_workers(self, monkeypatch):
+        model, bundle = self.sharded(monkeypatch)
+        self.overflowing(model)
+        threads = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            tr.train(model, bundle, self.CFG)
+        assert threading.active_count() == threads
+
+    def test_diverged_step_leaves_no_thread_and_the_model_untouched(self, monkeypatch):
+        model, bundle = self.sharded(monkeypatch)
+        self.overflowing(model)
+        for p in model.parameters():
+            p.grad[...] = 3.0
+        before = [p.value.copy() for p in model.parameters()]
+        threads = threading.active_count()
+        with np.errstate(all="ignore"), pytest.raises(tr.TrainingDiverged, match="epoch 0, batch 0"):
+            tr.train(model, bundle, self.CFG)
+        assert threading.active_count() == threads
+        for p, value in zip(model.parameters(), before):
+            assert np.array_equal(p.value, value) and np.all(p.grad == 3.0), p.name
 
 
 class TestGradientEndToEnd:
