@@ -43,8 +43,8 @@ class Tape:
     may leave None, is skipped. Node ids are assigned in execution order, so
     the record is topologically sorted by construction. A tape is confined to
     a single thread: a training step cut into window shards records one tape
-    per shard, each on its own thread, and each tape's `backward` adds into a
-    gradient sink of its own.
+    per shard, one in the caller and one in a helper process, and each
+    tape's `backward` adds into a gradient sink of its own.
 
     A tape is differentiated once: `backward` consumes the record, breaking
     the cycle from the vjp closures through their tensors back to the tape,

@@ -7,15 +7,19 @@ valid scalar entries in original units.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import json
 import math
+import multiprocessing
 import os
 import sys
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
 
 import numpy as np
@@ -243,15 +247,15 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 # thread, medians of 7) one 32-window metro-aniso evaluation batch of 4,800
 # rows took 288-294 ms in one pass and 178-211 ms in groups of 6 windows
 # (900 rows); a 128-window desk-iso batch of 2,560 rows, 67 and 57 ms.
-# A training batch above it runs as two window shards (`_window_shards`).
 _EVAL_ROWS = 1024
 
-# Window groups (or training shards) in flight at once, one per pool thread.
-# numpy's ufuncs, OpenBLAS and scipy's sparse products release the GIL, so
-# two groups' passes overlap on two cores; splitting one scan's rows instead
-# was slower. On the same VM, a 1,200-row metro-aniso training step took a
-# median of 50 ms on two shards against 71 ms whole; a 640-row desk-iso step,
-# which holds the GIL longer, lost on two threads, so it stays whole.
+# Evaluation window groups in flight at once, one per pool thread, and, above
+# one, the switch for training's helper process (`_ShardHelper`). numpy's
+# ufuncs, OpenBLAS and scipy's sparse products release the GIL, so two
+# groups' passes overlap on two cores; splitting one scan's rows instead was
+# slower. A desk-iso training shard holds the GIL for most of its thousands
+# of small calls, so two training shards on threads lost to one whole step
+# (31.1 against 27.3 ms for 640 rows); training uses a process instead.
 _EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
@@ -391,10 +395,20 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
+# Rows above which a training batch of at least two windows runs as two
+# window shards, the second in the helper process. Below it the pipe round
+# trip eats the gain. On the desk-iso model (2-core VM, one BLAS thread),
+# two runs of alternating whole and split steps gave these medians, whole
+# against split: 80 rows 7.8/6.4 against 6.7/6.9 ms, 160 rows 8.3/10.9
+# against 9.1/8.8 ms, 320 rows 14.2/14.9 against 12.0/11.5 ms, and 640
+# rows 27.6/25.8 against 19.4/16.7 ms.
+_SHARD_ROWS = 256
+
+
 def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray, ...]]:
     """A training batch's (x, m, u, targets, target_masks), whole or as two window shards.
 
-    A batch of more than `_EVAL_ROWS` rows and at least two windows is cut
+    A batch of more than `_SHARD_ROWS` rows and at least two windows is cut
     by window: the inputs (W, N*B, C) view as (W, N, B, C), the targets
     (N*B*H, C) as (N, B, H, C), and a slice of the B axis copies one
     shard's windows, the first half rounded up. The rule reads shapes only,
@@ -403,7 +417,7 @@ def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray
     arrays = (batch.x, batch.m, batch.u, batch.targets, batch.target_masks)
     w, rows, _ = batch.x.shape
     b, h = rows // n_nodes, batch.targets.shape[0] // rows
-    if rows <= _EVAL_ROWS or b < 2:
+    if rows <= _SHARD_ROWS or b < 2:
         return [arrays]
 
     def cut(a, lo, hi):
@@ -429,28 +443,160 @@ def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -
     return float(loss.data), grads
 
 
-def _batch_gradients(model: Model, batch: AssembledBatch, pool: ThreadPoolExecutor) -> tuple[float, list[dict]]:
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None where numpy links another BLAS.
+
+    A handle to numpy's core extension also finds the symbols of the
+    libraries it loaded. The names differ between the OpenBLAS that numpy's
+    wheels bundle and a system one, with or without 64-bit integers.
+    """
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    for stem in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block; restore its thread count after.
+
+    A forked helper inherits the count. With a BLAS pool of two threads in
+    both the caller and the helper, four threads share two cores: on the
+    desk-iso model a 640-row step took a median of 51 ms split against 35 ms
+    whole, and with one thread each, 20 against 28 ms. The thread count
+    does not change the bits. Another BLAS is left as it is.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+def _serve_shards(model: Model, conn, parent_end) -> None:
+    """The helper process's loop: set the parameters, run one shard, reply; return at end of input.
+
+    Each request is (shard, n_rows, parameter values, `np.geterr()` dict);
+    the reply is (True, (loss, gradients in parameter order, None where the
+    sink has none)) or (False, (the exception, its formatted traceback)).
+    `parent_end`, the caller's end of the pipe, was inherited by the fork;
+    it is closed first, so a caller that dies without stopping the helper
+    (killed by a signal) ends the input.
+    """
+    parent_end.close()
+    params = model.parameters()
+    while True:
+        try:
+            shard, n_rows, values, errstate = conn.recv()
+        except EOFError:
+            return
+        for p, value in zip(params, values):
+            p.value[...] = value
+        try:
+            with np.errstate(**errstate):
+                loss, grads = _shard_gradients(model, shard, n_rows)
+            reply = True, (loss, [grads.get(p) for p in params])
+        except Exception as exc:  # reported to the caller, which raises it
+            reply = False, (exc, traceback.format_exc())
+        conn.send(reply)
+
+
+class _ShardHelper:
+    """A process that runs the second window shard of `train`'s split batches.
+
+    It is forked from the caller at the first `submit`, so it starts with
+    the caller's model and imports nothing, and it lives until `close`;
+    meanwhile numpy's BLAS runs one thread in both (`_one_blas_thread`).
+    `train` runs no thread of its own at that point: evaluation joins its
+    pool before it returns, and OpenBLAS stops its own before a fork.
+    Each `submit` sends it one shard with every parameter's current value
+    and the caller's `np.errstate`, and `result` returns that shard's loss
+    and gradient sink, keyed by the caller's parameters. An error the shard
+    raises reaches the caller unchanged; a helper that dies raises
+    ContractError naming its exit code.
+    """
+
+    def __init__(self, model: Model):
+        self.model, self.params = model, model.parameters()
+        self._process = self._conn = None
+        self._blas = contextlib.ExitStack()
+
+    def __enter__(self) -> "_ShardHelper":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def submit(self, shard: tuple[np.ndarray, ...], n_rows: int) -> None:
+        if self._process is None:
+            self._blas.enter_context(_one_blas_thread())
+            ctx = multiprocessing.get_context("fork")
+            self._conn, child_end = ctx.Pipe()
+            self._process = ctx.Process(target=_serve_shards, args=(self.model, child_end, self._conn), daemon=True)
+            self._process.start()
+            child_end.close()  # so the parent reads end of file once the helper exits
+        try:
+            self._conn.send((shard, n_rows, [p.value for p in self.params], np.geterr()))
+        except (BrokenPipeError, ConnectionResetError):
+            self._exited()
+
+    def result(self) -> tuple[float, dict]:
+        try:
+            ok, payload = self._conn.recv()
+        except (EOFError, ConnectionResetError):
+            self._exited()
+        if not ok:
+            exc, remote_traceback = payload
+            raise exc from RemoteTraceback(remote_traceback)
+        loss, grads = payload
+        return loss, {p: g for p, g in zip(self.params, grads) if g is not None}
+
+    def _exited(self):
+        self._process.join()
+        raise ContractError(f"the training helper process exited with code {self._process.exitcode}") from None
+
+    def close(self) -> None:
+        """Stop the helper, even one blocked sending a reply no one will read."""
+        if self._process is not None:
+            self._process.terminate()
+            self._process.join()
+            self._conn.close()
+            self._process = self._conn = None
+        self._blas.close()
+
+
+def _batch_gradients(model: Model, batch: AssembledBatch, helper: _ShardHelper | None) -> tuple[float, list[dict]]:
     """A training batch's loss and its window shards' gradient sinks, in shard order.
 
     A shard with no valid target is skipped, so a batch with none has no
-    sink. A lone shard runs on the calling thread; two run on `pool`, one
-    tape each, each in a copy of the caller's context so its `np.errstate`
-    holds there. Each shard's pass is the same whatever the worker count,
-    so the bits are too. The first error a shard raises reaches the caller
-    unchanged.
+    sink. Of two shards, the second runs in `helper` while the caller runs
+    the first; without a helper they run one after the other. Either way
+    each shard's pass is the same, so the bits are too.
     """
     n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
     shards = [s for s in _window_shards(batch, model.config.n_nodes) if s[4].any()]  # s[4]: target mask
     # two shards are copies: unless the caller keeps the batch, its arrays
-    # are freed before the tapes grow (about 2 MB of metro-aniso's 180 MB peak)
+    # are freed before the tape grows
     del batch
-    if not shards:
-        return float("nan"), []
-    if len(shards) == 1:
-        results = [_shard_gradients(model, shards[0], n_rows)]
+    if len(shards) == 2 and helper is not None:
+        helper.submit(shards.pop(), n_rows)
+        results = [_shard_gradients(model, shards[0], n_rows), helper.result()]
     else:
-        futures = [pool.submit(contextvars.copy_context().run, _shard_gradients, model, s, n_rows) for s in shards]
-        results = [f.result() for f in futures]
+        results = [_shard_gradients(model, s, n_rows) for s in shards]
+    if not results:
+        return float("nan"), []
     return sum(loss for loss, _ in results), [grads for _, grads in results]
 
 
@@ -465,10 +611,13 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     by `plateau_factor`; the `early_stop_patience`-th stops training. A
     non-finite training loss or validation MAE raises TrainingDiverged, and a
     validation split with no valid target raises ContractError.
-    A batch of more than `_EVAL_ROWS` rows runs as two window shards on a
-    pool of `_EVAL_WORKERS` threads (`_batch_gradients`); their gradients
-    are summed in shard order before clipping and the update. The pool
-    lives for this call.
+    A batch of more than `_SHARD_ROWS` rows runs as two window shards
+    (`_batch_gradients`); their gradients are summed in shard order before
+    clipping and the update. Where two cores are usable and the platform
+    forks, the second shard runs in one helper process (`_ShardHelper`),
+    forked at the first split batch and stopped when this call returns or
+    raises; otherwise the shards run here, one after the other, with the
+    same bits.
     Freed memory stays mapped from here on (`_keep_freed_memory`).
     """
     if not bundle.train or not bundle.val:
@@ -478,14 +627,15 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
 
-    with ThreadPoolExecutor(_EVAL_WORKERS) as pool:
+    forks = _EVAL_WORKERS > 1 and "fork" in multiprocessing.get_all_start_methods()
+    with _ShardHelper(model) if forks else contextlib.nullcontext() as helper:
         for epoch in range(cfg.max_epochs):
             rng = stream_rng(cfg.seed, f"batches-{epoch}")
             epoch_losses = []
             for batch_idx in range(cfg.batches_per_epoch):
                 picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
                 loss, sinks = _batch_gradients(
-                    model, assemble_batch(bundle, bundle.train.start + picks, mask_targets=True), pool
+                    model, assemble_batch(bundle, bundle.train.start + picks, mask_targets=True), helper
                 )
                 if not sinks:
                     continue

@@ -1,14 +1,18 @@
+import contextlib
 import ctypes
 import dataclasses
 import gc
 import json
+import multiprocessing
+import os
 import platform
 import resource
+import signal
 import sys
 import threading
+import time
 import types
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -502,8 +506,27 @@ class TestConcurrentEvaluation:
         assert threading.active_count() == threads
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang of more than `seconds` into a TimeoutError in the main thread."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_helper() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
 class TestShardedTraining:
-    """A batch above `_EVAL_ROWS` rows trains as two window shards, one tape per thread."""
+    """A batch above `_SHARD_ROWS` rows trains as two window shards, the second in a helper process."""
 
     CFG = tr.TrainConfig(max_epochs=2, batches_per_epoch=3, batch_size=6, eval_batch_size=8, seed=4)
 
@@ -511,7 +534,7 @@ class TestShardedTraining:
     def sharded(monkeypatch):
         # an anisotropic per-step model; a 6-window batch (48 rows) splits into two of 3
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
-        monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * model.config.n_nodes)
+        monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * model.config.n_nodes)
         return model, bundle
 
     @staticmethod
@@ -519,7 +542,22 @@ class TestShardedTraining:
         return {name: sum((grads[p] for grads in sinks if p in grads), np.zeros_like(p.value))
                 for name, p in model.params.items()}
 
+    @staticmethod
+    def helper_runs(monkeypatch, helper_shard):
+        """Train a sharded model, with `helper_shard` in place of the helper's `_shard_gradients`."""
+        shard_gradients = tr._shard_gradients
+
+        def patched(model, shard, n_rows):
+            return (helper_shard if in_helper() else shard_gradients)(model, shard, n_rows)
+
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        monkeypatch.setattr(tr, "_shard_gradients", patched)
+        model, bundle = TestShardedTraining.sharded(monkeypatch)
+        with deadline(60):
+            tr.train(model, bundle, TestShardedTraining.CFG)
+
     def test_one_and_two_workers_give_the_same_bits(self, monkeypatch):
+        # the helper's passes run in another process, so only this one's are counted
         recorded, forward = [], Model.forward_batch
 
         def counting_forward(self, xw, mw, uw, record_gradients=True):
@@ -528,23 +566,26 @@ class TestShardedTraining:
             return forward(self, xw, mw, uw, record_gradients)
 
         monkeypatch.setattr(Model, "forward_batch", counting_forward)
-        runs = {}
+        runs, passes = {}, {}
         for workers in (1, 2):
             monkeypatch.setattr(tr, "_EVAL_WORKERS", workers)
             model, bundle = self.sharded(monkeypatch)
+            recorded.clear()
             result = tr.train(model, bundle, self.CFG)
             runs[workers] = (repr(result.history), repr(result.best_val_mae),
                              [p.value.tobytes() for p in model.parameters()])
+            assert set(recorded) == {3 * model.config.n_nodes}  # every pass is a 3-window shard
+            passes[workers] = len(recorded)
         assert runs[1] == runs[2]
-        assert recorded and set(recorded) == {3 * model.config.n_nodes}  # every step ran as two shards
+        steps = self.CFG.max_epochs * self.CFG.batches_per_epoch
+        assert passes == {1: 2 * steps, 2: steps}  # with two workers, the helper ran every second shard
 
     def test_split_step_matches_one_tape(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
         batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
-        with ThreadPoolExecutor(2) as pool:
-            whole_loss, whole = tr._batch_gradients(model, batch, pool)
-            monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * model.config.n_nodes)
-            split_loss, split = tr._batch_gradients(model, batch, pool)
+        whole_loss, whole = tr._batch_gradients(model, batch, None)
+        monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * model.config.n_nodes)
+        split_loss, split = tr._batch_gradients(model, batch, None)
         assert len(whole) == 1 and len(split) == 2
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
         want, got = self.summed(whole, model), self.summed(split, model)
@@ -552,6 +593,24 @@ class TestShardedTraining:
             assert np.any(g != 0.0), name
             np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
         assert all(np.all(p.grad == 0.0) for p in model.parameters())  # sinks only
+
+    def test_the_helper_gives_the_bits_of_one_process(self, monkeypatch):
+        model, bundle = self.sharded(monkeypatch)
+        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        local_loss, local = tr._batch_gradients(model, batch, None)
+        values = [p.value.copy() for p in model.parameters()]
+        with tr._ShardHelper(model) as helper:
+            for p in model.parameters():  # the helper forks at these values, then reads each step's
+                p.value *= 1.5
+            tr._batch_gradients(model, batch, helper)
+            for p, value in zip(model.parameters(), values):
+                p.value[...] = value
+            helped_loss, helped = tr._batch_gradients(model, batch, helper)
+        assert helped_loss == local_loss and len(helped) == len(local) == 2
+        for h, l in zip(helped, local):
+            assert list(h) == list(l)  # the caller's parameters, in the sink's order
+            assert all(h[p].tobytes() == l[p].tobytes() for p in l)
+        assert all(np.all(p.grad == 0.0) for p in model.parameters())
 
     def test_a_shard_without_valid_target_is_skipped(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
@@ -565,11 +624,12 @@ class TestShardedTraining:
             recorded.append(xw.shape[1])
             return forward(self, xw, mw, uw, record_gradients)
 
-        with ThreadPoolExecutor(2) as pool:
-            whole_loss, whole = tr._batch_gradients(model, batch, pool)
-            monkeypatch.setattr(tr, "_EVAL_ROWS", 5 * n)
-            monkeypatch.setattr(Model, "forward_batch", counting_forward)
-            split_loss, split = tr._batch_gradients(model, batch, pool)
+        whole_loss, whole = tr._batch_gradients(model, batch, None)
+        monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
+        monkeypatch.setattr(Model, "forward_batch", counting_forward)
+        with tr._ShardHelper(model) as helper:
+            split_loss, split = tr._batch_gradients(model, batch, helper)
+            assert helper._process is None  # a lone shard forks no helper
         assert recorded == [3 * n] and len(split) == 1
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
         want, got = self.summed(whole, model), self.summed(split, model)
@@ -584,12 +644,77 @@ class TestShardedTraining:
             model.params[f"readout.{name}"].value[...] = value
 
     def test_caller_errstate_reaches_the_shard_workers(self, monkeypatch):
+        # the helper forks under numpy's default errstate, so only the one sent with
+        # the shard can make it raise (the default warns, and the suite's filter
+        # turns the warning into a RuntimeWarning error)
         model, bundle = self.sharded(monkeypatch)
-        self.overflowing(model)
-        threads = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        shard = tr._window_shards(batch, model.config.n_nodes)[1]
+        n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
+        with tr._ShardHelper(model) as helper:
+            helper.submit(shard, n_rows)
+            assert np.isfinite(helper.result()[0])
+            self.overflowing(model)
+            with np.errstate(over="raise"):
+                helper.submit(shard, n_rows)
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    helper.result()
+
+    def test_a_helper_error_reaches_the_caller_unchanged(self, monkeypatch):
+        def failing(model, shard, n_rows):
+            raise ValueError("shard 2 failed")
+
+        with pytest.raises(ValueError, match=r"^shard 2 failed$"):
+            self.helper_runs(monkeypatch, failing)
+
+    def test_a_helper_that_dies_names_its_exit_code(self, monkeypatch):
+        def dying(model, shard, n_rows):
+            os._exit(7)
+
+        with pytest.raises(ContractError, match=r"helper process exited with code 7$"):
+            self.helper_runs(monkeypatch, dying)
+
+    def test_an_error_here_stops_a_helper_blocked_on_a_large_reply(self, monkeypatch):
+        # the helper's reply, 8 MB, outgrows the pipe's buffer, so it blocks
+        # until read; this process raises on its own shard instead of reading
+        def failing_here(model, shard, n_rows):
+            if in_helper():
+                return 1.0, {model.parameters()[0]: np.zeros(1 << 20)}
+            time.sleep(0.5)
+            raise RuntimeError("shard 1 failed")
+
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        monkeypatch.setattr(tr, "_shard_gradients", failing_here)
+        model, bundle = self.sharded(monkeypatch)
+        with deadline(60), pytest.raises(RuntimeError, match=r"^shard 1 failed$"):
             tr.train(model, bundle, self.CFG)
-        assert threading.active_count() == threads
+
+    def test_the_helper_exits_when_this_end_of_its_pipe_closes(self, monkeypatch):
+        # as when this process is killed without stopping it: the helper holds no copy of this end
+        model, bundle = self.sharded(monkeypatch)
+        with tr._ShardHelper(model) as helper:
+            tr._batch_gradients(model, tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True), helper)
+            helper._conn.close()
+            helper._process.join(timeout=30)
+            assert helper._process.exitcode == 0
+
+    def test_numpy_blas_runs_one_thread_while_the_helper_lives(self, monkeypatch):
+        blas = tr._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy links a BLAS other than OpenBLAS")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            model, _ = self.sharded(monkeypatch)
+            # the helper's loss is its own thread count
+            monkeypatch.setattr(tr, "_shard_gradients", lambda model, shard, n_rows: (float(get()), {}))
+            with tr._ShardHelper(model) as helper:
+                helper.submit((), 1)
+                assert helper.result() == (1.0, {}) and get() == 1
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_diverged_step_leaves_no_thread_and_the_model_untouched(self, monkeypatch):
         model, bundle = self.sharded(monkeypatch)
