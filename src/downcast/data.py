@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -208,19 +210,13 @@ def time_encodings(timestamps, include_dow: bool = False) -> np.ndarray:
     Returns (T, d_u); day-of-week one-hot channels (Monday = index 0) are
     appended when requested.
     """
-    rows = []
-    for ts in timestamps:
-        second = ts.hour * 3600 + ts.minute * 60 + ts.second + ts.microsecond / 1e6
-        day = ts.timetuple().tm_yday - 1
-        tod = 2 * np.pi * second / 86400.0
-        doy = 2 * np.pi * day / 365.25
-        row = [np.sin(tod), np.cos(tod), np.sin(doy), np.cos(doy)]
-        if include_dow:
-            onehot = [0.0] * 7
-            onehot[ts.weekday()] = 1.0
-            row.extend(onehot)
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+    second, micro, day, weekday = np.array([
+        (ts.hour * 3600 + ts.minute * 60 + ts.second, ts.microsecond, ts.timetuple().tm_yday - 1, ts.weekday())
+        for ts in timestamps], dtype=np.int64).reshape(-1, 4).T
+    tod = 2 * np.pi * (second + micro / 1e6) / 86400.0
+    doy = 2 * np.pi * day / 365.25
+    columns = [np.sin(tod), np.cos(tod), np.sin(doy), np.cos(doy)]
+    return np.column_stack(columns + [np.eye(7)[weekday]] if include_dow else columns)
 
 
 # -- scaling ---------------------------------------------------------------------
@@ -314,11 +310,11 @@ def _csv_rows(path):
     """
     raw = Path(path).read_bytes()
     try:
-        raw.decode("utf-8")  # whole, so a bad byte's offset is into the file
+        text = raw.decode("utf-8")  # whole, so a bad byte's offset is into the file
     except UnicodeDecodeError as exc:
         line = 1 + raw.count(b"\n", 0, exc.start)
         raise CsvParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not valid UTF-8") from None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))  # without a byte-order mark
     start = 1
     for row in reader:
         if row:
@@ -326,15 +322,22 @@ def _csv_rows(path):
         start = reader.line_num + 1
 
 
+def _raise_bad_cell(path, lineno: int, row: list, header: list) -> None:
+    """Read a record's cells one by one, so its first unreadable or infinite cell raises, named."""
+    for name, cell in zip(header[1:], row[1:]):
+        if (token := cell.strip()) not in MISSING_TOKENS:
+            parse_csv_field(path, lineno, name, token, _finite_float)
+
+
 def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray, np.ndarray]:
     """Returns (timestamps, values (T,N,C), validity (T,N,C)).
 
-    Cells are stripped; missing tokens and NaN are invalid and read as 0.
-    All cells are converted at once, and cell by cell only when that fails or
-    yields an infinity, so a CsvParseError names the file, line and field of
-    the bad cell.
-    Row lengths and timestamps are checked first, row by row. With
-    `mask_for`, the timestamps of the panel it masks, the file is a validity
+    A record is checked and converted as it is read: its length, its timestamp
+    (of the previous one's form, and later), then its cells. Cells are
+    stripped; missing tokens and NaN are invalid and read as 0, and any other
+    cell goes through float(). A CsvParseError names the file, line and field
+    of the first fault in reading order, an infinite cell included.
+    With `mask_for`, the timestamps of the panel it masks, the file is a validity
     mask: row i carries the i-th timestamp, and each cell is 0, 1 or missing.
     """
     rows = _csv_rows(path)
@@ -343,47 +346,51 @@ def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray
         raise CsvParseError(f"{path}: first column must be 'timestamp'")
     if len(header) == 1:
         raise CsvParseError(f"{path}: no node columns after 'timestamp'")
-    slots = []
     for name in header[1:]:
-        m = _COLUMN_RE.match(name)
-        if not m:
+        if not _COLUMN_RE.match(name):
             raise CsvParseError(f"{path}: unrecognized column {name!r}")
-        slots.append((int(m.group(1)), int(m.group(2))))
-    n = 1 + max(s[0] for s in slots)
-    d = 1 + max(s[1] for s in slots)
+    slots = [tuple(int(g) for g in _COLUMN_RE.match(name).groups()) for name in header[1:]]
+    n, d = (1 + max(axis) for axis in zip(*slots))
     if len(slots) != n * d or len(set(slots)) != len(slots):
         raise CsvParseError(f"{path}: columns do not form a dense node/channel grid")
-    stamps, cells, lines = [], [], []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-        stamp = parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp)
-        if stamps and isinstance(stamp, int) != isinstance(stamps[0], int):
-            raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} mixes integer and ISO forms")
-        if mask_for is not None and len(stamps) < len(mask_for) and stamp != mask_for[len(stamps)]:
-            raise CsvParseError(f"{path}: line {lineno}: field 'timestamp': {row[0]!r} differs from the observations")
-        stamps.append(stamp)
-        cells.append(row[1:])
-        lines.append(lineno)
+    stamps, cells, fault = [], array("d"), None  # cells: row after row, each cell's float
+    try:
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise CsvParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            stamp = parse_csv_field(path, lineno, "timestamp", row[0], _parse_timestamp)
+            field = f"{path}: line {lineno}: field 'timestamp': {row[0]!r}"
+            if stamps and isinstance(stamp, int) != isinstance(stamps[-1], int):
+                raise CsvParseError(f"{field} mixes integer and ISO forms")
+            if stamps and isinstance(stamp, datetime) and (stamp.tzinfo is None) != (stamps[-1].tzinfo is None):
+                raise CsvParseError(f"{field} mixes zone-aware and naive ISO forms")
+            if stamps and stamp <= stamps[-1]:
+                raise ContractError(f"{field} follows {last!r}: timestamps must be strictly increasing")
+            if mask_for is not None and len(stamps) < len(mask_for) and stamp != mask_for[len(stamps)]:
+                raise CsvParseError(f"{field} differs from the observations")
+            try:
+                cells.extend([np.nan if (t := c.strip()) in MISSING_TOKENS else float(t) for c in row[1:]])
+            except ValueError:
+                _raise_bad_cell(path, lineno, row, header)
+            stamps.append(stamp)
+            last = row[0]
+    except (CsvParseError, ContractError) as exc:
+        fault = exc
+    values = np.frombuffer(cells).reshape(-1, len(slots))  # the records before a fault
+    infinite = np.flatnonzero(np.isinf(values).any(axis=1))
+    if infinite.size:  # read its record again, to name the cell
+        lineno, row = next(itertools.islice(_csv_rows(path), infinite[0] + 1, None))
+        _raise_bad_cell(path, lineno, row, header)
+    if fault is not None:
+        raise fault
     if not stamps:
         raise CsvParseError(f"{path}: no data rows after the header")
-    tokens = np.strings.strip(np.array(cells))
-    missing = np.isin(tokens, list(MISSING_TOKENS))
-    try:
-        values = np.where(missing, "nan", tokens).astype(np.float64)  # float() on each cell
-    except ValueError:
-        values = None
-    if values is None or np.isinf(values).any():  # cell by cell, to name the first bad one
-        values = np.array([
-            [np.nan if skip else parse_csv_field(path, lineno, name, str(token), _finite_float)
-             for name, token, skip in zip(header[1:], row, row_missing)]
-            for lineno, row, row_missing in zip(lines, tokens, missing)
-        ])
     if mask_for is not None:
         bad = np.argwhere((values != 0.0) & (values != 1.0) & ~np.isnan(values))
         if bad.size:
             r, f = bad[0]
-            raise CsvParseError(f"{path}: line {lines[r]}: field {header[1 + f]!r}: {cells[r][f]!r} is not 0 or 1")
+            lineno, row = next(itertools.islice(_csv_rows(path), r + 1, None))
+            raise CsvParseError(f"{path}: line {lineno}: field {header[1 + f]!r}: {row[1 + f]!r} is not 0 or 1")
     grid = np.empty((len(stamps), n, d))
     grid.reshape(len(stamps), n * d)[:, [j * d + c for j, c in slots]] = values
     invalid = np.isnan(grid)
@@ -398,9 +405,6 @@ def load_csv_panel(obs_path, mask_path=None, coords_path=None) -> tuple[Panel, n
     coordinates when a coordinates file is given.
     """
     stamps, values, valid = _read_wide_csv(obs_path)
-    keys = [s.timestamp() if isinstance(s, datetime) else s for s in stamps]
-    if any(b <= a for a, b in zip(keys, keys[1:])):
-        raise ContractError(f"{obs_path}: timestamps must be strictly increasing")
     if mask_path is not None:
         _, mvals, _ = _read_wide_csv(mask_path, mask_for=stamps)
         if mvals.shape != values.shape:

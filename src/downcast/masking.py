@@ -82,21 +82,17 @@ def simulate_block(
     faults: list[FaultInterval] = []
     if cfg.p_f > 0.0:
         # rings[i][k] lists the hop-(k+1) neighbours of node i in ascending order
-        rings = [[]] * n_nodes
-        if cfg.p_g:
-            dist = hop_distances(graph, undirected=False)
-            rings = [[np.flatnonzero(row == k + 1).tolist() for k in range(len(cfg.p_g))] for row in dist]
+        dist = hop_distances(graph, undirected=False) if cfg.p_g else np.empty((n_nodes, 0))
+        rings = [[np.flatnonzero(row == k + 1) for k in range(len(cfg.p_g))] for row in dist]
         starts = np.argwhere(rng.random(shape) < cfg.p_f)
-        for t, i, c in starts:
-            t, i, c = int(t), int(i), int(c)
+        for t, i, c in starts.tolist():
             length = int(rng.integers(cfg.s_min, cfg.s_max + 1))
             faults.append(FaultInterval(node=i, channel=c, start=t, length=length, origin="direct"))
             invalid[t : t + length, i, c] = True
             for ring, p in zip(rings[i], cfg.p_g):
-                for j in ring:
-                    if rng.random() < p:
-                        faults.append(FaultInterval(node=j, channel=c, start=t, length=length, origin="propagated"))
-                        invalid[t : t + length, j, c] = True
+                for j in ring[rng.random(ring.size) < p].tolist():  # a draw per ring node, in ring order
+                    faults.append(FaultInterval(node=j, channel=c, start=t, length=length, origin="propagated"))
+                    invalid[t : t + length, j, c] = True
     return SimulatedMask(mask=(~invalid).astype(np.float64), faults=faults)
 
 

@@ -5,6 +5,7 @@ from datetime import datetime
 import numpy as np
 
 from downcast import autodiff as ad
+from downcast import data as dt
 from downcast import graphs as gr
 from downcast import training as tr
 from downcast.errors import DimensionError
@@ -375,6 +376,41 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tu
     if n == 0:
         return float("nan"), float("nan"), 0
     return float(diff.sum() / n), float(((pred - target) ** 2 * mask).sum() / n), n
+
+
+def wide_csv_reference(path):
+    """Cell by cell: the (values, validity) of `data.load_csv_panel` for a wide csv without faults.
+
+    Each cell is stripped; a missing token is invalid, and any other cell goes
+    through float(), so a NaN spelling is invalid too. Invalid cells read as 0.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    slots = [tuple(int(k) for k in name[4:].split("_ch")) for name in header[1:]]
+    values = np.empty((len(rows), 1 + max(j for j, _ in slots), 1 + max(c for _, c in slots)))
+    for t, row in enumerate(rows):
+        for (j, c), cell in zip(slots, row[1:]):
+            token = cell.strip()
+            values[t, j, c] = np.nan if token in dt.MISSING_TOKENS else float(token)
+    invalid = np.isnan(values)
+    return np.where(invalid, 0.0, values), (~invalid).astype(np.float64)
+
+
+def time_encodings_reference(timestamps, include_dow=False):
+    """Stamp by stamp: the reference for `data.time_encodings`."""
+    rows = []
+    for ts in timestamps:
+        second = ts.hour * 3600 + ts.minute * 60 + ts.second + ts.microsecond / 1e6
+        day = ts.timetuple().tm_yday - 1
+        tod = 2 * np.pi * second / 86400.0
+        doy = 2 * np.pi * day / 365.25
+        row = [np.sin(tod), np.cos(tod), np.sin(doy), np.cos(doy)]
+        if include_dow:
+            onehot = [0.0] * 7
+            onehot[ts.weekday()] = 1.0
+            row.extend(onehot)
+        rows.append(row)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def write_csv_panel(panel, path) -> None:

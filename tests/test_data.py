@@ -1,12 +1,18 @@
-from datetime import datetime, timedelta
+import os
+import tempfile
+import time
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from downcast import data as dt
 from downcast.errors import ContractError, CsvParseError, DimensionError
 from downcast.graphs import WeightedDigraph
-from helpers import write_csv_panel, write_mask_csv
+from helpers import time_encodings_reference, wide_csv_reference, write_csv_panel, write_mask_csv
 
 
 def small_graph(n=8, indeg=2, seed=0):
@@ -82,6 +88,21 @@ class TestTimeEncodings:
         u = dt.time_encodings([datetime(2024, 1, 1, 8, 0, 0)], include_dow=True)  # a Monday
         assert u.shape[1] == 11
         np.testing.assert_array_equal(u[0, 4:], [1, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("include_dow", [False, True])
+    @pytest.mark.parametrize("aware", [False, True])
+    def test_same_bits_as_the_per_stamp_loop(self, include_dow, aware):
+        rng = np.random.default_rng(23)
+        start = datetime(1990, 1, 1)
+        stamps = [start + timedelta(microseconds=int(us)) for us in rng.integers(0, 60 * 366 * 86400 * 10**6, 3000)]
+        stamps += [datetime(2024, 3, 4) + timedelta(minutes=5 * k) for k in range(3000)]  # a 5-minute grid
+        if aware:
+            offsets = rng.integers(-12 * 60, 14 * 60 + 1, len(stamps))
+            stamps = [ts.replace(tzinfo=timezone(timedelta(minutes=int(m)))) for ts, m in zip(stamps, offsets)]
+        got = dt.time_encodings(stamps, include_dow=include_dow)
+        want = time_encodings_reference(stamps, include_dow=include_dow)
+        assert got.shape == want.shape == (6000, 11 if include_dow else 4)
+        assert got.tobytes() == want.tobytes()
 
     def test_panel_holds_one_row_per_step(self):
         # every node shares a step's encodings, so a panel stores them per step
@@ -221,6 +242,41 @@ class TestCoordsCsv:
         path = self.write(tmp_path, "0,50.0,1.0\n\n1,50.5,east\n")
         with pytest.raises(CsvParseError, match=r"coords\.csv: line 4: field 'lon': cannot read 'east'"):
             dt.read_coords_csv(path)
+
+
+PADDING = st.sampled_from(["", " ", "  ", "\t"])
+CELLS = st.builds(
+    lambda before, token, after: before + token + after,
+    PADDING,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["1_0", "2e-3", "-nan", "+NaN", "-0.0", "1e-400", *sorted(dt.MISSING_TOKENS)]),
+    PADDING,
+)
+
+
+@st.composite
+def wide_csv_texts(draw):
+    """A wide csv panel with integer stamps, its columns in any order, its cells drawn from CELLS."""
+    n, d, t_len = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    names = draw(st.permutations([f"node{j}_ch{c}" for j in range(n) for c in range(d)]))
+    cells = st.lists(CELLS, min_size=len(names), max_size=len(names))
+    return "".join(",".join(row) + "\n" for row in [["timestamp", *names], *([str(t), *draw(cells)] for t in range(t_len))])
+
+
+@pytest.fixture
+def new_york_time():
+    """Local time is New York's during the test; this process's zone is restored after it."""
+    old = os.environ.get("TZ")
+    os.environ["TZ"] = "America/New_York"
+    time.tzset()
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["TZ"]
+        else:
+            os.environ["TZ"] = old
+        time.tzset()
 
 
 class TestCsvPanel:
@@ -377,6 +433,78 @@ class TestCsvPanel:
             (tmp_path / file).write_bytes(text)
         with pytest.raises(CsvParseError, match=rf"{name}: line 2: byte 0xff is not valid UTF-8"):
             dt.load_csv_panel(tmp_path / "obs.csv", tmp_path / "mask.csv", tmp_path / "coords.csv")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(text=wide_csv_texts())
+    def test_row_wise_cells_give_the_bits_of_the_cell_by_cell_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "obs.csv"
+            path.write_text(text)
+            panel, _ = dt.load_csv_panel(path)
+            x, valid = wide_csv_reference(path)
+        assert panel.x.shape == x.shape
+        assert panel.x.tobytes() == x.tobytes()
+        assert panel.mask.tobytes() == valid.tobytes()
+
+    @pytest.mark.parametrize("later", ["2,3.0,fast", "2,3.0", "noon,3.0,4.0", "1,3.0,4.0", "2,inf,4.0"])
+    def test_an_infinity_is_named_before_a_fault_in_a_later_row(self, tmp_path, later):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,1.5, -inf \n{later}\n")
+        with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'node1_ch0': cannot read '-inf'"):
+            dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("name", ["obs.csv", "mask.csv", "coords.csv"])
+    def test_a_byte_order_mark_is_accepted(self, tmp_path, name):
+        files = {
+            "obs.csv": b"timestamp,node0_ch0\n0,1.0\n1,2.0\n",
+            "mask.csv": b"timestamp,node0_ch0\n0,1\n1,0\n",
+            "coords.csv": b"node,lat,lon\n0,50.0,1.0\n",
+        }
+        files[name] = b"\xef\xbb\xbf" + files[name]
+        for file, text in files.items():
+            (tmp_path / file).write_bytes(text)
+        panel, coords = dt.load_csv_panel(tmp_path / "obs.csv", tmp_path / "mask.csv", tmp_path / "coords.csv")
+        np.testing.assert_array_equal(panel.x[:, 0, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(panel.mask[:, 0, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(coords, [[50.0, 1.0]])
+
+    def test_naive_stamps_load_whatever_the_local_time_zone(self, tmp_path, new_york_time):
+        # New York's clocks skip from 02:00 to 03:00 on this night, so its
+        # local time has no 02:00 or 02:30; the stamps are still increasing
+        stamps = [datetime(2024, 3, 10, 1) + timedelta(minutes=30 * k) for k in range(6)]
+        path = tmp_path / "obs.csv"
+        path.write_text("timestamp,node0_ch0\n" + "".join(f"{ts.isoformat()},{k}.5\n" for k, ts in enumerate(stamps)))
+        panel, _ = dt.load_csv_panel(path)
+        assert panel.timestamps == stamps
+
+    @pytest.mark.parametrize("stamps", [
+        ("2024-01-01T00:00:00", "2024-01-01T01:00:00+00:00"), ("2024-01-01T00:00:00-05:00", "2024-01-01T01:00:00"),
+    ])
+    def test_zone_aware_and_naive_stamps_do_not_mix(self, tmp_path, stamps):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0\n{stamps[0]},1.0\n{stamps[1]},2.0\n")
+        with pytest.raises(CsvParseError, match=r"obs\.csv: line 3: field 'timestamp': .* mixes zone-aware and naive"):
+            dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("stamps, increasing", [
+        (("2024-01-01T01:00:00+01:00", "2024-01-01T00:30:00+00:00"), True),
+        (("2024-01-01T00:30:00+00:00", "2024-01-01T01:00:00+01:00"), False),
+    ])
+    def test_zone_aware_stamps_are_ordered_as_instants(self, tmp_path, stamps, increasing):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0\n{stamps[0]},1.0\n{stamps[1]},2.0\n")
+        if increasing:
+            assert len(dt.load_csv_panel(path)[0].timestamps) == 2
+        else:
+            with pytest.raises(ContractError, match="strictly increasing"):
+                dt.load_csv_panel(path)
+
+    @pytest.mark.parametrize("last", ["4", "5"])
+    def test_out_of_order_stamps_name_the_line_and_both_stamps(self, tmp_path, last):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"timestamp,node0_ch0\n0,1.0\n5,2.0\n{last},3.0\n6,fast\n")
+        with pytest.raises(ContractError, match=rf"obs\.csv: line 4: field 'timestamp': '{last}' follows '5'"):
+            dt.load_csv_panel(path)
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
