@@ -338,7 +338,7 @@ def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray
     cell goes through float(). A CsvParseError names the file, line and field
     of the first fault in reading order, an infinite cell included.
     With `mask_for`, the timestamps of the panel it masks, the file is a validity
-    mask: row i carries the i-th timestamp, and each cell is 0, 1 or missing.
+    mask: row i carries the i-th timestamp; any cell but 0, 1 or missing is a fault.
     """
     rows = _csv_rows(path)
     _, header = next(rows, (1, []))
@@ -377,6 +377,12 @@ def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray
     except (CsvParseError, ContractError) as exc:
         fault = exc
     values = np.frombuffer(cells).reshape(-1, len(slots))  # the records before a fault
+    if mask_for is not None:
+        bad = np.argwhere((values != 0.0) & (values != 1.0) & ~np.isnan(values))
+        if bad.size:
+            r, f = bad[0]
+            lineno, row = next(itertools.islice(_csv_rows(path), r + 1, None))
+            raise CsvParseError(f"{path}: line {lineno}: field {header[1 + f]!r}: {row[1 + f]!r} is not 0 or 1")
     infinite = np.flatnonzero(np.isinf(values).any(axis=1))
     if infinite.size:  # read its record again, to name the cell
         lineno, row = next(itertools.islice(_csv_rows(path), infinite[0] + 1, None))
@@ -385,12 +391,6 @@ def _read_wide_csv(path, mask_for: list | None = None) -> tuple[list, np.ndarray
         raise fault
     if not stamps:
         raise CsvParseError(f"{path}: no data rows after the header")
-    if mask_for is not None:
-        bad = np.argwhere((values != 0.0) & (values != 1.0) & ~np.isnan(values))
-        if bad.size:
-            r, f = bad[0]
-            lineno, row = next(itertools.islice(_csv_rows(path), r + 1, None))
-            raise CsvParseError(f"{path}: line {lineno}: field {header[1 + f]!r}: {row[1 + f]!r} is not 0 or 1")
     grid = np.empty((len(stamps), n, d))
     grid.reshape(len(stamps), n * d)[:, [j * d + c for j, c in slots]] = values
     invalid = np.isnan(grid)

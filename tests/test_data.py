@@ -310,6 +310,14 @@ class TestCsvPanel:
         with pytest.raises(CsvParseError, match=rf"mask\.csv: line 3: field 'node1_ch0': '{cell}' is not 0 or 1"):
             dt.load_csv_panel(obs, mask_path=mask)
 
+    @pytest.mark.parametrize("later", ["2,1,1,9", "2,1,fast", "1,1,1", "2,1,inf"])
+    def test_mask_cell_that_is_not_0_or_1_is_named_before_a_fault_in_a_later_row(self, tmp_path, later):
+        obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
+        obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,6.0\n")
+        mask.write_text(f"timestamp,node0_ch0,node1_ch0\n0,1,0\n1,2,1\n{later}\n")
+        with pytest.raises(CsvParseError, match=r"mask\.csv: line 3: field 'node0_ch0': '2' is not 0 or 1"):
+            dt.load_csv_panel(obs, mask_path=mask)
+
     def test_missing_mask_cells_are_invalid(self, tmp_path):
         obs, mask = tmp_path / "obs.csv", tmp_path / "mask.csv"
         obs.write_text("timestamp,node0_ch0,node1_ch0\n0,1.0,2.0\n1,3.0,4.0\n")
