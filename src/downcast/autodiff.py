@@ -42,9 +42,10 @@ class Tape:
     untracked input's node id is None, and its contribution, which the vjp
     may leave None, is skipped. Node ids are assigned in execution order, so
     the record is topologically sorted by construction. A tape is confined to
-    a single thread: a training step cut into window shards records one tape
-    per shard, one in the caller and one in a helper process, and each
-    tape's `backward` adds into a gradient sink of its own.
+    a single thread, and `backward` adds into `Parameter.grad`, the only place
+    a gradient is written: a training step cut into window shards records one
+    tape per shard, one in the caller and one in a helper process, whose
+    `p.grad` is its own.
 
     A tape is differentiated once: `backward` consumes the record, breaking
     the cycle from the vjp closures through their tensors back to the tape,
@@ -73,13 +74,11 @@ class Tape:
         """Enter a non-parameter array whose adjoint is still wanted."""
         return Tensor(data, tape=self, node=self._new_node())
 
-    def backward(self, loss: "Tensor", into: dict | None = None) -> dict[int, np.ndarray]:
-        """Accumulate d loss / d parameter into every registered Parameter.
+    def backward(self, loss: "Tensor") -> dict[int, np.ndarray]:
+        """Accumulate d loss / d parameter into every registered Parameter's `grad`.
 
         Parameters registered on this tape but not on the path to `loss`
-        receive an exact-zero contribution. With `into`, a gradient sink,
-        each parameter's adjoint is added to `into[p]` (set when absent)
-        instead, and no `p.grad` is touched. Returns the full adjoint map
+        receive an exact-zero contribution. Returns the full adjoint map
         keyed by node id (useful for checking non-parameter leaves). The
         record is consumed, so a second call raises ContractError.
         """
@@ -104,12 +103,8 @@ class Tape:
                     adjoints[in_node] = contrib if acc is None else acc + contrib
         for p, node in param_nodes:
             g = adjoints.get(node)
-            if g is None:
-                continue
-            if into is None:
+            if g is not None:
                 p.grad += g
-            else:
-                into[p] = g if p not in into else into[p] + g
         return adjoints
 
 
@@ -400,12 +395,12 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
         c = tanh((x @ w_in + (r * h) @ w_hid) + bias)   (candidate weights)
         h = u * h + (1 - u) * c
 
-    Returns every state stacked time-major, (len(steps) * rows, d_h). When
-    the result is recorded, the input projections of all steps and gates are
-    one product, the per-step factors are kept, and the adjoint runs
-    backpropagation through time with one product per weight gradient. The
-    step loops write into preallocated arrays rather than allocate a
-    temporary per operation.
+    Returns every state stacked time-major, (len(steps) * rows, d_h). Each
+    step's input projection for the three gates is one product into one
+    buffer. When the result is recorded, the per-step factors are kept, and
+    the adjoint runs backpropagation through time with one product per
+    weight gradient. The step loops write into preallocated arrays rather
+    than allocate a temporary per operation.
     """
     x, weights = _as_tensor(seq), [_as_tensor(w) for w in (w_in, w_hid, bias)]
     w_in, w_hid, bias = (w.data for w in weights)
@@ -423,16 +418,11 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
     m, n_t = n_rows // n_steps, steps.size
     x3 = x.data.reshape(n_steps, m, d_in)
     recorded = _merge_tape(x, *weights) is not None
-    if recorded:
-        xs = x.data if n_t == n_steps else x3[steps].reshape(n_t * m, d_in)
-        proj = np.matmul(xs, w_in).reshape(3, n_t, m, d_h)
-    else:
-        proj_t = np.empty((3, m, d_h))
     n_kept = n_t if recorded else 1
     ru_all = np.empty((2, n_kept, m, d_h))  # reset and update gates
     c_all, rh_all = np.empty((n_kept, m, d_h)), np.empty((n_kept, m, d_h))
     states = np.empty((n_t, m, d_h))
-    a_ru, a_c, tmp = np.empty((2, m, d_h)), np.empty((m, d_h)), np.empty((m, d_h))
+    proj, a_ru, a_c, tmp = np.empty((3, m, d_h)), np.empty((2, m, d_h)), np.empty((m, d_h)), np.empty((m, d_h))
     # the biases broadcast once: a per-step add with a broadcast operand is
     # about three times slower than one of equal shapes
     b_ru, b_c = np.broadcast_to(bias[:2], (2, m, d_h)).copy(), np.broadcast_to(bias[2], (m, d_h)).copy()
@@ -440,14 +430,12 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
     for t in range(n_t):
         k = t if recorded else 0
         ru, c, rh = ru_all[:, k], c_all[k], rh_all[k]
-        # with nothing to differentiate, each step is projected into one
-        # buffer: the all-steps product would be a large fresh temporary
-        p = proj[:, t] if recorded else np.matmul(x3[steps[t]], w_in, out=proj_t)
-        np.add(p[:2], np.matmul(h, w_hid[:2], out=a_ru), out=a_ru)
+        np.matmul(x3[steps[t]], w_in, out=proj)
+        np.add(proj[:2], np.matmul(h, w_hid[:2], out=a_ru), out=a_ru)
         _sigmoid(np.add(a_ru, b_ru, out=a_ru), out=ru)
         r, u = ru
         np.multiply(r, h, out=rh)
-        np.add(p[2], np.matmul(rh, w_hid[2], out=a_c), out=a_c)
+        np.add(proj[2], np.matmul(rh, w_hid[2], out=a_c), out=a_c)
         np.tanh(np.add(a_c, b_c, out=a_c), out=c)
         np.multiply(u, h, out=tmp)
         np.multiply(np.subtract(1.0, u, out=a_c), c, out=a_c)
@@ -492,6 +480,7 @@ def gru_scan(seq, n_steps: int, steps, w_in, w_hid, bias) -> Tensor:
         np.matmul(data[: (n_t - 1) * m].T, da[:2, m:], out=d_w_hid[:2])
         np.matmul(rh_all.reshape(n_t * m, d_h).T, da[2], out=d_w_hid[2])
         d_bias = np.matmul(np.ones((1, n_t * m)), da)
+        xs = x.data if n_t == n_steps else x3[steps].reshape(n_t * m, d_in)
         return None if dx is None else dx.reshape(n_rows, d_in), np.matmul(xs.T, da), d_w_hid, d_bias
 
     return _emit((x, *weights), data, vjp)

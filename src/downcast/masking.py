@@ -26,7 +26,9 @@ class MaskConfig:
     s_min: int = 1
     s_max: int = 1
     p_g: tuple[float, ...] = ()
-    propagate_over: str = "mixing"  # the "mixing" matrix of a synthetic panel, or the "graph"
+    # the "mixing" matrix of a synthetic panel, or the "graph"; a csv panel has
+    # no mixing matrix and always propagates over its kernel graph
+    propagate_over: str = "mixing"
     seed: int = 0
 
     def __post_init__(self):

@@ -313,11 +313,13 @@ class _MaskedErrorSums:
         self.sq_sum += (diff**2 * mask).sum(axis=(0, 2))
         self.counts += mask.sum(axis=(0, 2)).astype(np.int64)
 
-    def report(self) -> MetricsReport:
+    def report(self, split: str) -> MetricsReport:
         n = int(self.counts.sum())
+        if not n:
+            raise ContractError(f"the {split} split has no valid target")
         return MetricsReport(
-            mae=float(self.abs_sum.sum() / n) if n else float("nan"),
-            mse=float(self.sq_sum.sum() / n) if n else float("nan"),
+            mae=float(self.abs_sum.sum() / n),
+            mse=float(self.sq_sum.sum() / n),
             per_horizon_mae=[float(a / c) if c else float("nan") for a, c in zip(self.abs_sum, self.counts)],
             per_horizon_counts=[int(c) for c in self.counts],
             n_valid=n,
@@ -332,15 +334,14 @@ def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64)
     sums = _MaskedErrorSums(model.config.horizon)
     for _, preds, batch, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
         sums.add(preds, batch.raw_targets, batch.target_masks)
-    if not sums.counts.any():
-        raise ContractError(f"the {split} split has no valid target")
-    return sums.report()
+    return sums.report(split)
 
 
 def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> MetricsReport:
     """Last-valid-observation baseline under the same evaluation protocol.
 
-    `horizon` must equal `bundle.horizon`; it is kept for existing callers.
+    `horizon` must equal `bundle.horizon`; it is kept for existing callers. A
+    split with no originally-valid target has no metrics: ContractError.
     """
     if horizon != bundle.horizon:
         raise ContractError(f"horizon {horizon} does not match the bundle's horizon (bundle.horizon = {bundle.horizon})")
@@ -353,7 +354,7 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
         last = last_value_imputation(batch.x, batch.m)[-1]
         pred = bundle.scaler.invert(np.repeat(last[:, None], horizon, axis=1))
         sums.add(pred, batch.raw_targets, batch.target_masks)
-    return sums.report()
+    return sums.report(split)
 
 
 # -- loop ---------------------------------------------------------------------------
@@ -429,18 +430,17 @@ def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray
     return [tuple(cut(a, lo, hi) for a in arrays) for lo, hi in ((0, half), (half, b))]
 
 
-def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -> tuple[float, dict]:
-    """One shard's recorded forward, its loss over the batch's `n_rows` rows and its gradient sink.
+def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -> float:
+    """One shard's recorded forward and its loss over the batch's `n_rows` rows, backpropagated into `p.grad`.
 
-    A non-finite loss is returned with an empty sink and no backward.
+    A non-finite loss is returned with no backward.
     """
     x, m, u, targets, target_masks = shard
     bf = model.forward_batch(x, m, u)
     loss = masked_mae_loss(bf.preds, targets, target_masks, n_rows)
-    grads: dict[Parameter, np.ndarray] = {}
     if np.isfinite(loss.data):
-        bf.tape.backward(loss, into=grads)
-    return float(loss.data), grads
+        bf.tape.backward(loss)
+    return float(loss.data)
 
 
 def _openblas_threads():
@@ -489,8 +489,8 @@ def _serve_shards(model: Model, conn, parent_end) -> None:
     """The helper process's loop: set the parameters, run one shard, reply; return at end of input.
 
     Each request is (shard, n_rows, parameter values, `np.geterr()` dict);
-    the reply is (True, (loss, gradients in parameter order, None where the
-    sink has none)) or (False, (the exception, its formatted traceback)).
+    the reply is (True, (loss, this process's `p.grad` in parameter order))
+    or (False, (the exception, its formatted traceback)).
     `parent_end`, the caller's end of the pipe, was inherited by the fork;
     it is closed first, so a caller that dies without stopping the helper
     (killed by a signal) ends the input.
@@ -504,10 +504,10 @@ def _serve_shards(model: Model, conn, parent_end) -> None:
             return
         for p, value in zip(params, values):
             p.value[...] = value
+            p.zero_grad()
         try:
             with np.errstate(**errstate):
-                loss, grads = _shard_gradients(model, shard, n_rows)
-            reply = True, (loss, [grads.get(p) for p in params])
+                reply = True, (_shard_gradients(model, shard, n_rows), [p.grad for p in params])
         except Exception as exc:  # reported to the caller, which raises it
             reply = False, (exc, traceback.format_exc())
         conn.send(reply)
@@ -522,10 +522,10 @@ class _ShardHelper:
     `train` runs no thread of its own at that point: evaluation joins its
     pool before it returns, and OpenBLAS stops its own before a fork.
     Each `submit` sends it one shard with every parameter's current value
-    and the caller's `np.errstate`, and `result` returns that shard's loss
-    and gradient sink, keyed by the caller's parameters. An error the shard
-    raises reaches the caller unchanged; a helper that dies raises
-    ContractError naming its exit code.
+    and the caller's `np.errstate`, and `result` adds the helper's `p.grad`
+    into the caller's when that shard's loss is finite, and returns the
+    loss. An error the shard raises reaches the caller unchanged; a helper
+    that dies raises ContractError naming its exit code.
     """
 
     def __init__(self, model: Model):
@@ -552,7 +552,7 @@ class _ShardHelper:
         except (BrokenPipeError, ConnectionResetError):
             self._exited()
 
-    def result(self) -> tuple[float, dict]:
+    def result(self) -> float:
         try:
             ok, payload = self._conn.recv()
         except (EOFError, ConnectionResetError):
@@ -561,7 +561,10 @@ class _ShardHelper:
             exc, remote_traceback = payload
             raise exc from RemoteTraceback(remote_traceback)
         loss, grads = payload
-        return loss, {p: g for p, g in zip(self.params, grads) if g is not None}
+        if math.isfinite(loss):
+            for p, g in zip(self.params, grads):
+                p.grad += g
+        return loss
 
     def _exited(self):
         self._process.join()
@@ -577,27 +580,26 @@ class _ShardHelper:
         self._blas.close()
 
 
-def _batch_gradients(model: Model, batch: AssembledBatch, helper: _ShardHelper | None) -> tuple[float, list[dict]]:
-    """A training batch's loss and its window shards' gradient sinks, in shard order.
+def _batch_gradients(model: Model, batch: AssembledBatch, helper: _ShardHelper | None) -> float | None:
+    """A training batch's loss, its gradient summed into the zeroed `p.grad` in shard order.
 
-    A shard with no valid target is skipped, so a batch with none has no
-    sink. Of two shards, the second runs in `helper` while the caller runs
-    the first; without a helper they run one after the other. Either way
-    each shard's pass is the same, so the bits are too.
+    A shard with no valid target is skipped, and a batch with none returns
+    None; a shard of non-finite loss adds no gradient. Of two shards, the
+    second runs in `helper` while the caller runs the first; without a
+    helper they run one after the other, with the same bits.
     """
     n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
     shards = [s for s in _window_shards(batch, model.config.n_nodes) if s[4].any()]  # s[4]: target mask
     # two shards are copies: unless the caller keeps the batch, its arrays
     # are freed before the tape grows
     del batch
+    model.zero_grads()
     if len(shards) == 2 and helper is not None:
         helper.submit(shards.pop(), n_rows)
-        results = [_shard_gradients(model, shards[0], n_rows), helper.result()]
+        losses = [_shard_gradients(model, shards[0], n_rows), helper.result()]
     else:
-        results = [_shard_gradients(model, s, n_rows) for s in shards]
-    if not results:
-        return float("nan"), []
-    return sum(loss for loss, _ in results), [grads for _, grads in results]
+        losses = [_shard_gradients(model, s, n_rows) for s in shards]
+    return sum(losses) if losses else None
 
 
 def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
@@ -612,12 +614,14 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     non-finite training loss or validation MAE raises TrainingDiverged, and a
     validation split with no valid target raises ContractError.
     A batch of more than `_SHARD_ROWS` rows runs as two window shards
-    (`_batch_gradients`); their gradients are summed in shard order before
-    clipping and the update. Where two cores are usable and the platform
-    forks, the second shard runs in one helper process (`_ShardHelper`),
-    forked at the first split batch and stopped when this call returns or
-    raises; otherwise the shards run here, one after the other, with the
-    same bits.
+    (`_batch_gradients`); each backpropagates into `p.grad`, in shard order,
+    before clipping and the update. Where two cores are usable and the
+    platform forks, the second shard runs in one helper process
+    (`_ShardHelper`), forked at the first split batch and stopped when this
+    call returns or raises; it returns its own `p.grad`, which is added
+    into this process's. Otherwise the shards run here, one after the other,
+    with the same bits. A diverged step may leave a partial gradient in
+    `p.grad`, but never updates `p.value`.
     Freed memory stays mapped from here on (`_keep_freed_memory`).
     """
     if not bundle.train or not bundle.val:
@@ -634,19 +638,15 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
             epoch_losses = []
             for batch_idx in range(cfg.batches_per_epoch):
                 picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
-                loss, sinks = _batch_gradients(
+                loss = _batch_gradients(
                     model, assemble_batch(bundle, bundle.train.start + picks, mask_targets=True), helper
                 )
-                if not sinks:
+                if loss is None:
                     continue
                 if not math.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_idx}", history
                     )
-                model.zero_grads()
-                for grads in sinks:
-                    for p, g in grads.items():
-                        p.grad += g
                 if cfg.grad_clip_norm is not None:
                     clip_gradients(params, cfg.grad_clip_norm)
                 adamw_step(params, state, weight_decay=cfg.weight_decay)

@@ -362,24 +362,6 @@ class TestBackward:
         np.testing.assert_array_equal(adj[y.node], np.full((2, 3), 3.0))
         np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 6.0))
 
-    def test_gradient_sink_is_filled_and_grads_left_untouched(self):
-        p = ad.Parameter("p", RNG.uniform(-2, 2, (3, 2)))
-        q = ad.Parameter("q", RNG.uniform(-2, 2, (2,)))
-        r = ad.Parameter("r", RNG.uniform(-2, 2, (2,)))
-        p.grad[...], q.grad[...], r.grad[...] = 5.0, 6.0, 7.0
-        tape = ad.Tape()
-        tp, tq = tape.parameter(p), tape.parameter(q)
-        tape.parameter(r)  # registered but not on the loss path
-        tp_twice = tape.parameter(p)  # a second leaf of p adds to its entry
-        loss = ad.add(ad.reduce_sum(ad.mul(tp, tp_twice)), ad.reduce_sum(ad.mul(tq, tq)))
-        sink = {q: np.ones(2)}  # an entry present before the call is added to
-        tape.backward(loss, into=sink)
-        assert set(sink) == {p, q}
-        np.testing.assert_allclose(sink[p], 2 * p.value, rtol=1e-12)
-        np.testing.assert_allclose(sink[q], 1.0 + 2 * q.value, rtol=1e-12)
-        for param, value in ((p, 5.0), (q, 6.0), (r, 7.0)):
-            assert np.all(param.grad == value)
-
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
         x = tape.leaf(np.ones(3))

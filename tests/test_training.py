@@ -5,9 +5,11 @@ import gc
 import json
 import multiprocessing
 import os
+import pickle
 import platform
 import resource
 import signal
+import socket
 import sys
 import threading
 import time
@@ -138,6 +140,38 @@ class TestAdamW:
         p.grad[...] = np.nan
         with pytest.raises(ContractError, match="enc.w"):
             tr.adamw_step([p], tr.TrainState([p], 0.01))
+
+
+class TestClipGradients:
+    @staticmethod
+    def params(scale):
+        rng = np.random.default_rng(5)
+        params = [ad.Parameter("a", np.zeros((3, 2))), ad.Parameter("b", np.zeros(4))]
+        for p in params:
+            p.grad[...] = scale * rng.standard_normal(p.value.shape)
+        return params
+
+    @staticmethod
+    def global_norm(params):
+        return float(np.linalg.norm(np.concatenate([p.grad.ravel() for p in params])))
+
+    def test_above_max_norm_the_global_norm_becomes_max_norm(self):
+        params = self.params(10.0)
+        before, grads = self.global_norm(params), [p.grad.copy() for p in params]
+        assert before > 2.0
+        assert tr.clip_gradients(params, 2.0) == pytest.approx(before, rel=1e-12, abs=0)
+        assert self.global_norm(params) == pytest.approx(2.0, rel=1e-12, abs=0)
+        for p, g in zip(params, grads):  # one factor for every parameter
+            np.testing.assert_allclose(p.grad, g * (2.0 / before), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale, slack", [(0.1, 0.0), (0.1, 0.5), (0.0, 0.0), (0.0, 1.0)])
+    def test_at_or_below_max_norm_gradients_are_left_bit_for_bit(self, scale, slack):
+        params = self.params(scale)
+        before = [p.grad.tobytes() for p in params]
+        total = tr.clip_gradients(params, np.inf)
+        assert total == pytest.approx(self.global_norm(params), rel=1e-12, abs=0)
+        assert tr.clip_gradients(params, total + slack) == total  # at the norm itself when slack is 0
+        assert [p.grad.tobytes() for p in params] == before
 
 
 class TestTrainStateEndEpoch:
@@ -349,6 +383,15 @@ class TestEvaluate:
         with pytest.raises(ContractError, match=r"horizon 6 .*bundle\.horizon = 3"):
             tr.persistence_metrics(bundle, "test", 6)
 
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_a_split_without_valid_target_has_no_metrics(self, split):
+        model, bundle = make_bundle()
+        starts, w = bundle.split(split), bundle.window
+        bundle.panel.mask[starts[0] + w : starts[-1] + w + bundle.horizon] = 0
+        for metrics in (lambda: tr.evaluate(model, bundle, split), lambda: tr.persistence_metrics(bundle, split, 3)):
+            with pytest.raises(ContractError, match=f"^the {split} split has no valid target$"):
+                metrics()
+
     def test_persistence_baseline_reasonable(self):
         model, bundle = make_bundle()
         report = tr.persistence_metrics(bundle, "test", model.config.horizon)
@@ -538,9 +581,21 @@ class TestShardedTraining:
         return model, bundle
 
     @staticmethod
-    def summed(sinks, model):
-        return {name: sum((grads[p] for grads in sinks if p in grads), np.zeros_like(p.value))
-                for name, p in model.params.items()}
+    def grads(model):
+        return {name: p.grad.copy() for name, p in model.params.items()}
+
+    @staticmethod
+    def counted_passes(monkeypatch):
+        """The row counts of this process's recorded forward passes, from here on."""
+        recorded, forward = [], Model.forward_batch
+
+        def counting_forward(self, xw, mw, uw, record_gradients=True):
+            if record_gradients:
+                recorded.append(xw.shape[1])
+            return forward(self, xw, mw, uw, record_gradients)
+
+        monkeypatch.setattr(Model, "forward_batch", counting_forward)
+        return recorded
 
     @staticmethod
     def helper_runs(monkeypatch, helper_shard):
@@ -582,35 +637,41 @@ class TestShardedTraining:
 
     def test_split_step_matches_one_tape(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
+        n = model.config.n_nodes
         batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
-        whole_loss, whole = tr._batch_gradients(model, batch, None)
-        monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * model.config.n_nodes)
-        split_loss, split = tr._batch_gradients(model, batch, None)
-        assert len(whole) == 1 and len(split) == 2
+        recorded = self.counted_passes(monkeypatch)
+        whole_loss = tr._batch_gradients(model, batch, None)
+        want = self.grads(model)
+        monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
+        for p in model.parameters():
+            p.grad[...] = 3.0  # a step starts from zeroed gradients
+        split_loss = tr._batch_gradients(model, batch, None)
+        assert recorded == [6 * n, 3 * n, 3 * n]
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
-        want, got = self.summed(whole, model), self.summed(split, model)
+        got = self.grads(model)
         for name, g in want.items():
             assert np.any(g != 0.0), name
             np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
-        assert all(np.all(p.grad == 0.0) for p in model.parameters())  # sinks only
 
     def test_the_helper_gives_the_bits_of_one_process(self, monkeypatch):
         model, bundle = self.sharded(monkeypatch)
+        n = model.config.n_nodes
         batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
-        local_loss, local = tr._batch_gradients(model, batch, None)
+        recorded = self.counted_passes(monkeypatch)
+        local_loss = tr._batch_gradients(model, batch, None)
+        local = [p.grad.tobytes() for p in model.parameters()]
         values = [p.value.copy() for p in model.parameters()]
         with tr._ShardHelper(model) as helper:
             for p in model.parameters():  # the helper forks at these values, then reads each step's
                 p.value *= 1.5
+            # this step leaves gradients in the helper, which it must zero before the next
             tr._batch_gradients(model, batch, helper)
             for p, value in zip(model.parameters(), values):
                 p.value[...] = value
-            helped_loss, helped = tr._batch_gradients(model, batch, helper)
-        assert helped_loss == local_loss and len(helped) == len(local) == 2
-        for h, l in zip(helped, local):
-            assert list(h) == list(l)  # the caller's parameters, in the sink's order
-            assert all(h[p].tobytes() == l[p].tobytes() for p in l)
-        assert all(np.all(p.grad == 0.0) for p in model.parameters())
+            helped_loss = tr._batch_gradients(model, batch, helper)
+        assert recorded == [3 * n] * 4  # two shards here, then one per helped step
+        assert helped_loss == local_loss
+        assert [p.grad.tobytes() for p in model.parameters()] == local
 
     def test_a_shard_without_valid_target_is_skipped(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
@@ -618,21 +679,16 @@ class TestShardedTraining:
         batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
         batch.target_masks.reshape(n, 6, cfg.horizon, cfg.d_x)[:, 3:] = 0.0  # the second shard's windows
         assert batch.target_masks.any()
-        recorded, forward = [], Model.forward_batch
-
-        def counting_forward(self, xw, mw, uw, record_gradients=True):
-            recorded.append(xw.shape[1])
-            return forward(self, xw, mw, uw, record_gradients)
-
-        whole_loss, whole = tr._batch_gradients(model, batch, None)
+        whole_loss = tr._batch_gradients(model, batch, None)
+        want = self.grads(model)
         monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
-        monkeypatch.setattr(Model, "forward_batch", counting_forward)
+        recorded = self.counted_passes(monkeypatch)
         with tr._ShardHelper(model) as helper:
-            split_loss, split = tr._batch_gradients(model, batch, helper)
+            split_loss = tr._batch_gradients(model, batch, helper)
             assert helper._process is None  # a lone shard forks no helper
-        assert recorded == [3 * n] and len(split) == 1
+        assert recorded == [3 * n]
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
-        want, got = self.summed(whole, model), self.summed(split, model)
+        got = self.grads(model)
         for name, g in want.items():
             np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
 
@@ -653,7 +709,7 @@ class TestShardedTraining:
         n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
         with tr._ShardHelper(model) as helper:
             helper.submit(shard, n_rows)
-            assert np.isfinite(helper.result()[0])
+            assert np.isfinite(helper.result())
             self.overflowing(model)
             with np.errstate(over="raise"):
                 helper.submit(shard, n_rows)
@@ -674,20 +730,41 @@ class TestShardedTraining:
         with pytest.raises(ContractError, match=r"helper process exited with code 7$"):
             self.helper_runs(monkeypatch, dying)
 
-    def test_an_error_here_stops_a_helper_blocked_on_a_large_reply(self, monkeypatch):
-        # the helper's reply, 8 MB, outgrows the pipe's buffer, so it blocks
-        # until read; this process raises on its own shard instead of reading
+    def test_an_error_here_stops_a_helper_blocked_on_a_large_reply(self, monkeypatch, tmp_path):
+        # the helper replies with its `p.grad`; an 8 MB gradient outgrows the
+        # pipe's buffers, so the reply blocks until read; this process raises
+        # on its own shard instead of reading
         def failing_here(model, shard, n_rows):
             if in_helper():
-                return 1.0, {model.parameters()[0]: np.zeros(1 << 20)}
+                model.parameters()[0].grad = np.zeros(1 << 20)
+                return 1.0
             time.sleep(0.5)
             raise RuntimeError("shard 1 failed")
 
+        serve, reply_bytes = tr._serve_shards, tmp_path / "reply-bytes"
+
+        def measured_serve(model, conn, parent_end):
+            send = conn.send
+
+            def measured_send(reply):
+                reply_bytes.write_text(str(len(pickle.dumps(reply))))
+                send(reply)
+
+            conn.send = measured_send
+            serve(model, conn, parent_end)
+
         monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
         monkeypatch.setattr(tr, "_shard_gradients", failing_here)
+        monkeypatch.setattr(tr, "_serve_shards", measured_serve)
         model, bundle = self.sharded(monkeypatch)
         with deadline(60), pytest.raises(RuntimeError, match=r"^shard 1 failed$"):
             tr.train(model, bundle, self.CFG)
+        here, there = multiprocessing.get_context("fork").Pipe()  # the helper's kind of pipe
+        with here, there, socket.fromfd(there.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sender, \
+                socket.fromfd(here.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as receiver:
+            buffered = sender.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) + receiver.getsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF)
+        assert int(reply_bytes.read_text()) > buffered
 
     def test_the_helper_exits_when_this_end_of_its_pipe_closes(self, monkeypatch):
         # as when this process is killed without stopping it: the helper holds no copy of this end
@@ -708,10 +785,10 @@ class TestShardedTraining:
         try:
             model, _ = self.sharded(monkeypatch)
             # the helper's loss is its own thread count
-            monkeypatch.setattr(tr, "_shard_gradients", lambda model, shard, n_rows: (float(get()), {}))
+            monkeypatch.setattr(tr, "_shard_gradients", lambda model, shard, n_rows: float(get()))
             with tr._ShardHelper(model) as helper:
                 helper.submit((), 1)
-                assert helper.result() == (1.0, {}) and get() == 1
+                assert helper.result() == 1.0 and get() == 1
             assert get() == 2
         finally:
             put(before)
@@ -719,15 +796,57 @@ class TestShardedTraining:
     def test_diverged_step_leaves_no_thread_and_the_model_untouched(self, monkeypatch):
         model, bundle = self.sharded(monkeypatch)
         self.overflowing(model)
-        for p in model.parameters():
-            p.grad[...] = 3.0
         before = [p.value.copy() for p in model.parameters()]
         threads = threading.active_count()
         with np.errstate(all="ignore"), pytest.raises(tr.TrainingDiverged, match="epoch 0, batch 0"):
             tr.train(model, bundle, self.CFG)
         assert threading.active_count() == threads
         for p, value in zip(model.parameters(), before):
-            assert np.array_equal(p.value, value) and np.all(p.grad == 3.0), p.name
+            assert np.array_equal(p.value, value), p.name
+
+    def test_a_diverged_helper_shard_stops_training_with_the_model_untouched(self, monkeypatch):
+        # only the helper's shard overflows; it reads the parameters anew with each shard
+        shard_gradients, here = tr._shard_gradients, []
+
+        def diverging_there(model, shard, n_rows):
+            if in_helper():
+                TestShardedTraining.overflowing(model)
+                return shard_gradients(model, shard, n_rows)
+            here.append(shard_gradients(model, shard, n_rows))
+            return here[-1]
+
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        monkeypatch.setattr(tr, "_shard_gradients", diverging_there)
+        model, bundle = self.sharded(monkeypatch)
+        before = [p.value.copy() for p in model.parameters()]
+        threads = threading.active_count()
+        with deadline(60), np.errstate(all="ignore"), \
+                pytest.raises(tr.TrainingDiverged, match=r"at epoch 0, batch 0$"):
+            tr.train(model, bundle, self.CFG)
+        assert len(here) == 1 and np.isfinite(here[0])
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        for p, value in zip(model.parameters(), before):
+            assert np.array_equal(p.value, value), p.name
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads in")
+    def test_the_helper_forks_from_a_process_of_one_thread(self, monkeypatch):
+        # Python 3.12 and later warn (DeprecationWarning) when a process of more
+        # than one OS thread forks; the parent counts its threads right after the fork
+        fork, threads = os.fork, []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                threads.append(len(os.listdir("/proc/self/task")))
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        model, bundle = self.sharded(monkeypatch)
+        with deadline(60):
+            tr.train(model, bundle, self.CFG)
+        assert threads == [1]
 
 
 class TestGradientEndToEnd:
