@@ -50,6 +50,11 @@ class Tape:
     A tape is differentiated once: `backward` consumes the record, breaking
     the cycle from the vjp closures through their tensors back to the tape,
     so a step's arrays are freed by reference counting, not the cyclic GC.
+    It frees them record by record, latest first: each record's vjp, the
+    forward arrays only that vjp holds, and its output adjoint go before an
+    earlier record runs, so the pass never holds the whole forward and every
+    intermediate adjoint at once. Tensors the caller still holds keep their
+    arrays.
     """
 
     __slots__ = ("_records", "_param_nodes", "_next_id")
@@ -78,9 +83,11 @@ class Tape:
         """Accumulate d loss / d parameter into every registered Parameter's `grad`.
 
         Parameters registered on this tape but not on the path to `loss`
-        receive an exact-zero contribution. Returns the full adjoint map
-        keyed by node id (useful for checking non-parameter leaves). The
-        record is consumed, so a second call raises ContractError.
+        receive an exact-zero contribution. Returns the adjoints of the
+        leaves and parameters on the path to `loss`, keyed by node id (useful
+        for checking non-parameter leaves); an intermediate node's adjoint is
+        freed with its record. The record is consumed, so a second call
+        raises ContractError.
         """
         if loss.tape is not self:
             raise ContractError("loss was not produced by this tape")
@@ -91,21 +98,34 @@ class Tape:
         records, param_nodes = self._records, self._param_nodes
         self._records = self._param_nodes = None
         adjoints: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-        for out_node, in_nodes, vjp in reversed(records):
-            g = adjoints.get(out_node)
-            if g is None:
-                continue
-            # a vjp never writes to its input, so an adjoint may alias another
-            # node's; it is therefore summed out of place, never updated in place
-            for in_node, contrib in zip(in_nodes, vjp(g)):
-                if in_node is not None:
-                    acc = adjoints.get(in_node)
-                    adjoints[in_node] = contrib if acc is None else acc + contrib
+        while records:
+            # every consumer of a node has a higher id, so its adjoint is
+            # complete here; rebinding the names frees the last record's vjp
+            # and adjoint before this one runs
+            out_node, in_nodes, vjp = records.pop()
+            g = adjoints.pop(out_node, None)
+            if g is not None:
+                _accumulate(adjoints, in_nodes, vjp(g))
         for p, node in param_nodes:
             g = adjoints.get(node)
             if g is not None:
                 p.grad += g
         return adjoints
+
+
+def _accumulate(adjoints: dict[int, np.ndarray], in_nodes: tuple, contribs) -> None:
+    """Add one vjp's contributions to the adjoints of its tracked inputs.
+
+    A function of its own, so its locals (the last contribution and the
+    accumulator it replaced) are freed on return, not held through the
+    next record's vjp.
+    """
+    # a vjp never writes to its input, so an adjoint may alias another
+    # node's; it is therefore summed out of place, never updated in place
+    for in_node, contrib in zip(in_nodes, contribs):
+        if in_node is not None:
+            acc = adjoints.get(in_node)
+            adjoints[in_node] = contrib if acc is None else acc + contrib
 
 
 class Tensor:

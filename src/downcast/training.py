@@ -275,7 +275,11 @@ def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
     results do not depend on the worker count. The first error a chunk
     raises reaches the caller unchanged and no later chunk is submitted.
     Closing the generator early waits for the chunks still running, so none
-    reads the parameters after it returns.
+    reads the parameters after it returns. With two workers numpy's OpenBLAS
+    runs one thread until the generator finishes, is closed or raises
+    (`_one_blas_thread`): with its default pool of two per worker, four
+    threads shared two cores, and a metro-aniso run spent 2.9-3.1 s in
+    evaluation against 1.8-1.9 s pinned.
     """
     cfg = model.config
     size = max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))
@@ -286,15 +290,16 @@ def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
         return chunk, bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x)), batch, bf.alphas
 
     pool, pending = ThreadPoolExecutor(_EVAL_WORKERS), deque()
-    try:
-        for i in range(0, len(starts), size):
-            pending.append(pool.submit(contextvars.copy_context().run, run, starts[i : i + size]))
-            if len(pending) == _EVAL_WORKERS:
+    with _one_blas_thread() if _EVAL_WORKERS > 1 else contextlib.nullcontext():
+        try:
+            for i in range(0, len(starts), size):
+                pending.append(pool.submit(contextvars.copy_context().run, run, starts[i : i + size]))
+                if len(pending) == _EVAL_WORKERS:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 class _MaskedErrorSums:
@@ -371,7 +376,7 @@ _TRIM_THRESHOLD, _MMAP_THRESHOLD, _ARENA_MAX = 1 << 30, 32 << 20, 1
 def _keep_freed_memory() -> None:
     """Keep the memory a training step frees mapped for the next step (glibc only).
 
-    A recorded step's tape is freed at once by `backward`. With glibc's
+    `backward` frees a recorded step's tape record by record. With glibc's
     defaults, the heap above a dynamic threshold is returned to the system
     and every array past the mmap threshold is unmapped, so the next step
     page-faults the same memory back in: a median of about 4,000 minor
@@ -433,13 +438,17 @@ def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray
 def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -> float:
     """One shard's recorded forward and its loss over the batch's `n_rows` rows, backpropagated into `p.grad`.
 
-    A non-finite loss is returned with no backward.
+    A non-finite loss is returned with no backward. Only the tape and the
+    loss outlive the forward, so backward frees the predictions, slots and
+    attention weights with the records that hold them.
     """
     x, m, u, targets, target_masks = shard
     bf = model.forward_batch(x, m, u)
     loss = masked_mae_loss(bf.preds, targets, target_masks, n_rows)
+    tape = bf.tape
+    del bf
     if np.isfinite(loss.data):
-        bf.tape.backward(loss)
+        tape.backward(loss)
     return float(loss.data)
 
 
@@ -466,11 +475,13 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread inside the block; restore its thread count after.
 
-    A forked helper inherits the count. With a BLAS pool of two threads in
-    both the caller and the helper, four threads share two cores: on the
-    desk-iso model a 640-row step took a median of 51 ms split against 35 ms
-    whole, and with one thread each, 20 against 28 ms. The thread count
-    does not change the bits. Another BLAS is left as it is.
+    Used where two workers share the cores: evaluation's two pool threads,
+    and training's caller and helper process, which inherits the count when
+    forked. With a BLAS pool of two threads in both the caller and the
+    helper, four threads share two cores: on the desk-iso model a 640-row
+    step took a median of 51 ms split against 35 ms whole, and with one
+    thread each, 20 against 28 ms. The thread count does not change the
+    bits. Another BLAS is left as it is.
     """
     blas = _openblas_threads()
     if blas is None:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -354,13 +356,39 @@ class TestBackward:
         assert np.all(q.grad == 0.0)
 
     def test_fan_out_leaves_shared_adjoints_intact(self):
-        # both pulls of x + x return the adjoint of y itself
+        # both pulls of a + x return the adjoint of u itself, so a's adjoint
+        # is x's first contribution; adding x's second in place would change a's
         tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 3)))
-        y = ad.add(x, x)
-        adj = tape.backward(ad.reduce_sum(ad.mul(y, ad.constant(np.full((2, 3), 3.0)))))
-        np.testing.assert_array_equal(adj[y.node], np.full((2, 3), 3.0))
-        np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 6.0))
+        a, x = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3)))
+        v = ad.mul(x, ad.constant(np.full((2, 3), 2.0)))
+        u = ad.add(a, x)
+        adj = tape.backward(ad.reduce_sum(ad.add(ad.mul(u, ad.constant(np.full((2, 3), 3.0))), v)))
+        np.testing.assert_array_equal(adj[a.node], np.full((2, 3), 3.0))
+        np.testing.assert_array_equal(adj[x.node], np.full((2, 3), 5.0))
+
+    def test_only_leaf_and_parameter_adjoints_are_returned(self):
+        p = ad.Parameter("p", np.ones(3))
+        tape = ad.Tape()
+        tp, x = tape.parameter(p), tape.leaf(np.full(3, 2.0))
+        y = ad.mul(tp, x)
+        adj = tape.backward(ad.reduce_sum(ad.mul(y, y)))
+        assert set(adj) == {tp.node, x.node}
+        np.testing.assert_array_equal(adj[tp.node], p.grad)
+
+    def test_a_later_record_is_freed_before_an_earlier_one_runs(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(3))
+        held_then = []
+        # an earlier record whose vjp looks at the later record's constant
+        y = ad._emit((x,), 2.0 * x.data, lambda g: (held_then.append(held() is not None) or 2.0 * g,))
+        c = ad.constant(np.full(3, 3.0))
+        held = weakref.ref(c.data)
+        loss = ad.reduce_sum(ad.mul(y, c))
+        del c  # now only the product's vjp holds the constant
+        assert held() is not None
+        adj = tape.backward(loss)
+        assert held_then == [False]
+        np.testing.assert_array_equal(adj[x.node], np.full(3, 6.0))
 
     def test_non_scalar_loss_rejected(self):
         tape = ad.Tape()
@@ -562,7 +590,7 @@ class TestConstantInputs:
             loss = ad.reduce_sum(prod)
             adj = tape.backward(loss)
             leaves = {i: t.node for i, t in enumerate(inputs) if tracked[i]}
-            assert set(adj) == {*leaves.values(), out.node, prod.node, loss.node}
+            assert set(adj) == set(leaves.values())
             return out.data, {i: adj[node] for i, node in leaves.items()}
 
         full_out, full_adj = run([True] * n)

@@ -13,6 +13,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import weakref
 from datetime import datetime, timedelta
@@ -28,6 +29,7 @@ from downcast import training as tr
 from downcast.errors import ContractError
 from downcast.masking import MaskConfig, simulate_block
 from downcast.model import Model, ModelConfig, last_value_imputation
+from downcast.rng import stream_rng
 from helpers import assemble_batch_reference, masked_metrics, write_csv_panel
 
 
@@ -528,6 +530,40 @@ class TestConcurrentEvaluation:
         assert running == []
         assert threading.active_count() == threads
 
+    def test_numpy_blas_runs_one_thread_in_the_workers_and_is_restored_after(self, monkeypatch):
+        blas = tr._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy links a BLAS other than OpenBLAS")
+        get, put = blas
+        model, bundle = self.grouped(monkeypatch)
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        forward, seen = Model.forward_batch, []
+
+        def observing_forward(self, *args, **kwargs):
+            seen.append(get())
+            if fail:
+                raise ValueError("group failed")
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", observing_forward)
+        before = get()
+        put(2)
+        try:
+            fail = False
+            tr.evaluate(model, bundle, "test", batch_size=8)  # runs to the end
+            assert get() == 2
+            predictions = tr.predict_windows(model, bundle, bundle.test, 8)
+            next(predictions)
+            predictions.close()  # closed early
+            assert get() == 2
+            fail = True
+            with pytest.raises(ValueError, match="group failed"):
+                tr.evaluate(model, bundle, "test", batch_size=8)  # raises
+            assert get() == 2
+        finally:
+            put(before)
+        assert len(seen) >= 5 and set(seen) == {1}
+
     def test_a_group_error_reaches_the_caller_unchanged_and_stops_submitting(self, monkeypatch):
         model, bundle = self.grouped(monkeypatch)
         assert len(bundle.test) >= 8 * 3  # at least eight groups of three windows
@@ -911,6 +947,45 @@ class TestTapeLifetime:
             if enabled:
                 gc.enable()
 
+    def test_backward_peaks_little_above_the_forward_it_frees(self, monkeypatch):
+        # criterion 6's full model on its desk data at seed 7, and the caller's
+        # 320-row shard of the first training batch
+        raw = {
+            "seed": 7,
+            "dataset": {"kind": "mso", "nodes": 20, "steps": 5000, "fan_in": 5, "hops": 2, "in_degree": 3,
+                        "window": 24, "horizon": 6},
+            "mask": {"eta": 0.05, "p_f": 0.01, "s_min": 8, "s_max": 48, "propagate_over": "mixing"},
+            "model": {"d_h": 16, "temporal_layers": 3, "temporal_factor": 3, "spatial_levels": 2,
+                      "embedding_size": 8, "smp_variant": "isotropic", "diffusion_hops": 2,
+                      "decoder_hidden": [32], "per_step_attention": False},
+        }
+        model, bundle = cli.prepare_experiment(cli.resolve_config(raw))
+        picks = stream_rng(7, "batches-0").integers(0, len(bundle.train), size=32)
+        batch = tr.assemble_batch(bundle, bundle.train.start + picks, mask_targets=True)
+        n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
+        shard = tr._window_shards(batch, model.config.n_nodes)[0]
+        assert shard[0].shape[1] == 320
+        backward, traced = ad.Tape.backward, []
+
+        def measured_backward(tape, loss):
+            traced.append(tracemalloc.get_traced_memory()[0])  # the forward's live arrays
+            tracemalloc.reset_peak()
+            try:
+                return backward(tape, loss)
+            finally:
+                traced.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(ad.Tape, "backward", measured_backward)
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            tr._shard_gradients(model, shard, n_rows)
+        finally:
+            tracemalloc.stop()
+        after_forward, backward_peak = traced
+        # holding every record and adjoint to the end peaked at 1.87 times
+        assert backward_peak <= 1.4 * after_forward, (after_forward, backward_peak)
+
 
 class TestFreedMemory:
     """`train` keeps freed memory mapped, so later steps reuse the same pages."""
@@ -939,7 +1014,9 @@ class TestFreedMemory:
         monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or types.SimpleNamespace())
         model, bundle = make_bundle()
         result = tr.train(model, bundle, tr.TrainConfig(max_epochs=2, batches_per_epoch=3, batch_size=4))
-        assert opened == ([None] if sys.platform.startswith("linux") else [])
+        # the C library, opened for `mallopt`; evaluation may also open numpy's
+        # core extension to find OpenBLAS, which finds nothing here either
+        assert opened.count(None) == (1 if sys.platform.startswith("linux") else 0)
         assert len(result.history) == 2
 
 
