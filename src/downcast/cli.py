@@ -198,7 +198,7 @@ def write_attention_csv(path: Path, model: Model, bundle: tr.DataBundle, window_
     starts = bundle.test
     if not (0 <= window_index < len(starts)):
         raise ContractError(f"window index {window_index} out of range (0..{len(starts) - 1})")
-    ((_, _, _, alphas),) = tr.predict_windows(model, bundle, starts[window_index : window_index + 1], 1)
+    ((_, _, alphas, _, _),) = tr.predict_windows(model, bundle, starts[window_index : window_index + 1], 1)
     cfg = model.config
     with dt.atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)

@@ -8,7 +8,6 @@ valid scalar entries in original units.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import json
 import math
@@ -16,8 +15,6 @@ import multiprocessing
 import os
 import sys
 import traceback
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from multiprocessing.pool import RemoteTraceback
 from pathlib import Path
@@ -249,57 +246,55 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 # (900 rows); a 128-window desk-iso batch of 2,560 rows, 67 and 57 ms.
 _EVAL_ROWS = 1024
 
-# Evaluation window groups in flight at once, one per pool thread, and, above
-# one, the switch for training's helper process (`_ShardHelper`). numpy's
-# ufuncs, OpenBLAS and scipy's sparse products release the GIL, so two
-# groups' passes overlap on two cores; splitting one scan's rows instead was
-# slower. A desk-iso training shard holds the GIL for most of its thousands
-# of small calls, so two training shards on threads lost to one whole step
-# (31.1 against 27.3 ms for 640 rows); training uses a process instead.
+# Processes that share the work where two cores are usable (`_forks`): the
+# caller and one forked helper (`_Helper`), which runs every second window
+# group of an evaluation and the second shard of a split training batch. A
+# desk-iso training shard holds the GIL for most of its thousands of small
+# calls, so two training shards on threads lost to one whole step (31.1
+# against 27.3 ms for 640 rows); hence a process, for both.
 _EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
+def _forks() -> bool:
+    """Whether a helper process may share the work: two usable cores and the fork start method."""
+    return _EVAL_WORKERS > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
 def predict_windows(model: Model, bundle: DataBundle, starts, batch_size: int):
-    """Yield (chunk of starts, predictions in original units, batch, alphas) chunk by chunk.
+    """Yield (chunk of starts, predictions in original units, alphas, raw targets, target masks) chunk by chunk.
 
     Each chunk of consecutive windows, at most `batch_size` and at most
     `_EVAL_ROWS` rows unless one window has more, is gathered and run forward
     once, unrecorded. The predictions are (rows, H, d_x), the rows node-major,
-    and `alphas` is the (rows, n_score_sets, S) attention.
-    Windows do not interact, so a chunk's predictions equal one pass's over
-    all windows up to last-ulp rounding (BLAS picks its kernels by row count).
+    `alphas` is the (rows, n_score_sets, S) attention, and the targets and
+    their masks (originally-valid entries) are (rows*H, d_x). Windows do not
+    interact, so a chunk's predictions equal one pass's over all windows up
+    to last-ulp rounding (BLAS picks its kernels by row count).
 
-    Up to `_EVAL_WORKERS` chunks run at once on a pool created for this call,
-    each in a copy of the caller's context, so its `np.errstate` holds there.
-    Chunks are yielded in order and each chunk's pass is the same, so the
-    results do not depend on the worker count. The first error a chunk
-    raises reaches the caller unchanged and no later chunk is submitted.
-    Closing the generator early waits for the chunks still running, so none
-    reads the parameters after it returns. With two workers numpy's OpenBLAS
-    runs one thread until the generator finishes, is closed or raises
-    (`_one_blas_thread`): with its default pool of two per worker, four
-    threads shared two cores, and a metro-aniso run spent 2.9-3.1 s in
-    evaluation against 1.8-1.9 s pinned.
+    Of two or more chunks, where `_forks`, every second one runs in a helper
+    forked for this call (`_Helper`) while this process runs the one before.
+    The fork holds the model, the bundle and the caller's `np.errstate`, so
+    a request is just the chunk's starts. Chunks are yielded in order and
+    each one's pass is the same in either process, so the results do not
+    depend on which ran it. The first error a chunk raises reaches the
+    caller unchanged and no later chunk is sent. The helper stops when the
+    generator finishes, raises, or is closed or dropped.
     """
     cfg = model.config
     size = max(1, min(batch_size, _EVAL_ROWS // cfg.n_nodes))
+    chunks = [starts[i : i + size] for i in range(0, len(starts), size)]
 
     def run(chunk):
         batch = assemble_batch(bundle, chunk, mask_targets=False)
         bf = model.forward_batch(batch.x, batch.m, batch.u, record_gradients=False)
-        return chunk, bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x)), batch, bf.alphas
+        preds = bundle.scaler.invert(bf.preds.data.reshape(-1, cfg.horizon, cfg.d_x))
+        return preds, bf.alphas, batch.raw_targets, batch.target_masks
 
-    pool, pending = ThreadPoolExecutor(_EVAL_WORKERS), deque()
-    with _one_blas_thread() if _EVAL_WORKERS > 1 else contextlib.nullcontext():
-        try:
-            for i in range(0, len(starts), size):
-                pending.append(pool.submit(contextvars.copy_context().run, run, starts[i : i + size]))
-                if len(pending) == _EVAL_WORKERS:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with _Helper(run) if len(chunks) > 1 and _forks() else contextlib.nullcontext() as helper:
+        for i, chunk in enumerate(chunks):
+            if helper is not None and i % 2 == 0 and i + 1 < len(chunks):
+                helper.submit(chunks[i + 1])
+            yield chunk, *(helper.result() if helper is not None and i % 2 else run(chunk))
 
 
 class _MaskedErrorSums:
@@ -337,8 +332,8 @@ def evaluate(model: Model, bundle: DataBundle, split: str, batch_size: int = 64)
     A split with no originally-valid target has no metrics: ContractError.
     """
     sums = _MaskedErrorSums(model.config.horizon)
-    for _, preds, batch, _ in predict_windows(model, bundle, bundle.split(split), batch_size):
-        sums.add(preds, batch.raw_targets, batch.target_masks)
+    for _, preds, _, raw_targets, target_masks in predict_windows(model, bundle, bundle.split(split), batch_size):
+        sums.add(preds, raw_targets, target_masks)
     return sums.report(split)
 
 
@@ -365,12 +360,11 @@ def persistence_metrics(bundle: DataBundle, split: str, horizon: int) -> Metrics
 # -- loop ---------------------------------------------------------------------------
 
 
-# glibc's `mallopt` options and the values `train` sets: the free space at the
-# top of the heap kept before trimming it, the size from which a block is
-# mapped on its own (and unmapped when freed), the largest glibc accepts on
-# 64-bit, and the number of heaps (arenas) threads allocate from.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
-_TRIM_THRESHOLD, _MMAP_THRESHOLD, _ARENA_MAX = 1 << 30, 32 << 20, 1
+# glibc's `mallopt` options and the values `train` sets: the free space kept
+# at the top of the heap before trimming it, and the size from which a block
+# is mapped on its own (and unmapped when freed), glibc's 64-bit maximum.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 1 << 30, 32 << 20
 
 
 def _keep_freed_memory() -> None:
@@ -382,12 +376,9 @@ def _keep_freed_memory() -> None:
     page-faults the same memory back in: a median of about 4,000 minor
     faults per desk-iso step and 17,000 per metro-aniso step, a fifth of
     their step time. With both options raised, steps after the first fault
-    almost no pages in. The arena cap of one makes the evaluation threads
-    (`predict_windows`) allocate from that same heap: with arenas of their
-    own, peak resident size rose from 110 to 132 MB on desk-iso and from
-    177 to 217 MB on metro-aniso.
-    The options hold for the rest of the process, so its resident size does
-    not fall after training. A C library without `mallopt` is left as it is.
+    almost no pages in. The options hold for the rest of the process, so its
+    resident size does not fall after training. A C library without
+    `mallopt` is left as it is.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -398,7 +389,6 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 # Rows above which a training batch of at least two windows runs as two
@@ -475,13 +465,13 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread inside the block; restore its thread count after.
 
-    Used where two workers share the cores: evaluation's two pool threads,
-    and training's caller and helper process, which inherits the count when
-    forked. With a BLAS pool of two threads in both the caller and the
+    Used while a helper process (`_Helper`) lives, which inherits the count
+    when forked. With a BLAS pool of two threads in both the caller and the
     helper, four threads share two cores: on the desk-iso model a 640-row
     step took a median of 51 ms split against 35 ms whole, and with one
     thread each, 20 against 28 ms. The thread count does not change the
-    bits. Another BLAS is left as it is.
+    bits. The count is process-wide; no second thread of the program could
+    enter or leave the block out of order. Another BLAS is left as it is.
     """
     blas = _openblas_threads()
     if blas is None:
@@ -496,74 +486,62 @@ def _one_blas_thread():
         put(threads)
 
 
-def _serve_shards(model: Model, conn, parent_end) -> None:
-    """The helper process's loop: set the parameters, run one shard, reply; return at end of input.
+def _serve(handler, conn, parent_end) -> None:
+    """The helper process's loop: reply to each request with `handler`'s result; return at end of input.
 
-    Each request is (shard, n_rows, parameter values, `np.geterr()` dict);
-    the reply is (True, (loss, this process's `p.grad` in parameter order))
-    or (False, (the exception, its formatted traceback)).
-    `parent_end`, the caller's end of the pipe, was inherited by the fork;
-    it is closed first, so a caller that dies without stopping the helper
-    (killed by a signal) ends the input.
+    The reply is (True, the result) or (False, (the exception, its formatted
+    traceback)). `parent_end`, the caller's end of the pipe, was inherited
+    by the fork; it is closed first, so a caller that dies without stopping
+    the helper (killed by a signal) ends the input.
     """
     parent_end.close()
-    params = model.parameters()
     while True:
         try:
-            shard, n_rows, values, errstate = conn.recv()
+            request = conn.recv()
         except EOFError:
             return
-        for p, value in zip(params, values):
-            p.value[...] = value
-            p.zero_grad()
         try:
-            with np.errstate(**errstate):
-                reply = True, (_shard_gradients(model, shard, n_rows), [p.grad for p in params])
+            reply = True, handler(request)
         except Exception as exc:  # reported to the caller, which raises it
             reply = False, (exc, traceback.format_exc())
         conn.send(reply)
 
 
-class _ShardHelper:
-    """A process that runs the second window shard of `train`'s split batches.
+class _Helper(contextlib.AbstractContextManager):
+    """A process forked from the caller that runs `handler` on each request it is sent.
 
-    It is forked from the caller at the first `submit`, so it starts with
-    the caller's model and imports nothing, and it lives until `close`;
-    meanwhile numpy's BLAS runs one thread in both (`_one_blas_thread`).
-    `train` runs no thread of its own at that point: evaluation joins its
-    pool before it returns, and OpenBLAS stops its own before a fork.
-    Each `submit` sends it one shard with every parameter's current value
-    and the caller's `np.errstate`, and `result` adds the helper's `p.grad`
-    into the caller's when that shard's loss is finite, and returns the
-    loss. An error the shard raises reaches the caller unchanged; a helper
-    that dies raises ContractError naming its exit code.
+    It forks at the first `submit`, so it starts with a snapshot of the
+    caller (model, data, `np.errstate`) and imports nothing, and it lives
+    until `close`; meanwhile numpy's BLAS runs one thread in both
+    (`_one_blas_thread`). The caller runs no thread of its own, and OpenBLAS
+    stops its own before a fork. `result` returns the handler's result for
+    the oldest unanswered request. A handler error reaches the caller
+    unchanged, with the helper's traceback as its cause; a helper that dies
+    raises ContractError naming its exit code.
     """
 
-    def __init__(self, model: Model):
-        self.model, self.params = model, model.parameters()
+    def __init__(self, handler):
+        self.handler = handler
         self._process = self._conn = None
         self._blas = contextlib.ExitStack()
-
-    def __enter__(self) -> "_ShardHelper":
-        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(self, shard: tuple[np.ndarray, ...], n_rows: int) -> None:
+    def submit(self, request) -> None:
         if self._process is None:
             self._blas.enter_context(_one_blas_thread())
             ctx = multiprocessing.get_context("fork")
             self._conn, child_end = ctx.Pipe()
-            self._process = ctx.Process(target=_serve_shards, args=(self.model, child_end, self._conn), daemon=True)
+            self._process = ctx.Process(target=_serve, args=(self.handler, child_end, self._conn), daemon=True)
             self._process.start()
             child_end.close()  # so the parent reads end of file once the helper exits
         try:
-            self._conn.send((shard, n_rows, [p.value for p in self.params], np.geterr()))
+            self._conn.send(request)
         except (BrokenPipeError, ConnectionResetError):
             self._exited()
 
-    def result(self) -> float:
+    def result(self):
         try:
             ok, payload = self._conn.recv()
         except (EOFError, ConnectionResetError):
@@ -571,15 +549,11 @@ class _ShardHelper:
         if not ok:
             exc, remote_traceback = payload
             raise exc from RemoteTraceback(remote_traceback)
-        loss, grads = payload
-        if math.isfinite(loss):
-            for p, g in zip(self.params, grads):
-                p.grad += g
-        return loss
+        return payload
 
     def _exited(self):
         self._process.join()
-        raise ContractError(f"the training helper process exited with code {self._process.exitcode}") from None
+        raise ContractError(f"the helper process exited with code {self._process.exitcode}") from None
 
     def close(self) -> None:
         """Stop the helper, even one blocked sending a reply no one will read."""
@@ -591,12 +565,28 @@ class _ShardHelper:
         self._blas.close()
 
 
-def _batch_gradients(model: Model, batch: AssembledBatch, helper: _ShardHelper | None) -> float | None:
+def _helper_shard(model: Model, request) -> tuple[float, list[np.ndarray]]:
+    """The training helper's handler: one shard at the caller's parameter values and `np.errstate`.
+
+    `request` is (shard, n_rows, parameter values, `np.geterr()` dict); the
+    result is (loss, this process's `p.grad`, zeroed first, in parameter order).
+    """
+    shard, n_rows, values, errstate = request
+    params = model.parameters()
+    for p, value in zip(params, values):
+        p.value[...] = value
+        p.zero_grad()
+    with np.errstate(**errstate):
+        return _shard_gradients(model, shard, n_rows), [p.grad for p in params]
+
+
+def _batch_gradients(model: Model, batch: AssembledBatch, helper: _Helper | None) -> float | None:
     """A training batch's loss, its gradient summed into the zeroed `p.grad` in shard order.
 
     A shard with no valid target is skipped, and a batch with none returns
     None; a shard of non-finite loss adds no gradient. Of two shards, the
-    second runs in `helper` while the caller runs the first; without a
+    second runs in `helper` (`_helper_shard`) while the caller runs the
+    first, and the helper's `p.grad` is added after the caller's; without a
     helper they run one after the other, with the same bits.
     """
     n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
@@ -606,8 +596,14 @@ def _batch_gradients(model: Model, batch: AssembledBatch, helper: _ShardHelper |
     del batch
     model.zero_grads()
     if len(shards) == 2 and helper is not None:
-        helper.submit(shards.pop(), n_rows)
-        losses = [_shard_gradients(model, shards[0], n_rows), helper.result()]
+        params = model.parameters()
+        helper.submit((shards.pop(), n_rows, [p.value for p in params], np.geterr()))
+        losses = [_shard_gradients(model, shards[0], n_rows)]
+        loss, grads = helper.result()
+        if math.isfinite(loss):
+            for p, g in zip(params, grads):
+                p.grad += g
+        losses.append(loss)
     else:
         losses = [_shard_gradients(model, s, n_rows) for s in shards]
     return sum(losses) if losses else None
@@ -626,13 +622,14 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     validation split with no valid target raises ContractError.
     A batch of more than `_SHARD_ROWS` rows runs as two window shards
     (`_batch_gradients`); each backpropagates into `p.grad`, in shard order,
-    before clipping and the update. Where two cores are usable and the
-    platform forks, the second shard runs in one helper process
-    (`_ShardHelper`), forked at the first split batch and stopped when this
-    call returns or raises; it returns its own `p.grad`, which is added
-    into this process's. Otherwise the shards run here, one after the other,
-    with the same bits. A diverged step may leave a partial gradient in
-    `p.grad`, but never updates `p.value`.
+    before clipping and the update. Where a helper process may share the
+    work (`_forks`), the second shard runs in one helper (`_Helper`), forked
+    at the first split batch and stopped when this call returns or raises;
+    it returns its own `p.grad`, which is added into this process's.
+    Otherwise the shards run here, one after the other, with the same bits.
+    Validation forks a helper of its own (`predict_windows`). A diverged
+    step may leave a partial gradient in `p.grad`, but never updates
+    `p.value`.
     Freed memory stays mapped from here on (`_keep_freed_memory`).
     """
     if not bundle.train or not bundle.val:
@@ -642,8 +639,7 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
 
-    forks = _EVAL_WORKERS > 1 and "fork" in multiprocessing.get_all_start_methods()
-    with _ShardHelper(model) if forks else contextlib.nullcontext() as helper:
+    with _Helper(lambda request: _helper_shard(model, request)) if _forks() else contextlib.nullcontext() as helper:
         for epoch in range(cfg.max_epochs):
             rng = stream_rng(cfg.seed, f"batches-{epoch}")
             epoch_losses = []

@@ -1,6 +1,7 @@
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import gc
 import json
 import multiprocessing
@@ -10,13 +11,17 @@ import platform
 import resource
 import signal
 import socket
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
 import types
 import weakref
 from datetime import datetime, timedelta
+from multiprocessing.pool import RemoteTraceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,7 +345,7 @@ class TestEvaluate:
         report = tr.evaluate(model, bundle, "test")
         # feed the model's own predictions back as the target panel slice
         w, h = bundle.window, bundle.horizon
-        for chunk, preds, _, _ in tr.predict_windows(model, bundle, bundle.test, 16):
+        for chunk, preds, _, _, _ in tr.predict_windows(model, bundle, bundle.test, 16):
             # (step, node, window) masks as the predictions' (node, window) rows of H steps
             mask = np.stack([bundle.panel.mask[s + w : s + w + h] for s in chunk], axis=2)
             mask = mask.transpose(1, 2, 0, 3).reshape(preds.shape)
@@ -374,10 +379,10 @@ class TestEvaluate:
     def test_future_panel_values_do_not_change_predictions(self):
         model, bundle = make_bundle()
         starts = bundle.test[:1]
-        _, preds, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
+        _, preds, _, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         end = starts[0] + bundle.window + bundle.horizon
         bundle.panel.x[end:] += 123.0  # beyond this window's reach
-        _, preds2, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
+        _, preds2, _, _, _ = next(iter(tr.predict_windows(model, bundle, starts, 1)))
         np.testing.assert_array_equal(preds, preds2)
 
     def test_persistence_horizon_must_match_the_bundle(self):
@@ -428,10 +433,13 @@ class TestGroupedEvaluation:
         model, bundle = self.grouped(monkeypatch)
         cfg = model.config
         starts = bundle.test[:19]  # six groups of 3 windows and a tail of 1
-        for chunk, preds, batch, alphas in tr.predict_windows(model, bundle, starts, 8):
+        for chunk, preds, alphas, raw_targets, target_masks in tr.predict_windows(model, bundle, starts, 8):
             rows = len(chunk) * cfg.n_nodes
-            assert preds.shape == (rows, cfg.horizon, cfg.d_x) and batch.x.shape[1] == rows
+            assert preds.shape == (rows, cfg.horizon, cfg.d_x)
             assert alphas.shape == (rows, cfg.horizon, cfg.n_scales)
+            batch = tr.assemble_batch(bundle, chunk, mask_targets=False)
+            np.testing.assert_array_equal(raw_targets, batch.raw_targets)
+            np.testing.assert_array_equal(target_masks, batch.target_masks)
             for j, s in enumerate(chunk):
                 one = tr.assemble_batch(bundle, [s], mask_targets=False)
                 bf = model.forward_batch(one.x, one.m, one.u, record_gradients=False)
@@ -453,6 +461,7 @@ class TestGroupedEvaluation:
     ])
     def test_each_pass_is_one_gather_of_at_most_one_group(self, monkeypatch, windows_per_group, batch_size, group):
         model, bundle = self.grouped(monkeypatch, windows_per_group)
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 1)  # every pass runs here, where it is counted
         n, rows, gathered = model.config.n_nodes, [], []
         forward, assemble = Model.forward_batch, tr.assemble_batch
 
@@ -470,77 +479,93 @@ class TestGroupedEvaluation:
         tr.evaluate(model, bundle, "test", batch_size=batch_size)
         full, tail = divmod(len(bundle.test), group)
         assert tail or group == 1  # 42 test windows: groups of 4 and 5 end in a ragged tail
-        # groups run on two threads at once, so their passes may be counted out of order
-        assert sorted(rows) == sorted(gathered)
-        assert sorted(rows) == sorted([group * n] * full + ([tail * n] if tail else []))
+        assert rows == gathered == [group * n] * full + ([tail * n] if tail else [])
 
 
 class TestConcurrentEvaluation:
-    """Window groups run on a per-call pool; results, errors and errstate are those of one thread."""
+    """Every second window group runs in a helper process forked per call; results, errors and errstate are those of one process."""
 
-    grouped = staticmethod(TestGroupedEvaluation.grouped)
+    @staticmethod
+    def grouped(monkeypatch, **kwargs):
+        model, bundle = TestGroupedEvaluation.grouped(monkeypatch, **kwargs)
+        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
+        return model, bundle
+
+    @staticmethod
+    def sent(monkeypatch):
+        """The window starts this process sends to a helper, from here on."""
+        sent, submit = [], tr._Helper.submit
+
+        def counting_submit(self, request):
+            sent.append(list(request))
+            return submit(self, request)
+
+        monkeypatch.setattr(tr._Helper, "submit", counting_submit)
+        return sent
 
     @pytest.mark.parametrize("variant, per_step", [("anisotropic", True), ("isotropic", False)])
     def test_one_and_two_workers_give_the_same_bits(self, monkeypatch, variant, per_step):
         model, bundle = self.grouped(monkeypatch, variant=variant, per_step=per_step)
+        sent = self.sent(monkeypatch)
         runs = {}
         for workers in (1, 2):
             monkeypatch.setattr(tr, "_EVAL_WORKERS", workers)
             for split in ("val", "test"):
+                sent.clear()
                 outputs = list(tr.predict_windows(model, bundle, bundle.split(split), 8))
                 assert len(outputs) >= 5
+                # with two workers the helper ran every second group, with one none
+                assert sent == ([list(chunk) for chunk, *_ in outputs[1::2]] if workers == 2 else [])
                 runs[workers, split] = (
                     repr(tr.evaluate(model, bundle, split, batch_size=8)),
-                    [list(chunk) for chunk, _, _, _ in outputs],
-                    [preds.tobytes() for _, preds, _, _ in outputs],
-                    [alphas.tobytes() for _, _, _, alphas in outputs],
+                    [list(chunk) for chunk, *_ in outputs],
+                    [[a.tobytes() for a in arrays] for _, *arrays in outputs],
                 )
         for split in ("val", "test"):
             assert runs[1, split] == runs[2, split], split
 
-    def test_caller_errstate_reaches_the_workers(self, monkeypatch):
+    def test_caller_errstate_holds_in_the_helper(self, monkeypatch):
+        # only the helper's groups overflow (`TestShardedTraining.overflowing`); under
+        # numpy's default errstate they would warn, and the suite's filter turns the
+        # warning into a RuntimeWarning error
         model, bundle = self.grouped(monkeypatch)
-        # every hidden readout unit is elu(1) = 1, so each output is 1e308 before
-        # its bias, and adding the bias of 1e308 overflows on every row
-        width = model.config.decoder_hidden[0]
-        for name, value in (("h0.weight", 0.0), ("h0.bias", 1.0), ("out.weight", 1e308 / width), ("out.bias", 1e308)):
-            model.params[f"readout.{name}"].value[...] = value
+        forward = Model.forward_batch
+
+        def overflowing_there(self, *args, **kwargs):
+            if in_helper():
+                TestShardedTraining.overflowing(self)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", overflowing_there)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             tr.evaluate(model, bundle, "test", batch_size=8)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(tr.evaluate(model, bundle, "test", batch_size=8).mae)
 
-    def test_closing_early_waits_for_the_groups_in_flight(self, monkeypatch):
+    def test_closing_early_stops_the_helper(self, monkeypatch):
         model, bundle = self.grouped(monkeypatch)
-        forward, running = Model.forward_batch, []
-
-        def tracked_forward(self, *args, **kwargs):
-            running.append(1)
-            try:
-                return forward(self, *args, **kwargs)
-            finally:
-                running.pop()
-
-        monkeypatch.setattr(Model, "forward_batch", tracked_forward)
         threads = threading.active_count()
         predictions = tr.predict_windows(model, bundle, bundle.test, 8)
         next(predictions)
+        assert len(multiprocessing.active_children()) == 1
         predictions.close()
-        assert running == []
-        assert threading.active_count() == threads
-        next(iter(tr.predict_windows(model, bundle, bundle.test, 8)))  # dropped at once, as callers do
-        assert running == []
+        assert multiprocessing.active_children() == []
+        next(iter(tr.predict_windows(model, bundle, bundle.test, 8)))  # dropped unclosed, as callers do
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
-    def test_numpy_blas_runs_one_thread_in_the_workers_and_is_restored_after(self, monkeypatch):
+    def test_numpy_blas_runs_one_thread_in_both_processes_and_is_restored_after(self, monkeypatch):
         blas = tr._openblas_threads()
         if blas is None:
             pytest.skip("numpy links a BLAS other than OpenBLAS")
         get, put = blas
         model, bundle = self.grouped(monkeypatch)
-        monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
-        forward, seen = Model.forward_batch, []
+        forward, here = Model.forward_batch, []
 
         def observing_forward(self, *args, **kwargs):
-            seen.append(get())
+            if get() != 1:  # raised in either process, it reaches the caller
+                raise AssertionError(f"OpenBLAS runs {get()} threads")
+            here.append(1)  # the helper's passes append to its own copy
             if fail:
                 raise ValueError("group failed")
             return forward(self, *args, **kwargs)
@@ -552,6 +577,7 @@ class TestConcurrentEvaluation:
             fail = False
             tr.evaluate(model, bundle, "test", batch_size=8)  # runs to the end
             assert get() == 2
+            assert len(here) == 7  # of 14 groups of three windows; the helper ran the others
             predictions = tr.predict_windows(model, bundle, bundle.test, 8)
             next(predictions)
             predictions.close()  # closed early
@@ -562,27 +588,42 @@ class TestConcurrentEvaluation:
             assert get() == 2
         finally:
             put(before)
-        assert len(seen) >= 5 and set(seen) == {1}
 
-    def test_a_group_error_reaches_the_caller_unchanged_and_stops_submitting(self, monkeypatch):
+    @pytest.mark.parametrize("failing", [1, 2])  # a group the helper runs, and one that runs here
+    def test_a_group_error_reaches_the_caller_unchanged_and_stops_submitting(self, monkeypatch, failing):
         model, bundle = self.grouped(monkeypatch)
         assert len(bundle.test) >= 8 * 3  # at least eight groups of three windows
-        second = tr.assemble_batch(bundle, bundle.test[3:6], mask_targets=False).x
-        forward, calls = Model.forward_batch, []
+        bad = tr.assemble_batch(bundle, bundle.test[3 * failing : 3 * failing + 3], mask_targets=False).x
+        forward = Model.forward_batch
 
         def failing_forward(self, xw, mw, uw, record_gradients=True):
-            calls.append(1)
-            if xw.shape == second.shape and np.array_equal(xw, second):
-                raise ValueError("group 1 failed")
+            if xw.shape == bad.shape and np.array_equal(xw, bad):
+                raise ValueError(f"group {failing} failed")
             return forward(self, xw, mw, uw, record_gradients)
 
         monkeypatch.setattr(Model, "forward_batch", failing_forward)
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match=r"^group 1 failed$"):
+        sent = self.sent(monkeypatch)
+        with pytest.raises(ValueError, match=f"^group {failing} failed$") as raised:
             tr.evaluate(model, bundle, "test", batch_size=8)
-        # groups 0 and 1 were in flight, and group 2 was submitted when group 0 was read
-        assert len(calls) <= 3
-        assert threading.active_count() == threads
+        # group 1 is sent as group 0 runs here, and group 3 as group 2 does; nothing after the error
+        assert sent == [list(bundle.test[3:6]), list(bundle.test[9:12])][:failing]
+        if failing == 1:  # the helper's traceback is the cause
+            assert isinstance(raised.value.__cause__, RemoteTraceback)
+            assert "failing_forward" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_helper_names_its_exit_code(self, monkeypatch):
+        model, bundle = self.grouped(monkeypatch)
+        forward = Model.forward_batch
+
+        def killed_there(self, *args, **kwargs):
+            if in_helper():
+                os.kill(os.getpid(), signal.SIGKILL)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward_batch", killed_there)
+        with deadline(60), pytest.raises(ContractError, match=r"^the helper process exited with code -9$"):
+            tr.evaluate(model, bundle, "test", batch_size=8)
 
 
 @contextlib.contextmanager
@@ -619,6 +660,10 @@ class TestShardedTraining:
     @staticmethod
     def grads(model):
         return {name: p.grad.copy() for name, p in model.params.items()}
+
+    @staticmethod
+    def helper(model):
+        return tr._Helper(functools.partial(tr._helper_shard, model))
 
     @staticmethod
     def counted_passes(monkeypatch):
@@ -697,7 +742,7 @@ class TestShardedTraining:
         local_loss = tr._batch_gradients(model, batch, None)
         local = [p.grad.tobytes() for p in model.parameters()]
         values = [p.value.copy() for p in model.parameters()]
-        with tr._ShardHelper(model) as helper:
+        with self.helper(model) as helper:
             for p in model.parameters():  # the helper forks at these values, then reads each step's
                 p.value *= 1.5
             # this step leaves gradients in the helper, which it must zero before the next
@@ -719,7 +764,7 @@ class TestShardedTraining:
         want = self.grads(model)
         monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
         recorded = self.counted_passes(monkeypatch)
-        with tr._ShardHelper(model) as helper:
+        with self.helper(model) as helper:
             split_loss = tr._batch_gradients(model, batch, helper)
             assert helper._process is None  # a lone shard forks no helper
         assert recorded == [3 * n]
@@ -730,7 +775,8 @@ class TestShardedTraining:
 
     @staticmethod
     def overflowing(model):
-        # as in TestConcurrentEvaluation: every output is 1e308 before its bias of 1e308
+        # every hidden readout unit is elu(1) = 1, so each output is 1e308 before
+        # its bias, and adding the bias of 1e308 overflows on every row
         width = model.config.decoder_hidden[0]
         for name, value in (("h0.weight", 0.0), ("h0.bias", 1.0), ("out.weight", 1e308 / width), ("out.bias", 1e308)):
             model.params[f"readout.{name}"].value[...] = value
@@ -743,14 +789,16 @@ class TestShardedTraining:
         batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
         shard = tr._window_shards(batch, model.config.n_nodes)[1]
         n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
-        with tr._ShardHelper(model) as helper:
-            helper.submit(shard, n_rows)
-            assert np.isfinite(helper.result())
+        with self.helper(model) as helper:
+
+            def loss():
+                helper.submit((shard, n_rows, [p.value for p in model.parameters()], np.geterr()))
+                return helper.result()[0]
+
+            assert np.isfinite(loss())
             self.overflowing(model)
-            with np.errstate(over="raise"):
-                helper.submit(shard, n_rows)
-                with pytest.raises(FloatingPointError, match="overflow"):
-                    helper.result()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                loss()
 
     def test_a_helper_error_reaches_the_caller_unchanged(self, monkeypatch):
         def failing(model, shard, n_rows):
@@ -777,9 +825,9 @@ class TestShardedTraining:
             time.sleep(0.5)
             raise RuntimeError("shard 1 failed")
 
-        serve, reply_bytes = tr._serve_shards, tmp_path / "reply-bytes"
+        serve, reply_bytes = tr._serve, tmp_path / "reply-bytes"
 
-        def measured_serve(model, conn, parent_end):
+        def measured_serve(handler, conn, parent_end):
             send = conn.send
 
             def measured_send(reply):
@@ -787,11 +835,11 @@ class TestShardedTraining:
                 send(reply)
 
             conn.send = measured_send
-            serve(model, conn, parent_end)
+            serve(handler, conn, parent_end)
 
         monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
         monkeypatch.setattr(tr, "_shard_gradients", failing_here)
-        monkeypatch.setattr(tr, "_serve_shards", measured_serve)
+        monkeypatch.setattr(tr, "_serve", measured_serve)
         model, bundle = self.sharded(monkeypatch)
         with deadline(60), pytest.raises(RuntimeError, match=r"^shard 1 failed$"):
             tr.train(model, bundle, self.CFG)
@@ -805,11 +853,63 @@ class TestShardedTraining:
     def test_the_helper_exits_when_this_end_of_its_pipe_closes(self, monkeypatch):
         # as when this process is killed without stopping it: the helper holds no copy of this end
         model, bundle = self.sharded(monkeypatch)
-        with tr._ShardHelper(model) as helper:
+        with self.helper(model) as helper:
             tr._batch_gradients(model, tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True), helper)
             helper._conn.close()
             helper._process.join(timeout=30)
             assert helper._process.exitcode == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc to read the helpers' states in")
+    def test_no_helper_outlives_a_caller_killed_during_validation(self):
+        # the evaluation helper, forked inside `train`, holds an inherited copy of
+        # the caller's end of the training helper's pipe, so the training helper
+        # reads end of input only once the evaluation helper has exited too
+        script = textwrap.dedent("""
+            import multiprocessing, time
+            from test_training import make_bundle
+            from downcast import training as tr
+            from downcast.model import Model
+
+            model, bundle = make_bundle(variant="anisotropic", per_step=True)
+            tr._EVAL_WORKERS, tr._SHARD_ROWS = 2, 5 * model.config.n_nodes
+            forward = Model.forward_batch
+
+            def forward_batch(self, xw, mw, uw, record_gradients=True):
+                if not record_gradients and multiprocessing.parent_process() is None:
+                    # this process's first validation group; both helpers are running
+                    print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+                    time.sleep(600)
+                return forward(self, xw, mw, uw, record_gradients)
+
+            Model.forward_batch = forward_batch
+            tr.train(model, bundle, tr.TrainConfig(max_epochs=1, batches_per_epoch=2, batch_size=6, eval_batch_size=8))
+        """)
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat[stat.rindex(")") + 2] not in "ZX"  # a zombie has exited
+
+        path = os.pathsep.join([str(Path(tr.__file__).parents[1]), str(Path(__file__).parent)])
+        caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": path})
+        helpers = []
+        try:
+            with deadline(60):
+                helpers = [int(pid) for pid in caller.stdout.readline().split()]
+                assert len(helpers) == 2
+                caller.kill()
+                caller.wait()
+                while any(running(pid) for pid in helpers):
+                    time.sleep(0.05)
+        finally:
+            caller.kill()
+            caller.wait()
+            caller.stdout.close()
+            for pid in filter(running, helpers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_numpy_blas_runs_one_thread_while_the_helper_lives(self, monkeypatch):
         blas = tr._openblas_threads()
@@ -819,12 +919,9 @@ class TestShardedTraining:
         before = get()
         put(2)
         try:
-            model, _ = self.sharded(monkeypatch)
-            # the helper's loss is its own thread count
-            monkeypatch.setattr(tr, "_shard_gradients", lambda model, shard, n_rows: float(get()))
-            with tr._ShardHelper(model) as helper:
-                helper.submit((), 1)
-                assert helper.result() == 1.0 and get() == 1
+            with tr._Helper(lambda request: get()) as helper:  # it replies with its own thread count
+                helper.submit(None)
+                assert helper.result() == 1 and get() == 1
             assert get() == 2
         finally:
             put(before)
@@ -868,21 +965,26 @@ class TestShardedTraining:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads in")
     def test_the_helper_forks_from_a_process_of_one_thread(self, monkeypatch):
         # Python 3.12 and later warn (DeprecationWarning) when a process of more
-        # than one OS thread forks; the parent counts its threads right after the fork
-        fork, threads = os.fork, []
+        # than one OS thread forks; right after each fork the parent counts its
+        # threads and the helpers already running
+        fork, forks = os.fork, []
 
         def counting_fork():
             pid = fork()
             if pid:
-                threads.append(len(os.listdir("/proc/self/task")))
+                forks.append((len(os.listdir("/proc/self/task")), len(multiprocessing.active_children())))
             return pid
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
         model, bundle = self.sharded(monkeypatch)
         with deadline(60):
+            tr.evaluate(model, bundle, "val", batch_size=8)  # three groups, so one evaluation helper
+            assert forks == [(1, 0)]
+            forks.clear()
             tr.train(model, bundle, self.CFG)
-        assert threads == [1]
+        # training's helper, then each epoch's validation helper while training's lives
+        assert forks == [(1, 0)] + [(1, 1)] * self.CFG.max_epochs
 
 
 class TestGradientEndToEnd:
