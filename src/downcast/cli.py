@@ -182,7 +182,7 @@ def train_config_from(resolved: dict) -> tr.TrainConfig:
 
 def _write_json(path: Path, payload) -> None:
     with dt.atomic_write(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
@@ -217,6 +217,7 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
     model, bundle = prepare_experiment(resolved)
     out_dir = Path(resolved["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "metrics.json").unlink(missing_ok=True)  # a previous run's, until this one finishes
     _write_json(out_dir / "resolved-config.json", resolved)
     _write_json(out_dir / "mask-stats.json", mk.mask_statistics(bundle.sim_mask))
 
@@ -229,10 +230,11 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
     _write_history(out_dir / "history.csv", result.history)
     if not (math.isfinite(test.mae) and math.isfinite(test.mse)):
         raise tr.TrainingDiverged(f"non-finite test metrics: mae {test.mae!r}, mse {test.mse!r}", result.history)
+    val_mae = result.best_val_mae if result.history else None  # no epoch, no validation
     metrics = {
         "test_mae": test.mae,
         "test_mse": test.mse,
-        "val_mae": result.best_val_mae if result.history else float("nan"),
+        "val_mae": val_mae,
         "per_horizon_mae": test.per_horizon_mae,
         "missing_fraction": bundle.combined_missing_fraction,
         "epochs_run": len(result.history),
@@ -243,7 +245,7 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
         {
             "resolved_config": resolved,
             "epoch": len(result.history),
-            "val_mae": result.best_val_mae,
+            "val_mae": val_mae,
             "seed": resolved["seed"],
         },
     )

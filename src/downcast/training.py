@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import multiprocessing
@@ -63,7 +64,7 @@ class TrainConfig:
 class MetricsReport:
     mae: float
     mse: float
-    per_horizon_mae: list[float]
+    per_horizon_mae: list[float | None]  # None at a step with no valid target
     per_horizon_counts: list[int]
     n_valid: int
 
@@ -320,7 +321,7 @@ class _MaskedErrorSums:
         return MetricsReport(
             mae=float(self.abs_sum.sum() / n),
             mse=float(self.sq_sum.sum() / n),
-            per_horizon_mae=[float(a / c) if c else float("nan") for a, c in zip(self.abs_sum, self.counts)],
+            per_horizon_mae=[float(a / c) if c else None for a, c in zip(self.abs_sum, self.counts)],
             per_horizon_counts=[int(c) for c in self.counts],
             n_valid=n,
         )
@@ -401,42 +402,20 @@ def _keep_freed_memory() -> None:
 _SHARD_ROWS = 256
 
 
-def _window_shards(batch: AssembledBatch, n_nodes: int) -> list[tuple[np.ndarray, ...]]:
-    """A training batch's (x, m, u, targets, target_masks), whole or as two window shards.
+def _shard_gradients(model: Model, bundle: DataBundle, starts, n_rows: int) -> float:
+    """Gather the windows at `starts`, run them forward recorded and backpropagate their loss into `p.grad`.
 
-    A batch of more than `_SHARD_ROWS` rows and at least two windows is cut
-    by window: the inputs (W, N*B, C) view as (W, N, B, C), the targets
-    (N*B*H, C) as (N, B, H, C), and a slice of the B axis copies one
-    shard's windows, the first half rounded up. The rule reads shapes only,
-    so a config's bits do not depend on the machine.
+    The loss is over the batch's `n_rows` rows, so the shards' losses add up
+    to the batch's. The process that runs the shard gathers it. A non-finite
+    loss is returned with no backward. Only the tape and the loss outlive
+    the forward, so backward frees the predictions, slots and attention
+    weights with the records that hold them.
     """
-    arrays = (batch.x, batch.m, batch.u, batch.targets, batch.target_masks)
-    w, rows, _ = batch.x.shape
-    b, h = rows // n_nodes, batch.targets.shape[0] // rows
-    if rows <= _SHARD_ROWS or b < 2:
-        return [arrays]
-
-    def cut(a, lo, hi):
-        if a.ndim == 3:
-            return a.reshape(w, n_nodes, b, a.shape[2])[:, :, lo:hi].reshape(w, n_nodes * (hi - lo), a.shape[2])
-        return a.reshape(n_nodes, b, h, a.shape[1])[:, lo:hi].reshape(n_nodes * (hi - lo) * h, a.shape[1])
-
-    half = (b + 1) // 2
-    return [tuple(cut(a, lo, hi) for a in arrays) for lo, hi in ((0, half), (half, b))]
-
-
-def _shard_gradients(model: Model, shard: tuple[np.ndarray, ...], n_rows: int) -> float:
-    """One shard's recorded forward and its loss over the batch's `n_rows` rows, backpropagated into `p.grad`.
-
-    A non-finite loss is returned with no backward. Only the tape and the
-    loss outlive the forward, so backward frees the predictions, slots and
-    attention weights with the records that hold them.
-    """
-    x, m, u, targets, target_masks = shard
-    bf = model.forward_batch(x, m, u)
-    loss = masked_mae_loss(bf.preds, targets, target_masks, n_rows)
+    batch = assemble_batch(bundle, starts, mask_targets=True)
+    bf = model.forward_batch(batch.x, batch.m, batch.u)
+    loss = masked_mae_loss(bf.preds, batch.targets, batch.target_masks, n_rows)
     tape = bf.tape
-    del bf
+    del bf, batch
     if np.isfinite(loss.data):
         tape.backward(loss)
     return float(loss.data)
@@ -565,47 +544,55 @@ class _Helper(contextlib.AbstractContextManager):
         self._blas.close()
 
 
-def _helper_shard(model: Model, request) -> tuple[float, list[np.ndarray]]:
+def _helper_shard(model: Model, bundle: DataBundle, request) -> tuple[float, list[np.ndarray]]:
     """The training helper's handler: one shard at the caller's parameter values and `np.errstate`.
 
-    `request` is (shard, n_rows, parameter values, `np.geterr()` dict); the
-    result is (loss, this process's `p.grad`, zeroed first, in parameter order).
+    `request` is (the shard's window starts, n_rows, parameter values,
+    `np.geterr()` dict); the helper gathers the shard from its copy of
+    `bundle`. The result is (loss, this process's `p.grad`, zeroed first, in
+    parameter order).
     """
-    shard, n_rows, values, errstate = request
+    starts, n_rows, values, errstate = request
     params = model.parameters()
     for p, value in zip(params, values):
         p.value[...] = value
         p.zero_grad()
     with np.errstate(**errstate):
-        return _shard_gradients(model, shard, n_rows), [p.grad for p in params]
+        return _shard_gradients(model, bundle, starts, n_rows), [p.grad for p in params]
 
 
-def _batch_gradients(model: Model, batch: AssembledBatch, helper: _Helper | None) -> float | None:
-    """A training batch's loss, its gradient summed into the zeroed `p.grad` in shard order.
+def _batch_gradients(model: Model, bundle: DataBundle, starts, helper: _Helper | None) -> float | None:
+    """The loss of the training batch at `starts`, its gradient summed into the zeroed `p.grad` in shard order.
 
-    A shard with no valid target is skipped, and a batch with none returns
-    None; a shard of non-finite loss adds no gradient. Of two shards, the
-    second runs in `helper` (`_helper_shard`) while the caller runs the
+    The loss's `n_rows` are the (node, target step) rows with a valid channel
+    under both masks. A batch of more than `_SHARD_ROWS` rows and at least
+    two windows is cut into two shards of starts, the first half rounded up;
+    the rule reads shapes only, so a config's bits do not depend on the
+    machine. A shard with no valid target is skipped, and a batch with none
+    returns None; a shard of non-finite loss adds no gradient. Of two shards,
+    the second runs in `helper` (`_helper_shard`) while the caller runs the
     first, and the helper's `p.grad` is added after the caller's; without a
     helper they run one after the other, with the same bits.
     """
-    n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
-    shards = [s for s in _window_shards(batch, model.config.n_nodes) if s[4].any()]  # s[4]: target mask
-    # two shards are copies: unless the caller keeps the batch, its arrays
-    # are freed before the tape grows
-    del batch
+    steps = np.asarray(starts)[:, None] + bundle.window + np.arange(bundle.horizon)  # (B, H)
+    valid = (bundle.panel.mask[steps] * bundle.sim_mask[steps]).sum(axis=-1)  # (B, H, N)
+    per_window = np.count_nonzero(valid, axis=(1, 2))
+    n_rows = int(per_window.sum())
+    b = len(starts)
+    half = (b + 1) // 2 if b * model.config.n_nodes > _SHARD_ROWS and b > 1 else b
+    shards = [starts[lo:hi] for lo, hi in ((0, half), (half, b)) if per_window[lo:hi].any()]
     model.zero_grads()
     if len(shards) == 2 and helper is not None:
         params = model.parameters()
         helper.submit((shards.pop(), n_rows, [p.value for p in params], np.geterr()))
-        losses = [_shard_gradients(model, shards[0], n_rows)]
+        losses = [_shard_gradients(model, bundle, shards[0], n_rows)]
         loss, grads = helper.result()
         if math.isfinite(loss):
             for p, g in zip(params, grads):
                 p.grad += g
         losses.append(loss)
     else:
-        losses = [_shard_gradients(model, s, n_rows) for s in shards]
+        losses = [_shard_gradients(model, bundle, s, n_rows) for s in shards]
     return sum(losses) if losses else None
 
 
@@ -620,12 +607,13 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     by `plateau_factor`; the `early_stop_patience`-th stops training. A
     non-finite training loss or validation MAE raises TrainingDiverged, and a
     validation split with no valid target raises ContractError.
-    A batch of more than `_SHARD_ROWS` rows runs as two window shards
-    (`_batch_gradients`); each backpropagates into `p.grad`, in shard order,
-    before clipping and the update. Where a helper process may share the
-    work (`_forks`), the second shard runs in one helper (`_Helper`), forked
-    at the first split batch and stopped when this call returns or raises;
-    it returns its own `p.grad`, which is added into this process's.
+    A batch of more than `_SHARD_ROWS` rows runs as two shards of window
+    starts (`_batch_gradients`); the process that runs a shard gathers it,
+    and each shard backpropagates into `p.grad`, in shard order, before
+    clipping and the update. Where a helper process may share the work
+    (`_forks`), the second shard runs in one helper (`_Helper`), forked at
+    the first split batch and stopped when this call returns or raises; it
+    returns its own `p.grad`, which is added into this process's.
     Otherwise the shards run here, one after the other, with the same bits.
     Validation forks a helper of its own (`predict_windows`). A diverged
     step may leave a partial gradient in `p.grad`, but never updates
@@ -639,15 +627,14 @@ def train(model: Model, bundle: DataBundle, cfg: TrainConfig) -> TrainResult:
     state = TrainState(params, cfg.learning_rate)
     history: list[dict] = []
 
-    with _Helper(lambda request: _helper_shard(model, request)) if _forks() else contextlib.nullcontext() as helper:
+    helper_shard = functools.partial(_helper_shard, model, bundle)
+    with _Helper(helper_shard) if _forks() else contextlib.nullcontext() as helper:
         for epoch in range(cfg.max_epochs):
             rng = stream_rng(cfg.seed, f"batches-{epoch}")
             epoch_losses = []
             for batch_idx in range(cfg.batches_per_epoch):
                 picks = rng.integers(0, len(bundle.train), size=cfg.batch_size)
-                loss = _batch_gradients(
-                    model, assemble_batch(bundle, bundle.train.start + picks, mask_targets=True), helper
-                )
+                loss = _batch_gradients(model, bundle, bundle.train.start + picks, helper)
                 if loss is None:
                     continue
                 if not math.isfinite(loss):
@@ -696,7 +683,7 @@ def save_checkpoint(out_dir, model: Model, metadata: dict) -> None:
     }
     blob = b"".join(p.value.astype("<f8").tobytes() for p in model.parameters())
     with atomic_write(out / "checkpoint.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     with atomic_write(out / "checkpoint.bin", "wb") as fh:
         fh.write(blob)
 

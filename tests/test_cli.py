@@ -221,6 +221,33 @@ class TestRunExperiment:
         assert f"the {split} split has no valid target" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_a_failed_rerun_leaves_no_metrics(self, tmp_path):
+        out = tmp_path / "run"
+        cli.run_experiment(write_config(tmp_path, tiny_config(out)))
+        assert (out / "metrics.json").exists()
+        path = write_config(tmp_path, tiny_config(out, train={"learning_rate": 1e300}), name="diverging.json")
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            assert cli.main(["run", "--config", str(path)]) == 3
+        assert not (out / "metrics.json").exists()  # the earlier run's would mark this one finished
+
+    def test_a_run_without_epochs_writes_standard_json(self, tmp_path):
+        out = tmp_path / "run"
+        cli.run_experiment(write_config(tmp_path, tiny_config(out, train={"max_epochs": 0})))
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        files = sorted(out.rglob("*.json"))
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in files}
+        assert len(docs) == 4
+        assert docs["metrics.json"]["val_mae"] is None and docs["metrics.json"]["epochs_run"] == 0
+        assert docs["checkpoint.json"]["metadata"]["val_mae"] is None
+
+    def test_a_non_finite_value_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(tmp_path / "metrics.json", {"test_mae": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")
         path = write_config(tmp_path, cfg)

@@ -376,6 +376,14 @@ class TestEvaluate:
         weighted = sum(m * c for m, c in zip(report.per_horizon_mae, report.per_horizon_counts))
         assert weighted / sum(report.per_horizon_counts) == pytest.approx(report.mae, abs=1e-10)
 
+    def test_a_horizon_step_without_valid_target_has_no_mae(self):
+        model, bundle = make_bundle()
+        s, w, h = bundle.test[0], bundle.window, bundle.horizon
+        bundle.panel.mask[s + w + h - 1] = 0.0  # the one window's last target step
+        report = tr.evaluate(model, dataclasses.replace(bundle, test=bundle.test[:1]), "test")
+        assert report.per_horizon_counts[-1] == 0 and report.per_horizon_mae[-1] is None
+        assert all(np.isfinite(report.per_horizon_mae[:-1]))
+
     def test_future_panel_values_do_not_change_predictions(self):
         model, bundle = make_bundle()
         starts = bundle.test[:1]
@@ -662,8 +670,8 @@ class TestShardedTraining:
         return {name: p.grad.copy() for name, p in model.params.items()}
 
     @staticmethod
-    def helper(model):
-        return tr._Helper(functools.partial(tr._helper_shard, model))
+    def helper(model, bundle):
+        return tr._Helper(functools.partial(tr._helper_shard, model, bundle))
 
     @staticmethod
     def counted_passes(monkeypatch):
@@ -683,8 +691,8 @@ class TestShardedTraining:
         """Train a sharded model, with `helper_shard` in place of the helper's `_shard_gradients`."""
         shard_gradients = tr._shard_gradients
 
-        def patched(model, shard, n_rows):
-            return (helper_shard if in_helper() else shard_gradients)(model, shard, n_rows)
+        def patched(model, bundle, starts, n_rows):
+            return (helper_shard if in_helper() else shard_gradients)(model, bundle, starts, n_rows)
 
         monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
         monkeypatch.setattr(tr, "_shard_gradients", patched)
@@ -719,14 +727,14 @@ class TestShardedTraining:
     def test_split_step_matches_one_tape(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
         n = model.config.n_nodes
-        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        starts = bundle.train[5:11]
         recorded = self.counted_passes(monkeypatch)
-        whole_loss = tr._batch_gradients(model, batch, None)
+        whole_loss = tr._batch_gradients(model, bundle, starts, None)
         want = self.grads(model)
         monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
         for p in model.parameters():
             p.grad[...] = 3.0  # a step starts from zeroed gradients
-        split_loss = tr._batch_gradients(model, batch, None)
+        split_loss = tr._batch_gradients(model, bundle, starts, None)
         assert recorded == [6 * n, 3 * n, 3 * n]
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
         got = self.grads(model)
@@ -737,35 +745,38 @@ class TestShardedTraining:
     def test_the_helper_gives_the_bits_of_one_process(self, monkeypatch):
         model, bundle = self.sharded(monkeypatch)
         n = model.config.n_nodes
-        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
+        starts = bundle.train[5:11]
         recorded = self.counted_passes(monkeypatch)
-        local_loss = tr._batch_gradients(model, batch, None)
+        local_loss = tr._batch_gradients(model, bundle, starts, None)
         local = [p.grad.tobytes() for p in model.parameters()]
         values = [p.value.copy() for p in model.parameters()]
-        with self.helper(model) as helper:
+        with self.helper(model, bundle) as helper:
             for p in model.parameters():  # the helper forks at these values, then reads each step's
                 p.value *= 1.5
             # this step leaves gradients in the helper, which it must zero before the next
-            tr._batch_gradients(model, batch, helper)
+            tr._batch_gradients(model, bundle, starts, helper)
             for p, value in zip(model.parameters(), values):
                 p.value[...] = value
-            helped_loss = tr._batch_gradients(model, batch, helper)
+            helped_loss = tr._batch_gradients(model, bundle, starts, helper)
         assert recorded == [3 * n] * 4  # two shards here, then one per helped step
         assert helped_loss == local_loss
         assert [p.grad.tobytes() for p in model.parameters()] == local
 
     def test_a_shard_without_valid_target_is_skipped(self, monkeypatch):
         model, bundle = make_bundle(variant="anisotropic", per_step=True)
-        cfg, n = model.config, model.config.n_nodes
-        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
-        batch.target_masks.reshape(n, 6, cfg.horizon, cfg.d_x)[:, 3:] = 0.0  # the second shard's windows
-        assert batch.target_masks.any()
-        whole_loss = tr._batch_gradients(model, batch, None)
+        n, w, h = model.config.n_nodes, bundle.window, bundle.horizon
+        # adjacent windows share target steps; windows h steps apart do not
+        starts = bundle.train.start + 5 + h * np.arange(6)
+        for s in starts[3:]:  # the second shard's target steps
+            bundle.sim_mask[s + w : s + w + h] = 0.0
+        assert tr.assemble_batch(bundle, starts[:3], mask_targets=True).target_masks.any()
+        assert not tr.assemble_batch(bundle, starts[3:], mask_targets=True).target_masks.any()
+        whole_loss = tr._batch_gradients(model, bundle, starts, None)
         want = self.grads(model)
         monkeypatch.setattr(tr, "_SHARD_ROWS", 5 * n)
         recorded = self.counted_passes(monkeypatch)
-        with self.helper(model) as helper:
-            split_loss = tr._batch_gradients(model, batch, helper)
+        with self.helper(model, bundle) as helper:
+            split_loss = tr._batch_gradients(model, bundle, starts, helper)
             assert helper._process is None  # a lone shard forks no helper
         assert recorded == [3 * n]
         assert split_loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
@@ -781,15 +792,37 @@ class TestShardedTraining:
         for name, value in (("h0.weight", 0.0), ("h0.bias", 1.0), ("out.weight", 1e308 / width), ("out.bias", 1e308)):
             model.params[f"readout.{name}"].value[...] = value
 
+    def test_the_helper_is_sent_the_second_half_of_the_starts(self, monkeypatch):
+        # seven windows: this process runs the first four and the helper the last
+        # three, gathering them itself, so the request holds no batch array
+        model, bundle = self.sharded(monkeypatch)
+        starts = bundle.train.start + np.array([40, 3, 17, 3, 60, 22, 9])
+        requests, submit = [], tr._Helper.submit
+
+        def recording_submit(self, request):
+            requests.append(request)
+            return submit(self, request)
+
+        monkeypatch.setattr(tr._Helper, "submit", recording_submit)
+        recorded = self.counted_passes(monkeypatch)
+        with self.helper(model, bundle) as helper:
+            tr._batch_gradients(model, bundle, starts, helper)
+        assert recorded == [4 * model.config.n_nodes]
+        ((sent, n_rows, values, errstate),) = requests
+        assert list(sent) == list(starts[4:])
+        batch = tr.assemble_batch(bundle, starts, mask_targets=True)
+        assert n_rows == np.count_nonzero(batch.target_masks.sum(axis=-1))
+        assert [v.tobytes() for v in values] == [p.value.tobytes() for p in model.parameters()]
+        assert errstate == np.geterr()
+
     def test_caller_errstate_reaches_the_shard_workers(self, monkeypatch):
         # the helper forks under numpy's default errstate, so only the one sent with
         # the shard can make it raise (the default warns, and the suite's filter
         # turns the warning into a RuntimeWarning error)
         model, bundle = self.sharded(monkeypatch)
-        batch = tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True)
-        shard = tr._window_shards(batch, model.config.n_nodes)[1]
-        n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
-        with self.helper(model) as helper:
+        shard = bundle.train[8:11]
+        n_rows = 6 * model.config.n_nodes * bundle.horizon  # at least the batch's contributing rows
+        with self.helper(model, bundle) as helper:
 
             def loss():
                 helper.submit((shard, n_rows, [p.value for p in model.parameters()], np.geterr()))
@@ -801,14 +834,14 @@ class TestShardedTraining:
                 loss()
 
     def test_a_helper_error_reaches_the_caller_unchanged(self, monkeypatch):
-        def failing(model, shard, n_rows):
+        def failing(model, bundle, starts, n_rows):
             raise ValueError("shard 2 failed")
 
         with pytest.raises(ValueError, match=r"^shard 2 failed$"):
             self.helper_runs(monkeypatch, failing)
 
     def test_a_helper_that_dies_names_its_exit_code(self, monkeypatch):
-        def dying(model, shard, n_rows):
+        def dying(model, bundle, starts, n_rows):
             os._exit(7)
 
         with pytest.raises(ContractError, match=r"helper process exited with code 7$"):
@@ -818,7 +851,7 @@ class TestShardedTraining:
         # the helper replies with its `p.grad`; an 8 MB gradient outgrows the
         # pipe's buffers, so the reply blocks until read; this process raises
         # on its own shard instead of reading
-        def failing_here(model, shard, n_rows):
+        def failing_here(model, bundle, starts, n_rows):
             if in_helper():
                 model.parameters()[0].grad = np.zeros(1 << 20)
                 return 1.0
@@ -853,8 +886,8 @@ class TestShardedTraining:
     def test_the_helper_exits_when_this_end_of_its_pipe_closes(self, monkeypatch):
         # as when this process is killed without stopping it: the helper holds no copy of this end
         model, bundle = self.sharded(monkeypatch)
-        with self.helper(model) as helper:
-            tr._batch_gradients(model, tr.assemble_batch(bundle, bundle.train[5:11], mask_targets=True), helper)
+        with self.helper(model, bundle) as helper:
+            tr._batch_gradients(model, bundle, bundle.train[5:11], helper)
             helper._conn.close()
             helper._process.join(timeout=30)
             assert helper._process.exitcode == 0
@@ -941,11 +974,11 @@ class TestShardedTraining:
         # only the helper's shard overflows; it reads the parameters anew with each shard
         shard_gradients, here = tr._shard_gradients, []
 
-        def diverging_there(model, shard, n_rows):
+        def diverging_there(model, bundle, starts, n_rows):
             if in_helper():
                 TestShardedTraining.overflowing(model)
-                return shard_gradients(model, shard, n_rows)
-            here.append(shard_gradients(model, shard, n_rows))
+                return shard_gradients(model, bundle, starts, n_rows)
+            here.append(shard_gradients(model, bundle, starts, n_rows))
             return here[-1]
 
         monkeypatch.setattr(tr, "_EVAL_WORKERS", 2)
@@ -1063,10 +1096,9 @@ class TestTapeLifetime:
         }
         model, bundle = cli.prepare_experiment(cli.resolve_config(raw))
         picks = stream_rng(7, "batches-0").integers(0, len(bundle.train), size=32)
-        batch = tr.assemble_batch(bundle, bundle.train.start + picks, mask_targets=True)
-        n_rows = int(np.count_nonzero(batch.target_masks.sum(axis=-1)))
-        shard = tr._window_shards(batch, model.config.n_nodes)[0]
-        assert shard[0].shape[1] == 320
+        shard = (bundle.train.start + picks)[:16]
+        assert len(shard) * model.config.n_nodes == 320
+        n_rows = 32 * model.config.n_nodes * bundle.horizon  # at least the batch's contributing rows
         backward, traced = ad.Tape.backward, []
 
         def measured_backward(tape, loss):
@@ -1081,7 +1113,7 @@ class TestTapeLifetime:
         model.zero_grads()
         tracemalloc.start()
         try:
-            tr._shard_gradients(model, shard, n_rows)
+            tr._shard_gradients(model, bundle, shard, n_rows)
         finally:
             tracemalloc.stop()
         after_forward, backward_peak = traced
@@ -1159,6 +1191,12 @@ class TestCheckpoint:
         model, manifest, _ = self._saved(tmp_path)
         manifest.write_text("{bad")
         self._assert_refused(tmp_path, self._fresh(model), "checkpoint.json is not valid JSON")
+
+    def test_a_non_finite_metadata_value_is_refused_before_any_file(self, tmp_path):
+        model, _ = make_bundle()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            tr.save_checkpoint(tmp_path / "ckpt", model, {"val_mae": float("inf")})
+        assert list((tmp_path / "ckpt").iterdir()) == []
 
     def test_unknown_format_rejected(self, tmp_path):
         model, manifest, _ = self._saved(tmp_path)
